@@ -5,10 +5,14 @@
 // block-skip saving).
 //
 // Beyond the google-benchmark suite, main() runs an engine-comparison
-// harness (naive vs gemm training step on a tiny R(2+1)D block) and
-// writes a machine-readable summary to --json-out=PATH
-// (default BENCH_kernels.json): GFLOP/s, speedup, and the gemm engine's
-// pack/compute time split taken from the kernels.gemm.* counters.
+// harness (naive vs gemm training step on a tiny R(2+1)D block), times
+// the SGEMM micro-kernel the CPU dispatches to against the portable one
+// on one thread, times one training epoch of the benchmark prune job's
+// model on one thread and on the whole pool, and writes a
+// machine-readable summary to --json-out=PATH (default
+// BENCH_kernels.json): GFLOP/s, speedups, the dispatched ISA, and the
+// gemm engine's pack/compute time split taken from the kernels.gemm.*
+// counters.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -18,12 +22,15 @@
 
 #include "common/rng.h"
 #include "core/projection.h"
+#include "data/synthetic_video.h"
 #include "fpga/tiled_conv_sim.h"
 #include "kernels/engine.h"
 #include "kernels/sgemm.h"
 #include "kernels/thread_pool.h"
+#include "models/tiny_r2plus1d.h"
 #include "nn/conv3d.h"
 #include "nn/r2plus1d_block.h"
+#include "nn/trainer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/init.h"
@@ -231,25 +238,104 @@ struct TrainStepSetup {
   }
 };
 
-// Best-of-reps wall time of one training step under `engine`, in ms.
-// Runs one warmup step, then repetitions until >= 0.3 s has accumulated
-// (at least 3 reps).
-double TimeTrainStepMs(TrainStepSetup& setup, kernels::Engine engine) {
-  EngineOverride eo(engine);
-  setup.Step();  // warmup: touches cold memory, settles the pool
+// Best wall time of `fn` in ms: one warmup call (touches cold memory,
+// settles the pool), then repetitions until `budget_ms` has accumulated,
+// at least `min_reps` and at most 200 of them.
+template <typename Fn>
+double BestOfMs(Fn&& fn, double budget_ms, int min_reps) {
+  fn();
   double best_ms = 1e300;
-  double total_us = 0.0;
-  int reps = 0;
-  while (reps < 3 || total_us < 300000.0) {
+  double total_ms = 0.0;
+  for (int reps = 0; reps < 200 && (reps < min_reps || total_ms < budget_ms);
+       ++reps) {
     const double t0 = obs::NowUs();
-    setup.Step();
-    const double us = obs::NowUs() - t0;
-    total_us += us;
-    best_ms = us / 1000.0 < best_ms ? us / 1000.0 : best_ms;
-    ++reps;
-    if (reps >= 200) break;
+    fn();
+    const double ms = (obs::NowUs() - t0) / 1000.0;
+    total_ms += ms;
+    best_ms = ms < best_ms ? ms : best_ms;
   }
   return best_ms;
+}
+
+// Best-of-reps wall time of one training step under `engine`, in ms
+// (at least 3 reps and 0.3 s).
+double TimeTrainStepMs(TrainStepSetup& setup, kernels::Engine engine) {
+  EngineOverride eo(engine);
+  return BestOfMs([&] { setup.Step(); }, 300.0, 3);
+}
+
+struct MicroKernelResult {
+  const char* isa = "portable";
+  double dispatched_gflops = 0.0;
+  double portable_gflops = 0.0;
+};
+
+// One-thread Sgemm GFLOP/s on the benchmark model's largest conv GEMM
+// (m 18 x n 600 x k 72), with the dispatched micro-kernel and with the
+// portable one.
+MicroKernelResult RunMicroKernelComparison() {
+  const int64_t m = 18, n = 600, k = 72;
+  Rng rng(31);
+  TensorF a(Shape{m, k}), b(Shape{k, n}), c(Shape{m, n});
+  FillUniform(a, rng, -1.0f, 1.0f);
+  FillUniform(b, rng, -1.0f, 1.0f);
+  const double gflop = 2.0 * m * n * k / 1e9;
+  auto gflops = [&]() {
+    ThreadPool::SerialScope one_thread;
+    const double ms = BestOfMs(
+        [&] {
+          kernels::Sgemm(false, false, m, n, k, a.data(), k, b.data(), n,
+                         c.data(), n, /*accumulate=*/false);
+          benchmark::DoNotOptimize(c.data());
+          benchmark::ClobberMemory();
+        },
+        200.0, 20);
+    return gflop / (ms / 1000.0);
+  };
+  MicroKernelResult r;
+  const kernels::SgemmIsa dispatched = kernels::ActiveSgemmIsa();
+  r.isa = kernels::SgemmIsaName(dispatched);
+  r.dispatched_gflops = gflops();
+  kernels::SetSgemmIsa(kernels::SgemmIsa::kPortable);
+  r.portable_gflops = gflops();
+  kernels::SetSgemmIsa(dispatched);
+  return r;
+}
+
+struct EpochResult {
+  double one_thread_ms = 0.0;
+  double pool_ms = 0.0;
+};
+
+// One training epoch of the benchmark prune job's model (TinyR2Plus1d
+// 4/8/8 channels, 5 classes, 128 clips of 6x10x10 in batches of 8) on one
+// thread and on the whole pool.
+EpochResult RunPruneEpochComparison() {
+  data::SyntheticVideoConfig dcfg;
+  dcfg.num_classes = 5;
+  dcfg.frames = 6;
+  dcfg.height = 10;
+  dcfg.width = 10;
+  const data::SyntheticVideoDataset dataset(dcfg);
+  Rng rng(41);
+  const std::vector<nn::Batch> train = dataset.MakeBatches(128, 8, rng);
+  models::TinyR2Plus1dConfig mcfg;
+  mcfg.num_classes = dcfg.num_classes;
+  mcfg.stem_channels = 4;
+  mcfg.stage1_channels = 8;
+  mcfg.stage2_channels = 8;
+  models::TinyR2Plus1d model(mcfg, rng);
+  nn::Sgd opt(model.Params(),
+              {.lr = 0.01f, .momentum = 0.9f, .weight_decay = 0.0f});
+  auto epoch = [&] { nn::TrainEpoch(model, opt, train, {}); };
+
+  EpochResult r;
+  {
+    ThreadPool::SerialScope one_thread;
+    r.one_thread_ms = BestOfMs(epoch, 0.0, 3);
+  }
+  r.pool_ms = BestOfMs(epoch, 0.0, 3);
+  return r;
 }
 
 // GFLOP/s of the gemm-engine conv forward from BM_Conv3dForwardGemm's
@@ -298,6 +384,10 @@ void RunEngineComparison(const std::string& json_path) {
   const double pack_frac =
       split_total > 0.0 ? static_cast<double>(pack_us) / split_total : 0.0;
 
+  const MicroKernelResult micro = RunMicroKernelComparison();
+  const EpochResult epoch = RunPruneEpochComparison();
+  const int threads = ThreadPool::Get().threads();
+
   std::printf("\n-- engine comparison (tiny R(2+1)D residual block) --\n");
   std::printf("threads:              %d\n", ThreadPool::Get().threads());
   std::printf("train step naive:     %.2f ms\n", naive_ms);
@@ -306,6 +396,17 @@ void RunEngineComparison(const std::string& json_path) {
   std::printf("conv forward (gemm):  %.2f GFLOP/s\n", conv_gflops);
   std::printf("gemm pack/compute:    %.0f%% / %.0f%%\n", 100.0 * pack_frac,
               100.0 * (1.0 - pack_frac));
+  std::printf("\n-- sgemm micro-kernel, 1 thread, m 18 x n 600 x k 72 --\n");
+  std::printf("dispatched isa:       %s\n", micro.isa);
+  std::printf("dispatched:           %.2f GFLOP/s\n", micro.dispatched_gflops);
+  std::printf("portable:             %.2f GFLOP/s\n", micro.portable_gflops);
+  std::printf("dispatched/portable:  %.2fx\n",
+              micro.dispatched_gflops / micro.portable_gflops);
+  std::printf("\n-- prune-job epoch (TinyR2Plus1d 4/8/8, 128 clips) --\n");
+  std::printf("1 thread:             %.1f ms\n", epoch.one_thread_ms);
+  std::printf("%d threads:            %.1f ms\n", threads, epoch.pool_ms);
+  std::printf("pool vs 1 thread:     %.2fx\n",
+              epoch.one_thread_ms / epoch.pool_ms);
 
   std::ofstream out(json_path);
   if (!out) {
@@ -330,6 +431,23 @@ void RunEngineComparison(const std::string& json_path) {
       << "    \"pack_us\": " << pack_us << ",\n"
       << "    \"compute_us\": " << comp_us << ",\n"
       << "    \"pack_fraction\": " << pack_frac << "\n"
+      << "  },\n"
+      << "  \"sgemm\": {\n"
+      << "    \"config\": \"m 18 x n 600 x k 72, 1 thread\",\n"
+      << "    \"isa\": \"" << micro.isa << "\",\n"
+      << "    \"dispatched_gflops\": " << micro.dispatched_gflops << ",\n"
+      << "    \"portable_gflops\": " << micro.portable_gflops << ",\n"
+      << "    \"dispatched_vs_portable\": "
+      << micro.dispatched_gflops / micro.portable_gflops << "\n"
+      << "  },\n"
+      << "  \"prune_epoch\": {\n"
+      << "    \"config\": \"TinyR2Plus1d 4/8/8 ch, 128 clips 6x10x10, "
+         "batch 8\",\n"
+      << "    \"pool_threads\": " << threads << ",\n"
+      << "    \"one_thread_ms\": " << epoch.one_thread_ms << ",\n"
+      << "    \"pool_ms\": " << epoch.pool_ms << ",\n"
+      << "    \"pool_vs_one_thread\": "
+      << epoch.one_thread_ms / epoch.pool_ms << "\n"
       << "  }\n"
       << "}\n";
   std::printf("wrote %s\n", json_path.c_str());

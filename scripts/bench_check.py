@@ -7,10 +7,11 @@ and exits non-zero when a guarded metric regressed by more than the
 tolerance (default 15%).
 
 Only *ratio* metrics are guarded — speedups of one configuration over
-another measured in the same run (gemm-vs-naive, fast-vs-sim executor,
-pruned-vs-dense). Absolute clips/s or GFLOP/s depend on the host CPU
-and would make the check fail on any machine other than the one that
-recorded the baseline; ratios cancel the machine out.
+another measured in the same run (gemm-vs-naive, dispatched-vs-portable
+SGEMM micro-kernel, fast-vs-sim executor, pruned-vs-dense). Absolute
+clips/s or GFLOP/s depend on the host CPU and would make the check fail
+on any machine other than the one that recorded the baseline; ratios
+cancel the machine out.
 
 Usage: bench_check.py [--tolerance 0.15] [--baseline-dir bench/baselines]
                       [--fresh-dir .]
@@ -21,25 +22,31 @@ import json
 import os
 import sys
 
-# (file, dotted path into the JSON, human label). All guarded metrics
-# are higher-is-better ratios.
+# (file, dotted path into the JSON, human label, dotted path of the ISA
+# the ratio was measured with or None). All guarded metrics are
+# higher-is-better ratios. An ISA-bound ratio is compared only when the
+# fresh run dispatched to the same vector ISA as the baseline: on a host
+# that runs the portable kernel there is nothing to guard, and another
+# ISA has another expected ratio.
 GUARDED = [
     ("BENCH_kernels.json", "train_step.speedup",
-     "gemm vs naive train-step speedup"),
+     "gemm vs naive train-step speedup", None),
+    ("BENCH_kernels.json", "sgemm.dispatched_vs_portable",
+     "dispatched vs portable SGEMM micro-kernel", "sgemm.isa"),
     ("BENCH_serve.json", "executors.fast_vs_sim",
-     "fast executor vs cycle simulator"),
+     "fast executor vs cycle simulator", None),
     ("BENCH_serve.json", "executors.pruned_vs_dense",
-     "fast executor, 90% pruned vs dense"),
+     "fast executor, 90% pruned vs dense", None),
 ]
 
 
-def lookup(doc, dotted):
+def lookup(doc, dotted, kinds=(int, float)):
     node = doc
     for key in dotted.split("."):
         if not isinstance(node, dict) or key not in node:
             return None
         node = node[key]
-    return node if isinstance(node, (int, float)) else None
+    return node if isinstance(node, kinds) else None
 
 
 def load(path):
@@ -61,7 +68,7 @@ def main():
 
     checked = 0
     failures = []
-    for fname, dotted, label in GUARDED:
+    for fname, dotted, label, isa_path in GUARDED:
         base_path = os.path.join(args.baseline_dir, fname)
         fresh_path = os.path.join(args.fresh_dir, fname)
         if not os.path.exists(base_path):
@@ -74,6 +81,17 @@ def main():
         if base_doc is None or fresh_doc is None:
             failures.append(f"{label}: unreadable JSON")
             continue
+        if isa_path is not None:
+            fresh_isa = lookup(fresh_doc, isa_path, (str,))
+            base_isa = lookup(base_doc, isa_path, (str,))
+            if fresh_isa in (None, "portable"):
+                print(f"bench-check: SKIP {label}: host runs the portable "
+                      "kernel")
+                continue
+            if fresh_isa != base_isa:
+                print(f"bench-check: SKIP {label}: host dispatches to "
+                      f"{fresh_isa}, baseline was measured with {base_isa}")
+                continue
         base = lookup(base_doc, dotted)
         fresh = lookup(fresh_doc, dotted)
         if base is None:

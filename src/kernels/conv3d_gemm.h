@@ -8,6 +8,12 @@
 // same weight tensor feeds the pruning core, the FPGA simulator, and
 // this engine. Parity with the naive reference loops is asserted by
 // tests/conv_engine_parity_test.cpp.
+//
+// Each call opens one pool region over the samples; a sample is lowered
+// and multiplied slab by slab (whole output-depth planes, ≤ 256 columns
+// when a plane fits) on the participant that claimed it. dW is summed
+// from per-sample partials in sample order, so every result is bitwise
+// independent of the pool size.
 #pragma once
 
 #include "kernels/im2col.h"

@@ -11,6 +11,11 @@
 // dcols = Wᵀ · dy  (backward via the transpose trick, scattered back by
 // Col2im3d). All stride/padding combinations are supported; interior
 // runs are copied contiguously and the padded border is zero-filled.
+//
+// Both work on a column slab: the S = (od_end − od_begin)·Ho·Wo columns
+// of output-depth planes [od_begin, od_end), stored as cols[K × S]. A
+// caller that walks a sample slab by slab holds K × S floats of scratch
+// instead of K × P.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +38,15 @@ struct Conv3dGeom {
   int64_t out_sample_size() const { return out_c * cols_cols(); }
 };
 
-// Fills cols[K × P] from one input sample; parallel over rows.
-void Im2col3d(const Conv3dGeom& g, const float* x, float* cols);
+// Fills the slab cols[K × S] of planes [od_begin, od_end) from one input
+// sample; parallel over rows.
+void Im2col3d(const Conv3dGeom& g, const float* x, int64_t od_begin,
+              int64_t od_end, float* cols);
 
-// Scatter-adds cols[K × P] back into one (pre-zeroed or accumulating)
-// input-gradient sample dx[N][Di][Hi][Wi]; parallel over channels.
-void Col2im3d(const Conv3dGeom& g, const float* cols, float* dx);
+// Scatter-adds the slab cols[K × S] of planes [od_begin, od_end) back
+// into one (pre-zeroed or accumulating) input-gradient sample
+// dx[N][Di][Hi][Wi]; parallel over channels.
+void Col2im3d(const Conv3dGeom& g, const float* cols, int64_t od_begin,
+              int64_t od_end, float* dx);
 
 }  // namespace hwp3d::kernels

@@ -71,6 +71,12 @@ ThreadPool::~ThreadPool() {
 
 bool ThreadPool::InWorker() { return t_in_worker; }
 
+ThreadPool::SerialScope::SerialScope() : was_serial_(t_in_worker) {
+  t_in_worker = true;
+}
+
+ThreadPool::SerialScope::~SerialScope() { t_in_worker = was_serial_; }
+
 void ThreadPool::Dispatch(void (*invoke)(void*, int64_t), void* ctx,
                           int64_t begin, int64_t end) {
   static obs::Counter& regions =

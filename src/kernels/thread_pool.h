@@ -18,9 +18,9 @@
 //    the first captured exception is rethrown on the calling thread.
 //  * Nested For() calls (from inside a body) run serially inline —
 //    deadlock-free and deterministic.
-//  * HWP_THREADS=1 (or a single-core machine, or `threads == 1`)
-//    degrades to plain in-order serial execution, independent of the
-//    scheduler.
+//  * HWP_THREADS=1 (or a single-core machine, or `threads == 1`, or a
+//    live SerialScope on the calling thread) degrades to plain in-order
+//    serial execution, independent of the scheduler.
 //  * Workers are joinable and joined in the destructor; none are
 //    detached (sanitizer-friendly shutdown).
 #pragma once
@@ -54,6 +54,20 @@ class ThreadPool {
   // Total participants (worker threads + the calling thread).
   int threads() const { return threads_; }
 
+  // While alive, every For() the constructing thread starts runs inline
+  // and in index order, as it does in a one-thread pool. Lets a test or
+  // bench compare one thread with the whole pool in one process.
+  class SerialScope {
+   public:
+    SerialScope();
+    ~SerialScope();
+    SerialScope(const SerialScope&) = delete;
+    SerialScope& operator=(const SerialScope&) = delete;
+
+   private:
+    bool was_serial_;
+  };
+
   // Invokes body(i) for every i in [begin, end). `threads == 1` forces
   // serial in-order execution; other positive values are a legacy hint
   // and are ignored (the pool size is fixed at construction).
@@ -74,8 +88,8 @@ class ThreadPool {
  private:
   struct Region;
 
-  // True on pool worker threads and while the calling thread is inside
-  // a parallel region (used to serialize nested submissions).
+  // True on pool worker threads, while the calling thread is inside a
+  // parallel region, and under a SerialScope (serializes submissions).
   static bool InWorker();
 
   void Dispatch(void (*invoke)(void*, int64_t), void* ctx, int64_t begin,

@@ -15,8 +15,12 @@ TensorF ReLU::Backward(const TensorF& dy) {
   HWP_SHAPE_CHECK_MSG(dy.shape() == x.shape(),
                       name_ << ": grad shape mismatch");
   TensorF dx(x.shape());
-  for (int64_t i = 0; i < x.numel(); ++i)
-    dx[i] = x[i] > 0.0f ? dy[i] : 0.0f;
+  // Load dy unconditionally so the select vectorizes instead of
+  // branching on the sign of x.
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    const float g = dy[i];
+    dx[i] = x[i] > 0.0f ? g : 0.0f;
+  }
   return dx;
 }
 

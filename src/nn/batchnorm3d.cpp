@@ -19,33 +19,38 @@ BatchNorm3d::BatchNorm3d(int64_t channels, std::string name, float eps,
   beta_.value.Fill(0.0f);
 }
 
+// Every loop below walks contiguous (b, c) planes of D·H·W elements, in
+// the order of the rank-5 reference loops, with the same float/double
+// arithmetic, so outputs and gradients are bitwise the same.
 TensorF BatchNorm3d::Forward(const TensorF& x, bool train) {
   HWP_SHAPE_CHECK_MSG(x.rank() == 5 && x.dim(1) == channels_,
                       name_ << ": bad input " << x.shape().ToString());
   const int64_t B = x.dim(0), C = channels_;
-  const int64_t D = x.dim(2), H = x.dim(3), W = x.dim(4);
-  const int64_t per_channel = B * D * H * W;
+  const int64_t plane = x.dim(2) * x.dim(3) * x.dim(4);
+  const int64_t per_channel = B * plane;
+  const float* xp = x.data();
 
   TensorF mean(Shape{C});
   TensorF inv_std(Shape{C});
   if (train) {
     for (int64_t c = 0; c < C; ++c) {
       double s = 0.0;
-      for (int64_t b = 0; b < B; ++b)
-        for (int64_t d = 0; d < D; ++d)
-          for (int64_t h = 0; h < H; ++h)
-            for (int64_t w = 0; w < W; ++w) s += x(b, c, d, h, w);
+      for (int64_t b = 0; b < B; ++b) {
+        const float* xc = xp + (b * C + c) * plane;
+        for (int64_t i = 0; i < plane; ++i) s += xc[i];
+      }
       mean[c] = static_cast<float>(s / per_channel);
     }
     for (int64_t c = 0; c < C; ++c) {
+      const float mu = mean[c];
       double s = 0.0;
-      for (int64_t b = 0; b < B; ++b)
-        for (int64_t d = 0; d < D; ++d)
-          for (int64_t h = 0; h < H; ++h)
-            for (int64_t w = 0; w < W; ++w) {
-              const double dev = x(b, c, d, h, w) - mean[c];
-              s += dev * dev;
-            }
+      for (int64_t b = 0; b < B; ++b) {
+        const float* xc = xp + (b * C + c) * plane;
+        for (int64_t i = 0; i < plane; ++i) {
+          const double dev = xc[i] - mu;
+          s += dev * dev;
+        }
+      }
       const float var = static_cast<float>(s / per_channel);
       inv_std[c] = 1.0f / std::sqrt(var + eps_);
       running_mean_[c] =
@@ -61,14 +66,14 @@ TensorF BatchNorm3d::Forward(const TensorF& x, bool train) {
   }
 
   TensorF y(x.shape());
+  float* yp = y.data();
   for (int64_t b = 0; b < B; ++b)
     for (int64_t c = 0; c < C; ++c) {
       const float g = gamma_.value[c], bt = beta_.value[c];
       const float mu = mean[c], is = inv_std[c];
-      for (int64_t d = 0; d < D; ++d)
-        for (int64_t h = 0; h < H; ++h)
-          for (int64_t w = 0; w < W; ++w)
-            y(b, c, d, h, w) = g * (x(b, c, d, h, w) - mu) * is + bt;
+      const int64_t off = (b * C + c) * plane;
+      for (int64_t i = 0; i < plane; ++i)
+        yp[off + i] = g * (xp[off + i] - mu) * is + bt;
     }
 
   if (train) {
@@ -83,38 +88,41 @@ TensorF BatchNorm3d::Backward(const TensorF& dy) {
   const TensorF& x = cached_input_;
   HWP_CHECK_MSG(!x.empty(), name_ << ": Backward before Forward(train=true)");
   const int64_t B = x.dim(0), C = channels_;
-  const int64_t D = x.dim(2), H = x.dim(3), W = x.dim(4);
-  const double n = static_cast<double>(B * D * H * W);
+  const int64_t plane = x.dim(2) * x.dim(3) * x.dim(4);
+  const double n = static_cast<double>(B * plane);
+  const float* xp = x.data();
+  const float* dyp = dy.data();
 
   TensorF dx(x.shape());
+  float* dxp = dx.data();
   for (int64_t c = 0; c < C; ++c) {
     const float mu = batch_mean_[c];
     const float is = batch_inv_std_[c];
     const float g = gamma_.value[c];
     // Reductions: sum dy, sum dy*xhat.
     double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (int64_t b = 0; b < B; ++b)
-      for (int64_t d = 0; d < D; ++d)
-        for (int64_t h = 0; h < H; ++h)
-          for (int64_t w = 0; w < W; ++w) {
-            const float xhat = (x(b, c, d, h, w) - mu) * is;
-            const float gy = dy(b, c, d, h, w);
-            sum_dy += gy;
-            sum_dy_xhat += static_cast<double>(gy) * xhat;
-          }
+    for (int64_t b = 0; b < B; ++b) {
+      const int64_t off = (b * C + c) * plane;
+      for (int64_t i = 0; i < plane; ++i) {
+        const float xhat = (xp[off + i] - mu) * is;
+        const float gy = dyp[off + i];
+        sum_dy += gy;
+        sum_dy_xhat += static_cast<double>(gy) * xhat;
+      }
+    }
     gamma_.grad[c] += static_cast<float>(sum_dy_xhat);
     beta_.grad[c] += static_cast<float>(sum_dy);
 
     // dx = (g*is/n) * (n*dy - sum_dy - xhat * sum_dy_xhat)
     const double k = static_cast<double>(g) * is / n;
-    for (int64_t b = 0; b < B; ++b)
-      for (int64_t d = 0; d < D; ++d)
-        for (int64_t h = 0; h < H; ++h)
-          for (int64_t w = 0; w < W; ++w) {
-            const float xhat = (x(b, c, d, h, w) - mu) * is;
-            dx(b, c, d, h, w) = static_cast<float>(
-                k * (n * dy(b, c, d, h, w) - sum_dy - xhat * sum_dy_xhat));
-          }
+    for (int64_t b = 0; b < B; ++b) {
+      const int64_t off = (b * C + c) * plane;
+      for (int64_t i = 0; i < plane; ++i) {
+        const float xhat = (xp[off + i] - mu) * is;
+        dxp[off + i] = static_cast<float>(
+            k * (n * dyp[off + i] - sum_dy - xhat * sum_dy_xhat));
+      }
+    }
   }
   return dx;
 }

@@ -1,5 +1,6 @@
 #include "nn/pool3d.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace hwp3d::nn {
@@ -125,17 +126,16 @@ TensorF AvgPool3d::Backward(const TensorF& dy) {
 TensorF GlobalAvgPool3d::Forward(const TensorF& x, bool train) {
   HWP_SHAPE_CHECK_MSG(x.rank() == 5, name_ << ": input must be rank-5");
   const int64_t B = x.dim(0), C = x.dim(1);
-  const int64_t D = x.dim(2), H = x.dim(3), W = x.dim(4);
-  const float inv = 1.0f / static_cast<float>(D * H * W);
+  const int64_t plane = x.dim(2) * x.dim(3) * x.dim(4);
+  const float inv = 1.0f / static_cast<float>(plane);
   TensorF y(Shape{B, C});
-  for (int64_t b = 0; b < B; ++b)
-    for (int64_t c = 0; c < C; ++c) {
-      double acc = 0.0;
-      for (int64_t d = 0; d < D; ++d)
-        for (int64_t h = 0; h < H; ++h)
-          for (int64_t w = 0; w < W; ++w) acc += x(b, c, d, h, w);
-      y(b, c) = static_cast<float>(acc) * inv;
-    }
+  // One contiguous D·H·W plane per (b, c), summed in reference order.
+  for (int64_t bc = 0; bc < B * C; ++bc) {
+    const float* xc = x.data() + bc * plane;
+    double acc = 0.0;
+    for (int64_t i = 0; i < plane; ++i) acc += xc[i];
+    y[bc] = static_cast<float>(acc) * inv;
+  }
   if (train) in_shape_ = x.shape();
   return y;
 }
@@ -144,16 +144,13 @@ TensorF GlobalAvgPool3d::Backward(const TensorF& dy) {
   HWP_CHECK_MSG(in_shape_.rank() == 5,
                 name_ << ": Backward before Forward(train=true)");
   const int64_t B = in_shape_[0], C = in_shape_[1];
-  const int64_t D = in_shape_[2], H = in_shape_[3], W = in_shape_[4];
-  const float inv = 1.0f / static_cast<float>(D * H * W);
+  const int64_t plane = in_shape_[2] * in_shape_[3] * in_shape_[4];
+  const float inv = 1.0f / static_cast<float>(plane);
   TensorF dx(in_shape_);
-  for (int64_t b = 0; b < B; ++b)
-    for (int64_t c = 0; c < C; ++c) {
-      const float g = dy(b, c) * inv;
-      for (int64_t d = 0; d < D; ++d)
-        for (int64_t h = 0; h < H; ++h)
-          for (int64_t w = 0; w < W; ++w) dx(b, c, d, h, w) = g;
-    }
+  for (int64_t bc = 0; bc < B * C; ++bc) {
+    float* dxc = dx.data() + bc * plane;
+    std::fill(dxc, dxc + plane, dy[bc] * inv);
+  }
   return dx;
 }
 

@@ -145,8 +145,10 @@ TensorF ResidualBlock::Backward(const TensorF& dy) {
                 name_ << ": Backward before Forward(train=true)");
   // Through the final ReLU.
   TensorF g(dy.shape());
-  for (int64_t i = 0; i < dy.numel(); ++i)
-    g[i] = cached_sum_[i] > 0.0f ? dy[i] : 0.0f;
+  for (int64_t i = 0; i < dy.numel(); ++i) {
+    const float gy = dy[i];  // unconditional load: a select, not a branch
+    g[i] = cached_sum_[i] > 0.0f ? gy : 0.0f;
+  }
 
   // Main path.
   TensorF gm = bn2_->Backward(g);

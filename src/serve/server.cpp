@@ -293,7 +293,7 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
         {
           std::lock_guard<std::mutex> lk(stats_mu_);
           ++totals_.completed;
-          latencies_us_.push_back(latency_us);
+          latency_sample_.Add(latency_us);
         }
         req.promise.set_value(std::move(result));
       }
@@ -468,9 +468,10 @@ ServerStats InferenceServer::Stats() const {
       s.batches > 0
           ? static_cast<double>(s.completed) / static_cast<double>(s.batches)
           : 0.0;
-  s.p50_ms = PercentileUs(latencies_us_, 0.50) / 1000.0;
-  s.p95_ms = PercentileUs(latencies_us_, 0.95) / 1000.0;
-  s.p99_ms = PercentileUs(latencies_us_, 0.99) / 1000.0;
+  const std::vector<double>& sample = latency_sample_.sample();
+  s.p50_ms = PercentileUs(sample, 0.50) / 1000.0;
+  s.p95_ms = PercentileUs(sample, 0.95) / 1000.0;
+  s.p99_ms = PercentileUs(sample, 0.99) / 1000.0;
   return s;
 }
 

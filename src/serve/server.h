@@ -57,6 +57,7 @@
 
 #include "common/retry.h"
 #include "fpga/model_compiler.h"
+#include "serve/latency_reservoir.h"
 #include "serve/replica_health.h"
 #include "serve/request_queue.h"
 
@@ -73,6 +74,9 @@ struct ServerConfig {
   int64_t watchdog_timeout_us = 0;  // stuck-batch kill switch; 0 = off
 };
 
+// Latencies InferenceServer keeps for its Stats() percentiles (32 KiB).
+inline constexpr size_t kLatencySampleSize = 4096;
+
 struct ServerStats {
   int64_t accepted = 0;
   int64_t rejected = 0;           // admission failures (queue full)
@@ -86,8 +90,9 @@ struct ServerStats {
   int64_t healthy_replicas = 0;
   int64_t queue_depth = 0;        // at the time of the Stats() call
   double mean_batch_size = 0.0;
-  // End-to-end (enqueue -> completion) latency percentiles over every
-  // completed request, in milliseconds.
+  // End-to-end (enqueue -> completion) latency percentiles, in
+  // milliseconds, over a fixed-size sample of the completed requests:
+  // exact while at most kLatencySampleSize have completed.
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
@@ -166,10 +171,10 @@ class InferenceServer {
   bool watchdog_stop_ = false;
   std::optional<WatchTarget> watch_;
 
-  // Aggregate counters; latencies_ feeds the Stats() percentiles.
+  // Aggregate counters; latency_sample_ feeds the Stats() percentiles.
   mutable std::mutex stats_mu_;
   ServerStats totals_;
-  std::vector<double> latencies_us_;
+  LatencyReservoir latency_sample_{kLatencySampleSize};
 };
 
 // Sorted-copy percentile helper (q in [0,1]); exposed for the bench.

@@ -1,8 +1,10 @@
 // Parity of the gemm conv/linear engine against the naive reference.
 //
 // For a grid of kernel/stride/padding/bias configurations (including
-// the asymmetric R(2+1)D 1×3×3 and 3×1×1 shapes and cases that cross
-// the sgemm KC/NC cache-block boundaries), Forward outputs and every
+// the asymmetric R(2+1)D 1×3×3 and 3×1×1 shapes, the benchmark model's
+// layers at batch 8 and 1, convs lowered in several column slabs, and
+// cases that cross the sgemm KC/NC cache-block boundaries), Forward
+// outputs and every
 // Backward gradient (dx, dW, db) produced by HWP_CONV_ENGINE=gemm must
 // match the naive double-accumulation loops within 1e-4.
 #include <gtest/gtest.h>
@@ -154,6 +156,94 @@ TEST(ConvEngineParityTest, ManyOutputChannels) {
   cfg.stride = {1, 2, 2};
   cfg.padding = {1, 1, 1};
   CheckConvParity(cfg, Shape{2, 5, 4, 9, 9}, "M=19");
+}
+
+// The shapes of the benchmark prune job's TinyR2Plus1d (4/8/8 channels,
+// 6x10x10 clips): the (2+1)D mid widths 14 (4->8) and 18 (8->8), the
+// stride-2 stage and its 1x1x1 projection shortcut. Batch 8 puts more
+// samples than pool threads in the conv's one region; batch 1 runs on
+// the caller and fans out inside the GEMMs instead.
+TEST(ConvEngineParityTest, BenchmarkModelShapes) {
+  struct Layer {
+    const char* name;
+    int64_t in_c, out_c;
+    std::array<int64_t, 3> kernel, stride, padding;
+    std::array<int64_t, 3> in_dhw;
+  };
+  const Layer layers[] = {
+      {"spatial 4->14", 4, 14, {1, 3, 3}, {1, 1, 1}, {0, 1, 1}, {6, 10, 10}},
+      {"temporal 14->8", 14, 8, {3, 1, 1}, {1, 1, 1}, {1, 0, 0}, {6, 10, 10}},
+      {"spatial 8->18", 8, 18, {1, 3, 3}, {1, 1, 1}, {0, 1, 1}, {6, 10, 10}},
+      {"temporal 18->8", 18, 8, {3, 1, 1}, {1, 1, 1}, {1, 0, 0}, {6, 10, 10}},
+      {"stride-2 spatial 8->18", 8, 18, {1, 3, 3}, {1, 2, 2}, {0, 1, 1},
+       {6, 10, 10}},
+      {"stride-2 temporal 18->8", 18, 8, {3, 1, 1}, {2, 1, 1}, {1, 0, 0},
+       {6, 5, 5}},
+      {"1x1x1 shortcut, stride 2", 8, 8, {1, 1, 1}, {2, 2, 2}, {0, 0, 0},
+       {6, 10, 10}},
+  };
+  for (const Layer& l : layers) {
+    for (int64_t batch : {8, 1}) {
+      Conv3dConfig cfg;
+      cfg.in_channels = l.in_c;
+      cfg.out_channels = l.out_c;
+      cfg.kernel = l.kernel;
+      cfg.stride = l.stride;
+      cfg.padding = l.padding;
+      cfg.bias = false;
+      CheckConvParity(cfg,
+                      Shape{batch, l.in_c, l.in_dhw[0], l.in_dhw[1],
+                            l.in_dhw[2]},
+                      std::string(l.name) + " batch " + std::to_string(batch));
+    }
+  }
+}
+
+TEST(ConvEngineParityTest, TemporalConvAcrossSeveralColumnSlabs) {
+  // 16x16 planes fill a 256-column slab each, so the 8 output planes are
+  // lowered and scattered in 8 slabs; odd sizes add a partial last slab.
+  Conv3dConfig cfg;
+  cfg.in_channels = 6;
+  cfg.out_channels = 5;
+  cfg.kernel = {3, 1, 1};
+  cfg.padding = {1, 0, 0};
+  cfg.bias = true;
+  CheckConvParity(cfg, Shape{3, 6, 8, 16, 16}, "3x1x1, 8 slabs");
+  cfg.kernel = {3, 3, 3};
+  cfg.padding = {1, 1, 1};
+  CheckConvParity(cfg, Shape{2, 6, 7, 9, 13}, "3x3x3, 117-column planes");
+}
+
+TEST(R2Plus1dEngineParityTest, StrideTwoFactorizedBlockMatches) {
+  for (int64_t batch : {8, 1}) {
+    Rng rng(6);
+    nn::Conv2Plus1dConfig cfg;
+    cfg.in_channels = 8;
+    cfg.out_channels = 8;
+    cfg.spatial_stride = 2;
+    cfg.temporal_stride = 2;
+    nn::Conv2Plus1d block(cfg, rng, "parity_2p1d_s2");
+    TensorF x(Shape{batch, 8, 6, 10, 10});
+    FillUniform(x, rng, -1.0f, 1.0f);
+    const TensorF y_probe = block.Forward(x, false);
+    TensorF seed(y_probe.shape());
+    FillUniform(seed, rng, -1.0f, 1.0f);
+
+    EngineRun naive = RunOnce(block, x, seed, kernels::Engine::kNaive);
+    std::vector<TensorF> naive_grads;
+    for (nn::Param* p : block.Params()) naive_grads.push_back(p->grad);
+    EngineRun gemm = RunOnce(block, x, seed, kernels::Engine::kGemm);
+
+    const std::string what = "stride-2 2p1d batch " + std::to_string(batch);
+    ExpectClose(naive.y, gemm.y, what + " y");
+    ExpectClose(naive.dx, gemm.dx, what + " dx");
+    const std::vector<nn::Param*> params = block.Params();
+    ASSERT_EQ(naive_grads.size(), params.size());
+    for (size_t i = 0; i < params.size(); ++i) {
+      ExpectClose(naive_grads[i], params[i]->grad,
+                  what + " grad " + params[i]->name);
+    }
+  }
 }
 
 TEST(LinearEngineParityTest, ForwardBackwardMatch) {

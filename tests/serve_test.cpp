@@ -5,6 +5,7 @@
 // slow and single-core).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <future>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "nn/trainer.h"
 #include "obs/trace.h"
 #include "serve/inference_session.h"
+#include "serve/latency_reservoir.h"
 #include "serve/request_queue.h"
 #include "serve/server.h"
 #include "tensor/tensor_ops.h"
@@ -33,6 +35,44 @@ Request MakeRequest() {
   req.clip = TensorF(Shape{1});
   req.enqueue_us = obs::NowUs();
   return req;
+}
+
+// --- LatencyReservoir -------------------------------------------------
+
+TEST(LatencyReservoirTest, KeepsEveryValueUpToCapacity) {
+  serve::LatencyReservoir r(100);
+  std::vector<double> all;
+  for (int i = 0; i < 100; ++i) {
+    all.push_back(1000.0 - 3.0 * i);
+    r.Add(all.back());
+  }
+  EXPECT_EQ(r.seen(), 100);
+  EXPECT_EQ(r.sample(), all);
+  EXPECT_EQ(serve::PercentileUs(r.sample(), 0.5),
+            serve::PercentileUs(all, 0.5));
+}
+
+TEST(LatencyReservoirTest, StaysBoundedAndDeterministic) {
+  serve::LatencyReservoir a(64), b(64);
+  for (int i = 0; i < 100000; ++i) {
+    a.Add(static_cast<double>(i));
+    b.Add(static_cast<double>(i));
+  }
+  EXPECT_EQ(a.seen(), 100000);
+  EXPECT_EQ(a.sample().size(), 64u);
+  EXPECT_EQ(a.sample(), b.sample());
+  // Algorithm R replaced early values with later ones.
+  EXPECT_GT(*std::max_element(a.sample().begin(), a.sample().end()), 64.0);
+}
+
+TEST(LatencyReservoirTest, SampleFollowsTheStreamDistribution) {
+  serve::LatencyReservoir r(serve::kLatencySampleSize);
+  const int n = 200000;
+  for (int i = 0; i < n; ++i) r.Add(static_cast<double>(i));
+  // A uniform sample of 0..n-1: its quantiles sit near q·n.
+  for (double q : {0.5, 0.95, 0.99}) {
+    EXPECT_NEAR(serve::PercentileUs(r.sample(), q) / n, q, 0.03) << q;
+  }
 }
 
 // --- RequestQueue -----------------------------------------------------
@@ -148,6 +188,28 @@ TEST_F(ServeTest, FullBatchRunsAsOneDispatch) {
   const auto stats = server.Stats();
   EXPECT_EQ(stats.completed, 4);
   EXPECT_EQ(stats.batches, 1);
+}
+
+TEST_F(ServeTest, StatsPercentilesAreExactForFewRequests) {
+  serve::ServerConfig cfg;
+  cfg.replicas = 2;
+  cfg.max_batch = 4;
+  cfg.max_delay_us = 500;
+  serve::InferenceServer server(*compiled_, cfg);
+  std::vector<std::future<StatusOr<InferenceResult>>> futures;
+  for (int i = 0; i < 24; ++i) {
+    futures.push_back(server.SubmitAsync(MakeClip(i % 4, 300 + i)));
+  }
+  std::vector<double> total_us;
+  for (auto& f : futures) {
+    auto r = f.get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    total_us.push_back(r->total_us);
+  }
+  const auto stats = server.Stats();
+  EXPECT_EQ(stats.completed, 24);
+  EXPECT_DOUBLE_EQ(stats.p50_ms, serve::PercentileUs(total_us, 0.50) / 1e3);
+  EXPECT_DOUBLE_EQ(stats.p99_ms, serve::PercentileUs(total_us, 0.99) / 1e3);
 }
 
 TEST_F(ServeTest, LoneRequestFlushesAfterMaxDelay) {

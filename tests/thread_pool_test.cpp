@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -45,6 +46,34 @@ TEST(ThreadPoolTest, ExceptionPropagatesAndPoolSurvives) {
   std::atomic<int64_t> sum{0};
   pool.For(0, 100, [&](int64_t i) { sum += i; });
   EXPECT_EQ(sum.load(), 4950);
+}
+
+TEST(ThreadPoolTest, SerialScopeRunsInlineInOrderThenRestores) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  {
+    ThreadPool::SerialScope serial;
+    std::vector<int64_t> order;
+    bool other_thread = false;
+    pool.For(0, 1000, [&](int64_t i) {
+      order.push_back(i);
+      other_thread |= std::this_thread::get_id() != caller;
+    });
+    EXPECT_FALSE(other_thread);
+    ASSERT_EQ(order.size(), 1000u);
+    for (size_t i = 0; i < order.size(); ++i) {
+      EXPECT_EQ(order[i], static_cast<int64_t>(i));
+    }
+  }
+  // After the scope the pool fans out again.
+  std::atomic<bool> other_thread{false};
+  for (int attempt = 0; attempt < 100 && !other_thread.load(); ++attempt) {
+    pool.For(0, 64, [&](int64_t) {
+      if (std::this_thread::get_id() != caller) other_thread = true;
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    });
+  }
+  EXPECT_TRUE(other_thread.load());
 }
 
 TEST(ThreadPoolTest, NestedSubmitRunsInlineWithoutDeadlock) {

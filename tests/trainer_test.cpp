@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <optional>
+
 #include "common/rng.h"
+#include "data/synthetic_video.h"
+#include "kernels/sgemm.h"
+#include "kernels/thread_pool.h"
+#include "models/tiny_r2plus1d.h"
 #include "nn/linear.h"
 #include "nn/trainer.h"
 #include "tensor/init.h"
@@ -94,6 +101,76 @@ TEST(TrainerTest, EmptyBatchesGiveZeroStats) {
   const nn::EpochStats stats = nn::TrainEpoch(model, opt, {}, {});
   EXPECT_EQ(stats.samples, 0);
   EXPECT_DOUBLE_EQ(stats.accuracy, 0.0);
+}
+
+// Every parameter and BN running statistic of the benchmark prune job's
+// model (TinyR2Plus1d, 4/8/8 channels, 6x10x10 clips, batch 8) after one
+// training epoch, as raw floats. `serial` runs the epoch as a one-thread
+// pool would, every parallel loop inline and in order.
+std::vector<float> PruneModelAfterOneEpoch(bool serial) {
+  data::SyntheticVideoConfig dcfg;
+  dcfg.num_classes = 5;
+  dcfg.frames = 6;
+  dcfg.height = 10;
+  dcfg.width = 10;
+  const data::SyntheticVideoDataset dataset(dcfg);
+  Rng rng(91);
+  const std::vector<nn::Batch> train = dataset.MakeBatches(64, 8, rng);
+  models::TinyR2Plus1dConfig mcfg;
+  mcfg.num_classes = dcfg.num_classes;
+  mcfg.stem_channels = 4;
+  mcfg.stage1_channels = 8;
+  mcfg.stage2_channels = 8;
+  models::TinyR2Plus1d model(mcfg, rng);
+  nn::Sgd opt(model.Params(), {.lr = 0.05f, .momentum = 0.9f,
+                               .weight_decay = 0.0f});
+  {
+    std::optional<ThreadPool::SerialScope> one_thread;
+    if (serial) one_thread.emplace();
+    nn::TrainEpoch(model, opt, train, {});
+  }
+  std::vector<float> out;
+  for (nn::Param* p : model.Params()) {
+    out.insert(out.end(), p->value.vec().begin(), p->value.vec().end());
+  }
+  for (const nn::NamedBuffer& b : model.Buffers()) {
+    out.insert(out.end(), b.tensor->vec().begin(), b.tensor->vec().end());
+  }
+  return out;
+}
+
+void ExpectSameBytes(const std::vector<float>& a, const std::vector<float>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&a[i], &b[i], sizeof(float)), 0)
+        << "first difference at flat index " << i << ": " << a[i] << " vs "
+        << b[i];
+  }
+}
+
+// ctest runs this binary with HWP_THREADS=4, so the pool side is four
+// participants; batch 8 puts more samples than threads in every conv.
+TEST(TrainerPoolInvarianceTest, OneEpochSameBitsAtPoolSizes1And4) {
+  if (ThreadPool::Get().threads() == 1) {
+    GTEST_SKIP() << "one-thread pool: nothing to compare";
+  }
+  const std::vector<float> one = PruneModelAfterOneEpoch(/*serial=*/true);
+  const std::vector<float> pool = PruneModelAfterOneEpoch(/*serial=*/false);
+  ExpectSameBytes(one, pool);
+}
+
+// The dispatched SGEMM micro-kernel must train the same weights as the
+// portable one.
+TEST(TrainerPoolInvarianceTest, OneEpochSameBitsWithPortableMicroKernel) {
+  const kernels::SgemmIsa dispatched = kernels::ActiveSgemmIsa();
+  if (dispatched == kernels::SgemmIsa::kPortable) {
+    GTEST_SKIP() << "this CPU already runs the portable micro-kernel";
+  }
+  const std::vector<float> vector = PruneModelAfterOneEpoch(false);
+  kernels::SetSgemmIsa(kernels::SgemmIsa::kPortable);
+  const std::vector<float> portable = PruneModelAfterOneEpoch(false);
+  kernels::SetSgemmIsa(dispatched);
+  ExpectSameBytes(vector, portable);
 }
 
 }  // namespace
