@@ -1,23 +1,24 @@
 // Serving throughput/latency benchmark in two parts:
 //
-//  1. Executor comparison (single replica, serial Infer loop): the
+//  1. Executor comparison (serial Infer loop on one thread, the thread
+//     count bench/baselines/BENCH_serve.json was recorded at): the
 //     step-by-step cycle simulator (kSimulate), the fast compiled
 //     executor on dense weights, and the fast executor on a 90%
 //     block-pruned compile — the last demonstrates the wall-clock win
 //     of physically eliding pruned tiles from the packed stream.
-//  2. Batched InferenceServer at increasing replica counts against a
-//     serial loop in the same executor mode (--executor, default
-//     fast), on the same clips.
+//  2. Batched InferenceServer on the fast executor at increasing
+//     replica counts against a serial loop over the whole pool, on the
+//     same clips.
 //
 // Writes BENCH_serve.json with both sections: an "executors" object
 // (sim/fast/pruned clips-per-second plus the fast_vs_sim and
-// pruned_vs_dense ratios) and the per-replica "configs" array with
+// pruned_vs_dense ratios, and the thread count they were measured at)
+// and the per-replica "configs" array with
 // throughput, speedup-vs-serial, and p50/p95/p99 latency.
 //
 // Replica scaling rides the process-wide hwp3d::ThreadPool, so size it
 // to the host: bench_serve --threads 4 --replicas 1,2,4. Other flags:
-// --clips N, --max-batch N, --max-delay-us N, --executor sim|fast,
-// --json-out=PATH.
+// --clips N, --max-batch N, --max-delay-us N, --json-out=PATH.
 //
 // Fault sweep: --fault-rate=0.1 (or HWP_FAULTS=serve.replica_infer=0.1)
 // injects transient replica failures. The bench then classifies every
@@ -138,11 +139,6 @@ int main(int argc, char** argv) {
                 {.lr = 0.02f, .momentum = 0.9f, .weight_decay = 0.0f});
     nn::TrainEpoch(model, opt, batches, {});
   }
-  // --executor (via HWP_EXEC) picks the engine the serving section
-  // runs; the executor-comparison section always measures both.
-  const fpga::ExecMode exec =
-      fpga::ResolveExecMode(std::nullopt, fpga::ExecMode::kFast);
-
   fpga::CompiledModelOptions copts;
   copts.tiling = fpga::Tiling{4, 4, 2, 5, 5};
   copts.executor = fpga::ExecMode::kSimulate;
@@ -175,29 +171,36 @@ int main(int argc, char** argv) {
                                      .c_str());
     return 1;
   }
-  fpga::CompiledTinyR2Plus1d& compiled =
-      exec == fpga::ExecMode::kFast ? *fast_model : *sim_model;
+  const fpga::CompiledTinyR2Plus1d& compiled = *fast_model;
 
   std::vector<TensorF> clips;
   for (int i = 0; i < num_clips; ++i) {
     clips.push_back(dataset.MakeSample(i % dcfg.num_classes, rng).clip);
   }
 
-  // Executor comparison: serial Infer loops over the same clips.
+  // Executor comparison: serial Infer loops over the same clips, on one
+  // thread. The baseline's ratios were recorded on one thread; over the
+  // pool the fast executor's per-layer fan-out would fold the host's
+  // core count and load into them.
   const auto time_serial = [&clips, num_clips](
-                               fpga::CompiledTinyR2Plus1d& m) {
+                               const fpga::CompiledTinyR2Plus1d& m) {
     const double t0 = obs::NowUs();
     for (const TensorF& clip : clips) (void)m.Infer(clip);
     return 1e6 * num_clips / (obs::NowUs() - t0);
   };
-  const double sim_cps = time_serial(*sim_model);
-  const double fast_cps = time_serial(*fast_model);
-  const double pruned_cps = time_serial(*pruned_model);
+  constexpr int kExecutorThreads = 1;
+  double sim_cps = 0.0, fast_cps = 0.0, pruned_cps = 0.0;
+  {
+    ThreadPool::SerialScope serial;
+    sim_cps = time_serial(*sim_model);
+    fast_cps = time_serial(*fast_model);
+    pruned_cps = time_serial(*pruned_model);
+  }
   const double fast_vs_sim = fast_cps / sim_cps;
   const double pruned_vs_dense = pruned_cps / fast_cps;
 
   // Serial baseline for the serving section: one replica, no queue, no
-  // batching, same executor the server uses.
+  // batching, the fast executor over the whole pool.
   const double serial_t0 = obs::NowUs();
   for (const TensorF& clip : clips) (void)compiled.Infer(clip);
   const double serial_us = obs::NowUs() - serial_t0;
@@ -262,7 +265,7 @@ int main(int argc, char** argv) {
 
   const int threads = ThreadPool::Get().threads();
 
-  report::Table exec_table("Executor comparison (serial Infer loop)");
+  report::Table exec_table("Executor comparison (serial Infer loop, 1 thread)");
   exec_table.Header({"Executor", "Clips/s", "vs sim", "vs fast dense"});
   exec_table.Row({"sim", report::Table::Num(sim_cps, 1),
                   report::Table::Ratio(1.0, 2), "-"});
@@ -296,9 +299,9 @@ int main(int argc, char** argv) {
                std::to_string(r.quarantined)});
   }
   table.Print();
-  std::printf("(executor: %s; thread pool: %d threads; batching: "
+  std::printf("(executor: fast; thread pool: %d threads; batching: "
               "max_batch %d, max_delay %lld us)\n",
-              fpga::ExecModeName(exec), threads, max_batch, max_delay_us);
+              threads, max_batch, max_delay_us);
   if (faults_on) {
     long long ok = 0, transient = 0;
     for (const Row& r : rows) {
@@ -319,8 +322,9 @@ int main(int argc, char** argv) {
      << "  \"max_delay_us\": " << max_delay_us << ",\n"
      << "  \"fault_rate\": " << fault_rate << ",\n"
      << "  \"faults_on\": " << (faults_on ? "true" : "false") << ",\n"
-     << "  \"executor\": \"" << fpga::ExecModeName(exec) << "\",\n"
-     << "  \"executors\": {\"sim_cps\": " << sim_cps
+     << "  \"executor\": \"fast\",\n"
+     << "  \"executors\": {\"threads\": " << kExecutorThreads
+     << ", \"sim_cps\": " << sim_cps
      << ", \"fast_dense_cps\": " << fast_cps
      << ", \"fast_pruned90_cps\": " << pruned_cps
      << ", \"fast_vs_sim\": " << fast_vs_sim

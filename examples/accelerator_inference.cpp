@@ -1,8 +1,8 @@
 // Domain scenario 2 — deploying the pruned model on the accelerator,
 // now through the serving facade: one hwp3d::InferenceSession trains
-// the tiny R(2+1)D, ADMM-prunes it blockwise, compiles it onto the
-// bit-accurate Q7.8 tile simulator, and serves it from batched
-// replicas; a second session reloads the same weights from a
+// the tiny R(2+1)D, ADMM-prunes it blockwise, compiles it for the
+// bit-accurate Q7.8 fast executor, and serves it from batched replica
+// lanes; a second session reloads the same weights from a
 // checkpoint and serves them dense. The comparison
 //
 //   float host model  vs  fixed-point accelerator (dense)
@@ -12,14 +12,12 @@
 // (the functional counterpart of Table IV's 2.6x claim) — is unchanged;
 // the plumbing the old example hand-wired now lives behind the facade.
 // Observability: --trace-out trace.json --metrics-out metrics.jsonl
-// (serve.* counters/histograms join the sim.*/exec.* ones), --seed N,
-// --threads N, --executor sim|fast (fast = pre-packed compiled
-// executor, the serving default; sim = step-by-step cycle simulator).
+// (serve.* counters/histograms join the exec.* ones), --seed N,
+// --threads N.
 #include <cstdio>
 #include <cstdlib>
 
 #include "common/logging.h"
-#include "fpga/compiled_executor.h"
 #include "obs/cli.h"
 #include "obs/metrics.h"
 #include "report/table.h"
@@ -38,6 +36,12 @@ int main(int argc, char** argv) {
   dcfg.height = 10;
   dcfg.width = 10;
 
+  // Both sessions serve from two replica lanes, batching up to 8 clips.
+  serve::ServerConfig serving;
+  serving.replicas = 2;
+  serving.max_batch = 8;
+  serving.max_delay_us = 1000;
+
   // Session 1: train + ADMM-prune to 50% block sparsity, serve with
   // block-enable masks.
   std::printf("Training + ADMM pruning (a minute or two)...\n");
@@ -53,9 +57,7 @@ int main(int argc, char** argv) {
                        .AdmmEpochsPerRound(2)
                        .RetrainEpochs(4)
                        .Tiling(fpga::Tiling{4, 4, 2, 5, 5})
-                       .Replicas(2)
-                       .MaxBatch(8)
-                       .MaxDelayUs(1000)
+                       .Serving(serving)
                        .Build();
   if (!pruned_or.ok()) {
     std::fprintf(stderr, "pruned session: %s\n",
@@ -77,9 +79,7 @@ int main(int argc, char** argv) {
                       .FromCheckpoint(ckpt)
                       .EvalData(0)
                       .Tiling(fpga::Tiling{4, 4, 2, 5, 5})
-                      .Replicas(2)
-                      .MaxBatch(8)
-                      .MaxDelayUs(1000)
+                      .Serving(serving)
                       .Build();
   if (!dense_or.ok()) {
     std::fprintf(stderr, "dense session: %s\n",
@@ -172,26 +172,19 @@ int main(int argc, char** argv) {
 
   // The metrics registry was fed by the same engine runs that filled
   // the per-request CompiledRunStats, so the totals must agree exactly
-  // — even with the runs fanned out across replicas. Sessions pick
-  // their executor at Build time (fast by default, --executor=sim to
-  // force the cycle simulator); the simulator counts under sim.*, the
-  // compiled executor under exec.*, and their sum is engine-agnostic.
+  // — even with the runs fanned out across replica lanes. Sessions
+  // compile for the fast executor, which counts under exec.*.
   const auto& reg = obs::MetricsRegistry::Get();
-  const fpga::ExecMode exec =
-      fpga::ResolveExecMode(std::nullopt, fpga::ExecMode::kFast);
   const long long stats_loaded = dense_loaded + accel_loaded;
   const long long stats_skipped = dense_skipped + accel_skipped;
   const long long meter_loaded =
-      (long long)(reg.CounterTotal("sim.blocks_loaded") +
-                  reg.CounterTotal("exec.blocks_loaded"));
+      (long long)reg.CounterTotal("exec.blocks_loaded");
   const long long meter_skipped =
-      (long long)(reg.CounterTotal("sim.blocks_skipped") +
-                  reg.CounterTotal("exec.blocks_skipped"));
+      (long long)reg.CounterTotal("exec.blocks_skipped");
   std::printf(
-      "metrics cross-check (executor: %s): blocks_loaded %lld "
+      "metrics cross-check (executor: fast): blocks_loaded %lld "
       "(stats %lld), blocks_skipped %lld (stats %lld)%s\n",
-      fpga::ExecModeName(exec), meter_loaded, stats_loaded, meter_skipped,
-      stats_skipped,
+      meter_loaded, stats_loaded, meter_skipped, stats_skipped,
       (meter_loaded == stats_loaded && meter_skipped == stats_skipped)
           ? " [OK]"
           : " [MISMATCH]");

@@ -1,10 +1,8 @@
 #include "fpga/compiled_executor.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/error.h"
-#include "common/logging.h"
 #include "fpga/perf_model.h"
 #include "kernels/qgemm_tile.h"
 #include "kernels/scratch.h"
@@ -27,30 +25,6 @@ int64_t OutExtent(int64_t in, int64_t k, int64_t s) {
 constexpr int64_t kColBlock = 128;
 
 }  // namespace
-
-const char* ExecModeName(ExecMode mode) {
-  return mode == ExecMode::kFast ? "fast" : "sim";
-}
-
-std::optional<ExecMode> ParseExecMode(std::string_view name) {
-  if (name == "sim" || name == "simulate") return ExecMode::kSimulate;
-  if (name == "fast") return ExecMode::kFast;
-  return std::nullopt;
-}
-
-ExecMode ResolveExecMode(std::optional<ExecMode> requested,
-                         ExecMode fallback) {
-  if (requested.has_value()) return *requested;
-  if (const char* env = std::getenv("HWP_EXEC")) {
-    if (const std::optional<ExecMode> parsed = ParseExecMode(env)) {
-      return *parsed;
-    }
-    HWP_LOG(Warning) << "ignoring invalid HWP_EXEC value \"" << env
-                     << "\" (want sim|fast); using "
-                     << ExecModeName(fallback);
-  }
-  return fallback;
-}
 
 PackedConvLayer::PackedConvLayer(const TensorQ& weights, const Tiling& tiling,
                                  const Ports& ports,

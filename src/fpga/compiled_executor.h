@@ -49,26 +49,17 @@ class ThreadPool;
 
 namespace hwp3d::fpga {
 
-// Which engine executes compiled conv stages.
-//  kSimulate — TiledConvSim, step-by-step cycle accounting (oracle).
-//  kFast     — PackedConvLayer, pre-packed tiles + analytic timing.
+// Which engine executes compiled conv stages; chosen only through
+// CompiledModelOptions::executor.
+//  kFast     — PackedConvLayer, pre-packed tiles + analytic timing. The
+//              default: every server runs it.
+//  kSimulate — TiledConvSim, step-by-step cycle accounting. The oracle
+//              the fast path is checked against.
 enum class ExecMode { kSimulate, kFast };
-
-const char* ExecModeName(ExecMode mode);
-
-// "sim"/"simulate" -> kSimulate, "fast" -> kFast; nullopt otherwise.
-std::optional<ExecMode> ParseExecMode(std::string_view name);
-
-// Executor selection: an explicit request wins, else the HWP_EXEC
-// environment variable (sim|fast; invalid values warn and are
-// ignored), else `fallback`. Serving defaults to kFast, direct
-// CompiledTinyR2Plus1d users (DSE, ablation benches) to kSimulate.
-ExecMode ResolveExecMode(std::optional<ExecMode> requested,
-                         ExecMode fallback);
 
 // One conv layer's weights packed for fast execution (see file
 // comment). Immutable after construction; Run is const and safe to
-// call concurrently, so serving replicas share one PackedConvLayer.
+// call concurrently, so every serving lane runs the same one.
 class PackedConvLayer {
  public:
   // weights: [M][N][Kd][Kr][Kc] quantized. `mask` (optional) must match

@@ -77,7 +77,7 @@ CompiledTinyR2Plus1d::ConvStage CompiledTinyR2Plus1d::MakeStage(
                               << options_.tiling.ToString());
     stage.mask = *mask;
   }
-  if (exec_ == ExecMode::kFast) {
+  if (options_.executor == ExecMode::kFast) {
     stage.packed = std::make_shared<PackedConvLayer>(
         stage.weights, options_.tiling, options_.ports,
         stage.mask.has_value() ? &*stage.mask : nullptr);
@@ -93,7 +93,7 @@ TensorQ CompiledTinyR2Plus1d::RunStage(const ConvStage& stage,
   PostOps post = stage.post;
   post.shortcut = shortcut;
   const TiledConvResult r =
-      exec_ == ExecMode::kFast
+      options_.executor == ExecMode::kFast
           ? stage.packed->Run(padded, stage.stride, post, stage.name)
           : sim_.Run(stage.weights, padded, stage.stride,
                      stage.mask.has_value() ? &*stage.mask : nullptr, post,
@@ -119,7 +119,6 @@ TensorQ CompiledTinyR2Plus1d::RunConv2Plus1d(const ConvStage& spatial,
 CompiledTinyR2Plus1d::CompiledTinyR2Plus1d(models::TinyR2Plus1d& model,
                                            CompiledModelOptions options)
     : options_(std::move(options)),
-      exec_(ResolveExecMode(options_.executor, ExecMode::kSimulate)),
       sim_(options_.tiling, options_.ports) {
   const auto prunable = model.PrunableConvs();
   HWP_CHECK_MSG(options_.masks.empty() ||

@@ -29,10 +29,9 @@ struct CompiledModelOptions {
   // TinyR2Plus1d::PrunableConvs(); empty = dense execution.
   std::vector<core::BlockMask> masks;
   // Which engine runs the conv stages; both are bitwise identical
-  // (asserted by compiled_executor_test). Unset resolves via the
-  // HWP_EXEC environment variable, else defaults to kSimulate here —
-  // serving (InferenceSession / bench_serve) resolves to kFast.
-  std::optional<ExecMode> executor;
+  // (asserted by compiled_executor_test). Only the simulator checks
+  // (compiled_executor_test, bench_serve's comparison) ask for kSimulate.
+  ExecMode executor = ExecMode::kFast;
 };
 
 struct CompiledRunStats {
@@ -48,9 +47,9 @@ class CompiledTinyR2Plus1d {
   // block grids under tiling.block()) and compiles; the preferred entry
   // point — returns an actionable Status instead of throwing. The
   // compiled model snapshots weights and BN statistics, so it is
-  // self-contained, copyable (serving replicas copy it, one TiledConvSim
-  // each) and immutable: Infer/Classify are const and safe to call from
-  // many threads concurrently.
+  // self-contained and immutable: Infer/Classify are const and safe to
+  // call from many threads concurrently, which is how every serving
+  // lane runs the one model an InferenceServer holds.
   static StatusOr<CompiledTinyR2Plus1d> Compile(models::TinyR2Plus1d& model,
                                                 CompiledModelOptions options);
 
@@ -67,9 +66,8 @@ class CompiledTinyR2Plus1d {
   // Argmax convenience.
   int Classify(const TensorF& clip, CompiledRunStats* stats = nullptr) const;
 
-  // The engine Infer dispatches to (resolved at compile time from
-  // options.executor / HWP_EXEC, default kSimulate).
-  ExecMode executor() const { return exec_; }
+  // The engine Infer dispatches to (options.executor).
+  ExecMode executor() const { return options_.executor; }
 
  private:
   struct ConvStage {
@@ -79,8 +77,8 @@ class CompiledTinyR2Plus1d {
     std::array<int64_t, 3> padding;
     std::optional<core::BlockMask> mask;
     PostOps post;                     // affine/relu; shortcut set at runtime
-    // Block-CSR packed weights for the fast path; shared so serving
-    // replicas (copies of this model) reuse one packed stream.
+    // Block-CSR packed weights for the fast path; shared so copies of
+    // this model reuse one packed stream.
     std::shared_ptr<const PackedConvLayer> packed;
   };
 
@@ -96,7 +94,6 @@ class CompiledTinyR2Plus1d {
                          CompiledRunStats* stats) const;
 
   CompiledModelOptions options_;
-  ExecMode exec_ = ExecMode::kSimulate;
   TiledConvSim sim_;
 
   // Stem.

@@ -1,4 +1,4 @@
-// GEMM-lowered Conv3d forward/backward (the HWP_CONV_ENGINE=gemm path).
+// GEMM-lowered Conv3d forward/backward (the kernels::Engine::kGemm path).
 //
 // Per sample:  forward   y = W·im2col(x)            [M×K]·[K×P]
 //              weight    dW += dy·im2col(x)ᵀ        [M×P]·[P×K]

@@ -1,28 +1,12 @@
 #include "kernels/engine.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <mutex>
-#include <string>
-
-#include "common/logging.h"
 
 namespace hwp3d::kernels {
 namespace {
 
-Engine EngineFromEnv() {
-  if (const char* env = std::getenv("HWP_CONV_ENGINE")) {
-    const std::string v(env);
-    if (v == "naive") return Engine::kNaive;
-    if (v == "gemm") return Engine::kGemm;
-    HWP_LOG(Warning) << "ignoring invalid HWP_CONV_ENGINE value \"" << v
-                     << "\" (want naive|gemm); using gemm";
-  }
-  return Engine::kGemm;
-}
-
 std::atomic<Engine>& Current() {
-  static std::atomic<Engine> engine{EngineFromEnv()};
+  static std::atomic<Engine> engine{Engine::kGemm};
   return engine;
 }
 

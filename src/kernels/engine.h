@@ -7,16 +7,15 @@
 //   kGemm  — im2col lowering + cache-blocked packed sgemm on the
 //            persistent thread pool (src/kernels). The default.
 //
-// The process-wide default comes from HWP_CONV_ENGINE=naive|gemm
-// (default gemm); tests and benches override it with SetEngine.
+// The process runs kGemm; SetEngine is the hook parity tests and
+// benches use to run kNaive beside it.
 #pragma once
 
 namespace hwp3d::kernels {
 
 enum class Engine { kNaive, kGemm };
 
-// Currently selected engine (HWP_CONV_ENGINE on first call, unless a
-// SetEngine override happened earlier).
+// Currently selected engine: kGemm unless SetEngine chose otherwise.
 Engine CurrentEngine();
 
 // Process-wide override, e.g. for parity tests and A/B benchmarks.

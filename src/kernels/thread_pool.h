@@ -18,9 +18,9 @@
 //    the first captured exception is rethrown on the calling thread.
 //  * Nested For() calls (from inside a body) run serially inline —
 //    deadlock-free and deterministic.
-//  * HWP_THREADS=1 (or a single-core machine, or `threads == 1`, or a
-//    live SerialScope on the calling thread) degrades to plain in-order
-//    serial execution, independent of the scheduler.
+//  * HWP_THREADS=1 (or a single-core machine, or a live SerialScope on
+//    the calling thread) degrades to plain in-order serial execution,
+//    independent of the scheduler.
 //  * Workers are joinable and joined in the destructor; none are
 //    detached (sanitizer-friendly shutdown).
 #pragma once
@@ -68,14 +68,12 @@ class ThreadPool {
     bool was_serial_;
   };
 
-  // Invokes body(i) for every i in [begin, end). `threads == 1` forces
-  // serial in-order execution; other positive values are a legacy hint
-  // and are ignored (the pool size is fixed at construction).
+  // Invokes body(i) for every i in [begin, end).
   template <typename Body>
-  void For(int64_t begin, int64_t end, Body&& body, int threads = 0) {
+  void For(int64_t begin, int64_t end, Body&& body) {
     const int64_t n = end - begin;
     if (n <= 0) return;
-    if (threads_ == 1 || threads == 1 || n == 1 || InWorker()) {
+    if (threads_ == 1 || n == 1 || InWorker()) {
       for (int64_t i = begin; i < end; ++i) body(i);
       return;
     }

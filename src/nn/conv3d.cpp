@@ -1,8 +1,8 @@
 #include "nn/conv3d.h"
 
-#include "common/parallel.h"
 #include "kernels/conv3d_gemm.h"
 #include "kernels/engine.h"
+#include "kernels/thread_pool.h"
 #include "obs/trace.h"
 #include "tensor/init.h"
 
@@ -92,7 +92,7 @@ TensorF Conv3d::Forward(const TensorF& x, bool train) {
                                y.data());
   } else {
     // Naive reference: direct 7-deep loop, double accumulation.
-    ParallelFor(0, B * M, [&](int64_t bm) {
+    ThreadPool::Get().For(0, B * M, [&](int64_t bm) {
       const int64_t b = bm / M;
       const int64_t m = bm % M;
       for (int64_t od = 0; od < Do; ++od) {
@@ -154,7 +154,7 @@ TensorF Conv3d::Backward(const TensorF& dy) {
                                 w.data(), dy.data(), dw.data(), dx.data());
   } else {
     // dW: parallel over output channel m — each m owns a disjoint slice of dW.
-    ParallelFor(0, M, [&](int64_t m) {
+    ThreadPool::Get().For(0, M, [&](int64_t m) {
       for (int64_t n = 0; n < N; ++n) {
         for (int64_t kd = 0; kd < Kd; ++kd) {
           for (int64_t kh = 0; kh < Kh; ++kh) {
@@ -184,7 +184,7 @@ TensorF Conv3d::Backward(const TensorF& dy) {
     });
 
     // dX: parallel over batch — each b owns a disjoint slice of dx.
-    ParallelFor(0, B, [&](int64_t b) {
+    ThreadPool::Get().For(0, B, [&](int64_t b) {
       for (int64_t m = 0; m < M; ++m) {
         for (int64_t od = 0; od < Do; ++od) {
           for (int64_t oh = 0; oh < Ho; ++oh) {
@@ -218,7 +218,7 @@ TensorF Conv3d::Backward(const TensorF& dy) {
     TensorF& db = bias_.grad;
     const float* dyp = dy.data();
     const int64_t plane = Do * Ho * Wo;
-    ParallelFor(0, M, [&](int64_t m) {
+    ThreadPool::Get().For(0, M, [&](int64_t m) {
       double acc = 0.0;
       for (int64_t b = 0; b < B; ++b) {
         const float* row = dyp + (b * M + m) * plane;

@@ -2,9 +2,9 @@
 
 #include <cstring>
 
-#include "common/parallel.h"
 #include "kernels/engine.h"
 #include "kernels/sgemm.h"
+#include "kernels/thread_pool.h"
 #include "obs/trace.h"
 #include "tensor/init.h"
 
@@ -64,7 +64,7 @@ TensorF Linear::Backward(const TensorF& dy) {
     // db: parallel column reduction of dy.
     const float* dyp = dy.data();
     float* db = bias_.grad.data();
-    ParallelFor(0, out_features_, [&](int64_t o) {
+    ThreadPool::Get().For(0, out_features_, [&](int64_t o) {
       double acc = 0.0;
       for (int64_t b = 0; b < B; ++b) acc += dyp[b * out_features_ + o];
       db[o] += static_cast<float>(acc);

@@ -74,8 +74,6 @@ CliOptions InitFromArgs(int& argc, char** argv) {
   const Flag registry[] = {
       {"--trace-out", Flag::Kind::kString, &options.trace_out},
       {"--metrics-out", Flag::Kind::kString, &options.metrics_out},
-      {"--engine", Flag::Kind::kString, &options.engine},
-      {"--executor", Flag::Kind::kString, &options.executor},
       {"--device", Flag::Kind::kString, &options.device},
       {"--threads", Flag::Kind::kInt, &options.threads},
       {"--seed", Flag::Kind::kUint64, &options.seed},
@@ -103,18 +101,12 @@ CliOptions InitFromArgs(int& argc, char** argv) {
   argc = out;
 
   if (!options.trace_out.empty()) Tracer::Get().SetEnabled(true);
-  // The pool and the conv engine read their environment on first use,
-  // so these must be exported before any parallel code runs — which is
-  // why examples call InitFromArgs first thing in main.
+  // The pool reads its environment on first use, so this must be
+  // exported before any parallel code runs — which is why examples call
+  // InitFromArgs first thing in main.
   if (options.threads.has_value()) {
     setenv("HWP_THREADS", std::to_string(*options.threads).c_str(),
            /*overwrite=*/1);
-  }
-  if (!options.engine.empty()) {
-    setenv("HWP_CONV_ENGINE", options.engine.c_str(), /*overwrite=*/1);
-  }
-  if (!options.executor.empty()) {
-    setenv("HWP_EXEC", options.executor.c_str(), /*overwrite=*/1);
   }
   return options;
 }

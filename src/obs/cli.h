@@ -1,7 +1,7 @@
 // Command-line glue shared by the examples and benches: a small typed
 // flag registry that parses the common flags every binary used to
 // re-implement by hand, removes them from argv, and applies the
-// side-effecting ones (tracing, thread-pool size, conv engine).
+// side-effecting ones (tracing, thread-pool size).
 //
 //   int main(int argc, char** argv) {
 //     const obs::CliOptions opts = obs::InitFromArgs(argc, argv);
@@ -15,10 +15,6 @@
 //   --metrics-out F  write metrics JSONL to F + print the summary table
 //   --threads N      size hwp3d::ThreadPool (sets HWP_THREADS; must run
 //                    before the first ThreadPool::Get())
-//   --engine E       conv engine, naive|gemm (sets HWP_CONV_ENGINE)
-//   --executor E     compiled-model executor, sim|fast (sets HWP_EXEC;
-//                    fast = pre-packed block-CSR tiles + analytic
-//                    timing, sim = step-by-step cycle simulator)
 //   --device D       FPGA device name, e.g. zcu102 (consumed by the
 //                    caller, see fpga::DeviceByName)
 //   --seed S         RNG seed (consumed by the caller)
@@ -34,16 +30,13 @@ struct CliOptions {
   std::string trace_out;    // Chrome trace-event JSON path ("" = off)
   std::string metrics_out;  // metrics JSONL path ("" = off)
   std::optional<int> threads;
-  std::string engine;       // "" = keep HWP_CONV_ENGINE / default
-  std::string executor;     // "" = keep HWP_EXEC / context default
   std::string device;       // "" = binary's default device
   std::optional<uint64_t> seed;
 };
 
 // Extracts the registered flags from argv, compacting the remaining
 // arguments and updating argc. Enables the tracer when --trace-out is
-// present, exports HWP_THREADS / HWP_CONV_ENGINE for --threads /
-// --engine. Malformed values (non-numeric --threads) warn on stderr and
+// present, exports HWP_THREADS for --threads. Malformed values (non-numeric --threads) warn on stderr and
 // are ignored.
 CliOptions InitFromArgs(int& argc, char** argv);
 

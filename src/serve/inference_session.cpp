@@ -105,44 +105,9 @@ InferenceSession::Builder& InferenceSession::Builder::Ports(
   ports_ = ports;
   return *this;
 }
-InferenceSession::Builder& InferenceSession::Builder::Executor(
-    fpga::ExecMode mode) {
-  executor_ = mode;
-  return *this;
-}
-InferenceSession::Builder& InferenceSession::Builder::Replicas(int n) {
-  server_.replicas = n;
-  return *this;
-}
-InferenceSession::Builder& InferenceSession::Builder::MaxBatch(int n) {
-  server_.max_batch = n;
-  return *this;
-}
-InferenceSession::Builder& InferenceSession::Builder::MaxDelayUs(int64_t us) {
-  server_.max_delay_us = us;
-  return *this;
-}
-InferenceSession::Builder& InferenceSession::Builder::QueueCapacity(size_t n) {
-  server_.queue_capacity = n;
-  return *this;
-}
-InferenceSession::Builder& InferenceSession::Builder::DefaultDeadlineUs(
-    int64_t us) {
-  server_.default_deadline_us = us;
-  return *this;
-}
-InferenceSession::Builder& InferenceSession::Builder::Retry(
-    const RetryConfig& retry) {
-  server_.retry = retry;
-  return *this;
-}
-InferenceSession::Builder& InferenceSession::Builder::QuarantineAfter(int k) {
-  server_.quarantine_after = k;
-  return *this;
-}
-InferenceSession::Builder& InferenceSession::Builder::WatchdogTimeoutUs(
-    int64_t us) {
-  server_.watchdog_timeout_us = us;
+InferenceSession::Builder& InferenceSession::Builder::Serving(
+    const serve::ServerConfig& config) {
+  server_ = config;
   return *this;
 }
 
@@ -152,36 +117,7 @@ StatusOr<std::unique_ptr<InferenceSession>>
 InferenceSession::Builder::Build() {
   HWP_TRACE_SCOPE("session/build");
 
-  if (server_.replicas < 1) {
-    return InvalidArgumentError(
-        StrFormat("Replicas(%d): need at least 1", server_.replicas));
-  }
-  if (server_.max_batch < 1) {
-    return InvalidArgumentError(
-        StrFormat("MaxBatch(%d): need at least 1", server_.max_batch));
-  }
-  if (server_.queue_capacity < 1) {
-    return InvalidArgumentError("QueueCapacity(0): need at least 1");
-  }
-  if (server_.max_delay_us < 0) {
-    return InvalidArgumentError(StrFormat(
-        "MaxDelayUs(%lld): must be >= 0 (0 = flush every request "
-        "immediately)",
-        static_cast<long long>(server_.max_delay_us)));
-  }
-  if (server_.quarantine_after < 1) {
-    return InvalidArgumentError(StrFormat(
-        "QuarantineAfter(%d): need at least 1", server_.quarantine_after));
-  }
-  if (server_.retry.max_attempts < 1) {
-    return InvalidArgumentError(StrFormat(
-        "Retry: max_attempts (%d) must be >= 1", server_.retry.max_attempts));
-  }
-  if (server_.watchdog_timeout_us < 0) {
-    return InvalidArgumentError(StrFormat(
-        "WatchdogTimeoutUs(%lld): must be >= 0 (0 disables the watchdog)",
-        static_cast<long long>(server_.watchdog_timeout_us)));
-  }
+  HWP_RETURN_IF_ERROR(serve::ValidateServerConfig(server_));
   if (checkpoint_.empty() && train_epochs_ < 1) {
     return InvalidArgumentError(
         "no weight source: set TrainEpochs(>= 1) to train from scratch "
@@ -273,9 +209,6 @@ InferenceSession::Builder::Build() {
   copts.tiling = tiling_;
   copts.ports = ports_;
   copts.masks = session->masks_;
-  // Serving defaults to the fast executor (HWP_EXEC still overrides);
-  // .Executor(...) pins it regardless of the environment.
-  copts.executor = fpga::ResolveExecMode(executor_, fpga::ExecMode::kFast);
   StatusOr<fpga::CompiledTinyR2Plus1d> compiled =
       fpga::CompiledTinyR2Plus1d::Compile(model, std::move(copts));
   if (!compiled.ok()) return compiled.status();

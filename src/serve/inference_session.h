@@ -5,17 +5,18 @@
 // Wraps the whole flow the examples used to hand-wire:
 //
 //   synthetic data ─▶ train (or load checkpoint) ─▶ ADMM prune ─▶
-//   quantize + BN-fold + compile ─▶ batched replica serving
+//   quantize + BN-fold + compile ─▶ batched serving lanes over one model
 //
 // behind a builder, with Status-based errors instead of bool/throw:
 //
+//   serve::ServerConfig serving;            // lanes, batching, retry...
+//   serving.replicas = 4;
+//   serving.max_batch = 8;
 //   auto session = InferenceSession::Builder()
 //                      .DataConfig(dcfg)
 //                      .TrainEpochs(10)
 //                      .PruneToSparsity(0.5)   // hardware-aware blocks
-//                      .Replicas(4)
-//                      .MaxBatch(8)
-//                      .MaxDelayUs(2000)
+//                      .Serving(serving)
 //                      .Build();
 //   if (!session.ok()) { ... session.status() ... }
 //   StatusOr<serve::InferenceResult> r = (*session)->Submit(clip);
@@ -28,7 +29,6 @@
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,30 +71,16 @@ class InferenceSession {
     // --- accelerator design point -------------------------------------
     Builder& Tiling(const fpga::Tiling& tiling);
     Builder& Ports(const fpga::Ports& ports);
-    // Conv-stage engine: kFast (pre-packed block-CSR tiles + analytic
-    // timing, the serving default) or kSimulate (step-by-step cycle
-    // simulator). Unset resolves HWP_EXEC, then defaults to kFast —
-    // both are bitwise identical, so this only trades wall-clock
-    // against step-level cycle attribution.
-    Builder& Executor(fpga::ExecMode mode);
 
     // --- serving ------------------------------------------------------
-    Builder& Replicas(int n);
-    Builder& MaxBatch(int n);
-    Builder& MaxDelayUs(int64_t us);
-    Builder& QueueCapacity(size_t n);
-    Builder& DefaultDeadlineUs(int64_t us);
-
-    // --- fault tolerance ----------------------------------------------
-    // Retry policy for transient replica failures (deadline-aware
-    // exponential backoff), quarantine threshold (K consecutive
-    // failures), and the stuck-batch watchdog timeout (0 disables).
-    Builder& Retry(const RetryConfig& retry);
-    Builder& QuarantineAfter(int k);
-    Builder& WatchdogTimeoutUs(int64_t us);
+    // Replica lanes, batching, queue, deadlines, retry, quarantine and
+    // watchdog, all in one serve::ServerConfig (checked by
+    // serve::ValidateServerConfig). The model is compiled for the fast
+    // executor.
+    Builder& Serving(const serve::ServerConfig& config);
 
     // Validates the configuration, builds the model (train or load),
-    // prunes, compiles, and starts the serving replicas.
+    // prunes, compiles, and starts the server.
     StatusOr<std::unique_ptr<InferenceSession>> Build();
 
    private:
@@ -118,7 +104,6 @@ class InferenceSession {
     bool zero_block_masks_ = false;
     fpga::Tiling tiling_{4, 4, 2, 4, 4};
     fpga::Ports ports_;
-    std::optional<fpga::ExecMode> executor_;
     serve::ServerConfig server_;
   };
 
@@ -128,7 +113,7 @@ class InferenceSession {
   InferenceSession& operator=(const InferenceSession&) = delete;
 
   // --- serving --------------------------------------------------------
-  // Runs one [C][D][H][W] clip through the accelerator replicas.
+  // Runs one [C][D][H][W] clip through the compiled model.
   // Errors: kResourceExhausted (queue full), kDeadlineExceeded,
   // kUnavailable (after Drain), kInvalidArgument (bad clip shape).
   StatusOr<serve::InferenceResult> Submit(const TensorF& clip,

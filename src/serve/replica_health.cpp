@@ -29,11 +29,6 @@ bool ReplicaHealth::RecordFailure(int replica) {
   return true;
 }
 
-bool ReplicaHealth::healthy(int replica) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return !states_[static_cast<size_t>(replica)].quarantined;
-}
-
 std::vector<int> ReplicaHealth::HealthySet() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::vector<int> set;
@@ -52,16 +47,6 @@ int ReplicaHealth::healthy_count() const {
 int ReplicaHealth::quarantined_count() const {
   std::lock_guard<std::mutex> lk(mu_);
   return static_cast<int>(states_.size()) - healthy_;
-}
-
-void ReplicaHealth::Reinstate(int replica) {
-  std::lock_guard<std::mutex> lk(mu_);
-  State& s = states_[static_cast<size_t>(replica)];
-  s.consecutive_failures = 0;
-  if (s.quarantined) {
-    s.quarantined = false;
-    ++healthy_;
-  }
 }
 
 }  // namespace hwp3d::serve

@@ -4,8 +4,8 @@
 // here. A replica that fails `quarantine_after` consecutive times is
 // quarantined: it drops out of HealthySet(), so subsequent batches
 // re-stripe across the remaining replicas. Because every replica is a
-// copy of the same immutable compiled model, shrinking the replica set
-// degrades throughput but never changes an answer — outputs stay
+// lane over the same immutable compiled model, shrinking the replica
+// set degrades throughput but never changes an answer — outputs stay
 // bitwise identical to a fully-healthy run.
 //
 // The last healthy replica is never quarantined: a server with work
@@ -30,15 +30,10 @@ class ReplicaHealth {
   // replica into quarantine (the caller counts/logs the transition).
   bool RecordFailure(int replica);
 
-  bool healthy(int replica) const;
   // Indices of non-quarantined replicas, ascending. Never empty.
   std::vector<int> HealthySet() const;
   int healthy_count() const;
   int quarantined_count() const;
-
-  // Clears quarantine and the failure run (operator intervention /
-  // future health-probe reinstatement).
-  void Reinstate(int replica);
 
  private:
   struct State {

@@ -69,7 +69,51 @@ constexpr const char* kFaultReplicaInfer = "serve.replica_infer";
 constexpr const char* kFaultReplicaWedge = "serve.replica_wedge";
 constexpr const char* kFaultQueueAdmit = "serve.queue_admit";
 
+// ValidateServerConfig as a precondition, for the constructor's
+// initializer list.
+const ServerConfig& CheckedConfig(const ServerConfig& config) {
+  const Status valid = ValidateServerConfig(config);
+  HWP_CHECK_MSG(valid.ok(), valid.ToString());
+  return config;
+}
+
 }  // namespace
+
+Status ValidateServerConfig(const ServerConfig& config) {
+  if (config.replicas < 1) {
+    return InvalidArgumentError(
+        StrFormat("replicas (%d): need at least 1", config.replicas));
+  }
+  if (config.max_batch < 1) {
+    return InvalidArgumentError(
+        StrFormat("max_batch (%d): need at least 1", config.max_batch));
+  }
+  if (config.max_delay_us < 0) {
+    return InvalidArgumentError(StrFormat(
+        "max_delay_us (%lld): must be >= 0 (0 = flush every request "
+        "immediately)",
+        static_cast<long long>(config.max_delay_us)));
+  }
+  if (config.queue_capacity < 1) {
+    return InvalidArgumentError("queue_capacity (0): need at least 1");
+  }
+  if (config.quarantine_after < 1) {
+    return InvalidArgumentError(StrFormat(
+        "quarantine_after (%d): need at least 1", config.quarantine_after));
+  }
+  if (config.retry.max_attempts < 1) {
+    return InvalidArgumentError(StrFormat(
+        "retry.max_attempts (%d): need at least 1",
+        config.retry.max_attempts));
+  }
+  if (config.watchdog_timeout_us < 0) {
+    return InvalidArgumentError(StrFormat(
+        "watchdog_timeout_us (%lld): must be >= 0 (0 disables the "
+        "watchdog)",
+        static_cast<long long>(config.watchdog_timeout_us)));
+  }
+  return Status::Ok();
+}
 
 double PercentileUs(std::vector<double> latencies_us, double q) {
   if (latencies_us.empty()) return 0.0;
@@ -83,25 +127,13 @@ double PercentileUs(std::vector<double> latencies_us, double q) {
 
 InferenceServer::InferenceServer(const fpga::CompiledTinyR2Plus1d& model,
                                  ServerConfig config)
-    : config_(config),
-      retry_(config.retry),
-      health_(std::max(config.replicas, 1),
-              std::max(config.quarantine_after, 1)),
-      queue_(config.queue_capacity) {
-  HWP_CHECK_MSG(config_.replicas >= 1,
-                "InferenceServer needs at least one replica");
-  HWP_CHECK_MSG(config_.max_batch >= 1, "max_batch must be >= 1");
-  HWP_CHECK_MSG(config_.queue_capacity >= 1, "queue_capacity must be >= 1");
-  HWP_CHECK_MSG(config_.quarantine_after >= 1,
-                "quarantine_after must be >= 1");
-  HWP_CHECK_MSG(config_.retry.max_attempts >= 1,
-                "retry.max_attempts must be >= 1");
-  HWP_CHECK_MSG(config_.watchdog_timeout_us >= 0,
-                "watchdog_timeout_us must be >= 0 (0 disables)");
-  replicas_.reserve(static_cast<size_t>(config_.replicas));
+    : config_(CheckedConfig(config)),
+      retry_(config_.retry),
+      model_(model),
+      health_(config_.replicas, config_.quarantine_after),
+      queue_(config_.queue_capacity) {
   replica_fault_points_.reserve(static_cast<size_t>(config_.replicas));
   for (int r = 0; r < config_.replicas; ++r) {
-    replicas_.push_back(model);
     replica_fault_points_.push_back(
         StrFormat("%s.r%d", kFaultReplicaInfer, r));
   }
@@ -112,7 +144,7 @@ InferenceServer::InferenceServer(const fpga::CompiledTinyR2Plus1d& model,
   ServeMetrics::Get().healthy_replicas.Set(
       static_cast<double>(config_.replicas));
   ServeMetrics::Get().executor.Set(
-      model.executor() == fpga::ExecMode::kFast ? 1.0 : 0.0);
+      model_.executor() == fpga::ExecMode::kFast ? 1.0 : 0.0);
   dispatcher_ = std::thread([this] { DispatchLoop(); });
   if (config_.watchdog_timeout_us > 0) {
     watchdog_ = std::thread([this] { WatchdogLoop(); });
@@ -268,8 +300,7 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
       result.batch_size = batch_size;
       result.replica = replica;
       try {
-        result.logits = replicas_[static_cast<size_t>(replica)].Infer(
-            req.clip, &result.stats);
+        result.logits = model_.Infer(req.clip, &result.stats);
       } catch (const Error& e) {
         // A malformed request is a terminal per-request error, never a
         // replica fault: no retry, no health penalty, and it must not
@@ -362,8 +393,7 @@ void InferenceServer::RunBatch(std::vector<Request>& batch) {
   }
 
   // Re-stripe over the healthy replica set: with lanes H[0..L), lane k
-  // serves items k, k+L, ... Each healthy replica is exclusive to one
-  // lane, so no two threads share a TiledConvSim.
+  // serves items k, k+L, ... All lanes run the one shared model.
   const std::vector<int> lanes = health_.HealthySet();
   const int L = std::min<int>(static_cast<int>(lanes.size()),
                               static_cast<int>(live.size()));

@@ -5,14 +5,16 @@
 //                                                      │
 //                                        ThreadPool::For over healthy set
 //                                          lane 0 │ lane 1 │ ...   ◀─┐
-//                                          (one TiledConvSim each)   │
+//                                          (all run the one model)   │
 //                                                 watchdog thread ───┘
 //
 // One dispatcher thread pops batches (flushing at max_batch or
 // max_delay_us) and fans each batch out across the *healthy* replicas
-// of the compiled model on the process-wide hwp3d::ThreadPool: with L
-// healthy replicas, lane k runs batch items k, k+L, k+2L, ... Every
-// replica is a copy of the same immutable CompiledTinyR2Plus1d, so
+// on the process-wide hwp3d::ThreadPool: with L healthy replicas, lane
+// k runs batch items k, k+L, k+2L, ... A replica is a lane index with
+// its own health record and fault point, not a copy of the model:
+// every lane calls Infer on the server's one immutable
+// CompiledTinyR2Plus1d (const and safe to call concurrently), so
 // predictions are bitwise identical for any replica count — which is
 // what makes quarantine-and-re-stripe a safe degradation.
 //
@@ -56,6 +58,7 @@
 #include <vector>
 
 #include "common/retry.h"
+#include "common/status.h"
 #include "fpga/model_compiler.h"
 #include "serve/latency_reservoir.h"
 #include "serve/replica_health.h"
@@ -63,8 +66,9 @@
 
 namespace hwp3d::serve {
 
+// Every field is checked by ValidateServerConfig.
 struct ServerConfig {
-  int replicas = 1;
+  int replicas = 1;                 // serving lanes over the one model
   int max_batch = 8;
   int64_t max_delay_us = 2000;    // flush timer from oldest request
   size_t queue_capacity = 64;
@@ -73,6 +77,11 @@ struct ServerConfig {
   int quarantine_after = 3;         // consecutive failures -> quarantine
   int64_t watchdog_timeout_us = 0;  // stuck-batch kill switch; 0 = off
 };
+
+// The one check of a ServerConfig: kInvalidArgument naming the first
+// bad field, else OK. InferenceSession::Builder::Build returns it and
+// the InferenceServer constructor enforces it.
+Status ValidateServerConfig(const ServerConfig& config);
 
 // Latencies InferenceServer keeps for its Stats() percentiles (32 KiB).
 inline constexpr size_t kLatencySampleSize = 4096;
@@ -100,7 +109,8 @@ struct ServerStats {
 
 class InferenceServer {
  public:
-  // Takes its own replicas: `config.replicas` copies of `model`.
+  // Copies `model` once; every replica lane runs that copy. Throws
+  // hwp3d::Error when ValidateServerConfig(config) fails.
   InferenceServer(const fpga::CompiledTinyR2Plus1d& model,
                   ServerConfig config);
   ~InferenceServer();  // graceful drain
@@ -158,7 +168,7 @@ class InferenceServer {
 
   ServerConfig config_;
   RetryPolicy retry_;
-  std::vector<fpga::CompiledTinyR2Plus1d> replicas_;
+  const fpga::CompiledTinyR2Plus1d model_;
   std::vector<std::string> replica_fault_points_;  // serve.replica_infer.r<k>
   ReplicaHealth health_;
   RequestQueue queue_;

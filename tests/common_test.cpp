@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 
 #include "common/error.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -73,28 +71,6 @@ TEST(RngTest, NormalHasRoughMoments) {
   EXPECT_NEAR(mean, 2.0, 0.1);
   EXPECT_NEAR(var, 9.0, 0.5);
 }
-
-TEST(ParallelTest, CoversRangeExactlyOnce) {
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(0, 1000, [&](int64_t i) { hits[static_cast<size_t>(i)]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelTest, EmptyRangeIsNoop) {
-  bool called = false;
-  ParallelFor(5, 5, [&](int64_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelTest, PropagatesExceptions) {
-  EXPECT_THROW(
-      ParallelFor(0, 100,
-                  [](int64_t i) {
-                    if (i == 50) throw Error("boom");
-                  }),
-      Error);
-}
-
 
 TEST(StatusTest, OkAndErrorBasics) {
   const Status ok = Status::Ok();

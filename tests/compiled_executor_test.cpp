@@ -2,10 +2,12 @@
 // ExecMode::kFast must be bitwise identical to the TiledConvSim oracle
 // — logits, every output element, and every CompiledRunStats field —
 // across dense, 50%- and 90%-pruned masks, non-divisible channel and
-// tiling grids, and any thread count.
+// tiling grids, and any thread count — and one compiled model shared by
+// concurrent callers, as the serving lanes share it, must give every
+// caller the serial result.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -216,29 +218,6 @@ TEST(PackedConvLayerTest, FastRunUsesAccountedScratch) {
   EXPECT_GT(kernels::ScratchBytesInUse(), 0);
 }
 
-TEST(ExecModeTest, ParseAndResolve) {
-  EXPECT_EQ(fpga::ParseExecMode("sim"), ExecMode::kSimulate);
-  EXPECT_EQ(fpga::ParseExecMode("simulate"), ExecMode::kSimulate);
-  EXPECT_EQ(fpga::ParseExecMode("fast"), ExecMode::kFast);
-  EXPECT_EQ(fpga::ParseExecMode("warp"), std::nullopt);
-
-  unsetenv("HWP_EXEC");
-  EXPECT_EQ(fpga::ResolveExecMode(std::nullopt, ExecMode::kSimulate),
-            ExecMode::kSimulate);
-  EXPECT_EQ(fpga::ResolveExecMode(std::nullopt, ExecMode::kFast),
-            ExecMode::kFast);
-  setenv("HWP_EXEC", "fast", 1);
-  EXPECT_EQ(fpga::ResolveExecMode(std::nullopt, ExecMode::kSimulate),
-            ExecMode::kFast);
-  // An explicit request beats the environment.
-  EXPECT_EQ(fpga::ResolveExecMode(ExecMode::kSimulate, ExecMode::kFast),
-            ExecMode::kSimulate);
-  setenv("HWP_EXEC", "bogus", 1);
-  EXPECT_EQ(fpga::ResolveExecMode(std::nullopt, ExecMode::kSimulate),
-            ExecMode::kSimulate);
-  unsetenv("HWP_EXEC");
-}
-
 // --- whole-model parity ------------------------------------------------
 
 class CompiledExecutorModelTest : public ::testing::Test {
@@ -345,6 +324,57 @@ TEST_F(CompiledExecutorModelTest, NonDivisibleTilingParity) {
   opts.tiling = fpga::Tiling{3, 3, 2, 4, 4};
   opts.masks = PruneMasks(0.5, {3, 3});
   CheckModelParity(opts);
+}
+
+TEST_F(CompiledExecutorModelTest, SharedModelMatchesSerialUnderConcurrency) {
+  CompiledModelOptions dense;
+  dense.tiling = fpga::Tiling{4, 4, 2, 5, 5};
+  CompiledModelOptions pruned = dense;
+  pruned.masks = PruneMasks(0.9, {4, 4});
+  for (const CompiledModelOptions& opts : {dense, pruned}) {
+    SCOPED_TRACE(opts.masks.empty() ? "dense" : "90% pruned");
+    auto compiled = CompiledTinyR2Plus1d::Compile(*model_, opts);
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    const CompiledTinyR2Plus1d& shared = *compiled;
+    ASSERT_EQ(shared.executor(), ExecMode::kFast);
+
+    constexpr int kClips = 4;
+    std::vector<TensorF> clips;
+    std::vector<TensorF> want_logits;
+    std::vector<CompiledRunStats> want_stats(kClips);
+    for (int c = 0; c < kClips; ++c) {
+      clips.push_back(MakeClip(static_cast<uint64_t>(c)));
+      want_logits.push_back(shared.Infer(clips.back(), &want_stats[c]));
+    }
+
+    // Every participant of the region calls Infer on the one model; the
+    // nested per-layer regions run inline on each participant.
+    constexpr int kCalls = 8 * kClips;
+    std::vector<TensorF> got_logits(kCalls);
+    std::vector<CompiledRunStats> got_stats(kCalls);
+    ThreadPool pool(4);
+    pool.For(0, kCalls, [&](int64_t i) {
+      got_logits[static_cast<size_t>(i)] =
+          shared.Infer(clips[static_cast<size_t>(i % kClips)],
+                       &got_stats[static_cast<size_t>(i)]);
+    });
+
+    for (int i = 0; i < kCalls; ++i) {
+      SCOPED_TRACE(::testing::Message() << "call " << i);
+      const TensorF& want = want_logits[static_cast<size_t>(i % kClips)];
+      const TensorF& got = got_logits[static_cast<size_t>(i)];
+      ASSERT_EQ(got.numel(), want.numel());
+      for (int64_t k = 0; k < want.numel(); ++k) {
+        EXPECT_EQ(got[k], want[k]) << "logit " << k;
+      }
+      const CompiledRunStats& ws = want_stats[static_cast<size_t>(i % kClips)];
+      const CompiledRunStats& gs = got_stats[static_cast<size_t>(i)];
+      EXPECT_EQ(gs.modeled_cycles, ws.modeled_cycles);
+      EXPECT_EQ(gs.blocks_loaded, ws.blocks_loaded);
+      EXPECT_EQ(gs.blocks_skipped, ws.blocks_skipped);
+      EXPECT_EQ(gs.macs_executed, ws.macs_executed);
+    }
+  }
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // layers at batch 8 and 1, convs lowered in several column slabs, and
 // cases that cross the sgemm KC/NC cache-block boundaries), Forward
 // outputs and every
-// Backward gradient (dx, dW, db) produced by HWP_CONV_ENGINE=gemm must
+// Backward gradient (dx, dW, db) produced by the gemm engine must
 // match the naive double-accumulation loops within 1e-4.
 #include <gtest/gtest.h>
 

@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <future>
+#include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "data/synthetic_video.h"
@@ -345,7 +347,15 @@ data::SyntheticVideoConfig SmallDataConfig() {
   return dcfg;
 }
 
-InferenceSession::Builder SmallSessionBuilder() {
+serve::ServerConfig SmallServing(int replicas = 1) {
+  serve::ServerConfig cfg;
+  cfg.replicas = replicas;
+  cfg.max_delay_us = 1'000;
+  return cfg;
+}
+
+InferenceSession::Builder SmallSessionBuilder(
+    const serve::ServerConfig& serving = SmallServing()) {
   return InferenceSession::Builder()
       .DataConfig(SmallDataConfig())
       .Seed(5)
@@ -353,7 +363,7 @@ InferenceSession::Builder SmallSessionBuilder() {
       .TrainData(4, 4)
       .EvalData(2)
       .Tiling(fpga::Tiling{4, 4, 2, 5, 5})
-      .MaxDelayUs(1'000);
+      .Serving(serving);
 }
 
 TEST(InferenceSessionTest, BuilderRejectsBadConfigs) {
@@ -361,13 +371,49 @@ TEST(InferenceSessionTest, BuilderRejectsBadConfigs) {
   ASSERT_FALSE(no_weights.ok());
   EXPECT_EQ(no_weights.status().code(), StatusCode::kInvalidArgument);
 
-  auto zero_replicas = SmallSessionBuilder().Replicas(0).Build();
+  auto zero_replicas = SmallSessionBuilder(SmallServing(0)).Build();
   ASSERT_FALSE(zero_replicas.ok());
   EXPECT_EQ(zero_replicas.status().code(), StatusCode::kInvalidArgument);
 
   auto bad_sparsity = SmallSessionBuilder().PruneToSparsity(1.5).Build();
   ASSERT_FALSE(bad_sparsity.ok());
   EXPECT_EQ(bad_sparsity.status().code(), StatusCode::kInvalidArgument);
+}
+
+// One invalid field at a time: the single ServerConfig check must
+// reject it, and so must both entry points that take a config.
+TEST_F(ServeTest, EveryInvalidServerConfigFieldIsRejected) {
+  EXPECT_TRUE(serve::ValidateServerConfig(serve::ServerConfig{}).ok());
+  struct Case {
+    const char* field;
+    void (*corrupt)(serve::ServerConfig&);
+  };
+  const Case cases[] = {
+      {"replicas", [](serve::ServerConfig& c) { c.replicas = 0; }},
+      {"max_batch", [](serve::ServerConfig& c) { c.max_batch = 0; }},
+      {"queue_capacity",
+       [](serve::ServerConfig& c) { c.queue_capacity = 0; }},
+      {"max_delay_us", [](serve::ServerConfig& c) { c.max_delay_us = -1; }},
+      {"quarantine_after",
+       [](serve::ServerConfig& c) { c.quarantine_after = 0; }},
+      {"retry.max_attempts",
+       [](serve::ServerConfig& c) { c.retry.max_attempts = 0; }},
+      {"watchdog_timeout_us",
+       [](serve::ServerConfig& c) { c.watchdog_timeout_us = -1; }},
+  };
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(tc.field);
+    serve::ServerConfig cfg;
+    tc.corrupt(cfg);
+    const Status direct = serve::ValidateServerConfig(cfg);
+    EXPECT_EQ(direct.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(direct.message().find(tc.field), std::string::npos)
+        << direct.ToString();
+    auto built = SmallSessionBuilder(cfg).Build();
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status(), direct);
+    EXPECT_THROW(serve::InferenceServer(*compiled_, cfg), Error);
+  }
 }
 
 TEST(InferenceSessionTest, FromMissingCheckpointIsNotFound) {
@@ -378,7 +424,7 @@ TEST(InferenceSessionTest, FromMissingCheckpointIsNotFound) {
 }
 
 TEST(InferenceSessionTest, CheckpointRoundTripServesIdenticalModel) {
-  auto first = SmallSessionBuilder().Replicas(2).Build();
+  auto first = SmallSessionBuilder(SmallServing(2)).Build();
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   InferenceSession& session = **first;
   ASSERT_FALSE(session.eval_batches().empty());

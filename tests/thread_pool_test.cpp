@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/parallel.h"
 #include "kernels/thread_pool.h"
 
 namespace hwp3d {
@@ -97,10 +96,10 @@ TEST(ThreadPoolTest, SingleThreadPoolIsSerialAndOrdered) {
   for (int64_t i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
-TEST(ThreadPoolTest, ThreadsEqualsOneArgForcesSerialOrder) {
-  ThreadPool pool(4);
-  std::vector<int64_t> order;
-  pool.For(0, 64, [&](int64_t i) { order.push_back(i); }, /*threads=*/1);
+TEST(ThreadPoolTest, SerialScopeForcesSerialOrderOnSingletonPool) {
+  ThreadPool::SerialScope serial;
+  std::vector<int64_t> order;  // unsynchronized on purpose: must be serial
+  ThreadPool::Get().For(0, 64, [&](int64_t i) { order.push_back(i); });
   ASSERT_EQ(order.size(), 64u);
   for (int64_t i = 0; i < 64; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
@@ -132,18 +131,13 @@ TEST(ThreadPoolTest, ManySmallRegionsReuseWorkers) {
   EXPECT_EQ(total.load(), 2000 * 8);
 }
 
-TEST(ParallelForTest, RoutesThroughSingletonPool) {
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(0, 1000, [&](int64_t i) { hits[static_cast<size_t>(i)]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForTest, MoveOnlyStateInBody) {
-  // The templated ParallelFor must not require a copyable body (the old
-  // std::function-based signature did).
+TEST(ThreadPoolTest, MoveOnlyStateInBody) {
+  // For() is a template over the body, so a move-only body works (a
+  // std::function-based signature would require a copyable one).
   std::atomic<int64_t> sum{0};
   auto token = std::make_unique<int64_t>(7);
-  ParallelFor(0, 10, [&sum, t = std::move(token)](int64_t i) { sum += i * *t; });
+  ThreadPool::Get().For(
+      0, 10, [&sum, t = std::move(token)](int64_t i) { sum += i * *t; });
   EXPECT_EQ(sum.load(), 45 * 7);
 }
 
