@@ -7,14 +7,16 @@
 // Beyond the google-benchmark suite, main() runs an engine-comparison
 // harness (naive vs gemm training step on a tiny R(2+1)D block), times
 // the SGEMM micro-kernel the CPU dispatches to against the portable one
-// on one thread, times one training epoch of the benchmark prune job's
-// model on one thread and on the whole pool, and writes a
-// machine-readable summary to --json-out=PATH (default
-// BENCH_kernels.json): GFLOP/s, speedups, the dispatched ISA, and the
-// gemm engine's pack/compute time split taken from the kernels.gemm.*
-// counters.
+// on one thread, does the same for the fast executor's int16 conv
+// kernel on one conv layer of the dense serving model, times one
+// training epoch of the benchmark prune job's model on one thread and on
+// the whole pool, and writes a machine-readable summary to
+// --json-out=PATH (default BENCH_kernels.json): GFLOP/s, GMAC/s,
+// speedups, the dispatched ISAs, and the gemm engine's pack/compute
+// time split taken from the kernels.gemm.* counters.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -23,8 +25,11 @@
 #include "common/rng.h"
 #include "core/projection.h"
 #include "data/synthetic_video.h"
+#include "fixed/quantize.h"
+#include "fpga/compiled_executor.h"
 #include "fpga/tiled_conv_sim.h"
 #include "kernels/engine.h"
+#include "kernels/qgemm_tile.h"
 #include "kernels/sgemm.h"
 #include "kernels/thread_pool.h"
 #include "models/tiny_r2plus1d.h"
@@ -302,6 +307,60 @@ MicroKernelResult RunMicroKernelComparison() {
   return r;
 }
 
+struct QConvResult {
+  const char* isa = "portable";
+  double dispatched_gmacs = 0.0;
+  double portable_gmacs = 0.0;
+  double int32_exact_frac = 0.0;
+};
+
+// One-thread GMAC/s of the fast executor on the dense serving model's
+// stage-1 spatial conv (8 -> 28 channels, 1x3x3, padding (0,1,1), input
+// 8x16x16, tiling [4,4,2,4,4]) with the dispatched int16 kernel and with
+// the portable one. Weights in +-0.25 (|raw| <= 64 over 72 slots) keep
+// every channel inside the int32 proof.
+QConvResult RunQConvComparison() {
+  Rng rng(51);
+  TensorF wf(Shape{28, 8, 1, 3, 3}), xf(Shape{8, 8, 16, 16});
+  FillUniform(wf, rng, -0.25f, 0.25f);
+  FillUniform(xf, rng, -2.0f, 2.0f);
+  const TensorQ weights = Quantize(wf), input = Quantize(xf);
+  const fpga::PackedConvLayer layer(weights, fpga::Tiling{4, 4, 2, 4, 4},
+                                    fpga::Ports{}, nullptr);
+  fpga::PostOps post;
+  post.relu = true;
+  const double macs = 28.0 * 8 * 9 * 8 * 16 * 16;
+  const kernels::QIsa dispatched = kernels::ActiveQIsa();
+  // Dispatched and portable runs alternate, so a change in the host's
+  // speed during the measurement affects both sides alike.
+  const auto run_ms = [&](kernels::QIsa isa) {
+    kernels::SetQIsa(isa);
+    const double t0 = obs::NowUs();
+    const fpga::TiledConvResult r =
+        layer.Run(input, {1, 1, 1}, {0, 1, 1}, post);
+    benchmark::DoNotOptimize(r.output.data());
+    return (obs::NowUs() - t0) / 1000.0;
+  };
+  double best_dispatched = 1e300, best_portable = 1e300;
+  {
+    ThreadPool::SerialScope one_thread;
+    run_ms(dispatched);
+    run_ms(kernels::QIsa::kPortable);
+    for (int rep = 0; rep < 200; ++rep) {
+      best_dispatched = std::min(best_dispatched, run_ms(dispatched));
+      best_portable =
+          std::min(best_portable, run_ms(kernels::QIsa::kPortable));
+    }
+  }
+  kernels::SetQIsa(dispatched);
+  QConvResult r;
+  r.isa = kernels::QIsaName(dispatched);
+  r.int32_exact_frac = layer.int32_exact_frac();
+  r.dispatched_gmacs = macs / (best_dispatched * 1e6);
+  r.portable_gmacs = macs / (best_portable * 1e6);
+  return r;
+}
+
 struct EpochResult {
   double one_thread_ms = 0.0;
   double pool_ms = 0.0;
@@ -385,6 +444,7 @@ void RunEngineComparison(const std::string& json_path) {
       split_total > 0.0 ? static_cast<double>(pack_us) / split_total : 0.0;
 
   const MicroKernelResult micro = RunMicroKernelComparison();
+  const QConvResult qconv = RunQConvComparison();
   const EpochResult epoch = RunPruneEpochComparison();
   const int threads = ThreadPool::Get().threads();
 
@@ -402,6 +462,14 @@ void RunEngineComparison(const std::string& json_path) {
   std::printf("portable:             %.2f GFLOP/s\n", micro.portable_gflops);
   std::printf("dispatched/portable:  %.2fx\n",
               micro.dispatched_gflops / micro.portable_gflops);
+  std::printf("\n-- int16 conv kernel, 1 thread, dense stage-1 spatial conv "
+              "8->28 1x3x3 on 8x16x16 --\n");
+  std::printf("dispatched isa:       %s\n", qconv.isa);
+  std::printf("dispatched:           %.2f GMAC/s\n", qconv.dispatched_gmacs);
+  std::printf("portable:             %.2f GMAC/s\n", qconv.portable_gmacs);
+  std::printf("dispatched/portable:  %.2fx\n",
+              qconv.dispatched_gmacs / qconv.portable_gmacs);
+  std::printf("int32-exact channels: %.3f\n", qconv.int32_exact_frac);
   std::printf("\n-- prune-job epoch (TinyR2Plus1d 4/8/8, 128 clips) --\n");
   std::printf("1 thread:             %.1f ms\n", epoch.one_thread_ms);
   std::printf("%d threads:            %.1f ms\n", threads, epoch.pool_ms);
@@ -439,6 +507,16 @@ void RunEngineComparison(const std::string& json_path) {
       << "    \"portable_gflops\": " << micro.portable_gflops << ",\n"
       << "    \"dispatched_vs_portable\": "
       << micro.dispatched_gflops / micro.portable_gflops << "\n"
+      << "  },\n"
+      << "  \"qconv\": {\n"
+      << "    \"config\": \"dense stage-1 spatial conv 8->28 ch, 1x3x3, "
+         "pad (0,1,1), input 8x16x16, tiling [4,4,2,4,4], 1 thread\",\n"
+      << "    \"isa\": \"" << qconv.isa << "\",\n"
+      << "    \"dispatched_gmacs\": " << qconv.dispatched_gmacs << ",\n"
+      << "    \"portable_gmacs\": " << qconv.portable_gmacs << ",\n"
+      << "    \"dispatched_vs_portable\": "
+      << qconv.dispatched_gmacs / qconv.portable_gmacs << ",\n"
+      << "    \"int32_exact_frac\": " << qconv.int32_exact_frac << "\n"
       << "  },\n"
       << "  \"prune_epoch\": {\n"
       << "    \"config\": \"TinyR2Plus1d 4/8/8 ch, 128 clips 6x10x10, "

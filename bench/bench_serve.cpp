@@ -1,6 +1,6 @@
 // Serving throughput/latency benchmark in two parts:
 //
-//  1. Executor comparison (serial Infer loop on one thread, the thread
+//  1. Executor comparison (serial Infers on one thread, the thread
 //     count bench/baselines/BENCH_serve.json was recorded at): the
 //     step-by-step cycle simulator (kSimulate), the fast compiled
 //     executor on dense weights, and the fast executor on a 90%
@@ -12,7 +12,8 @@
 //
 // Writes BENCH_serve.json with both sections: an "executors" object
 // (sim/fast/pruned clips-per-second plus the fast_vs_sim and
-// pruned_vs_dense ratios, and the thread count they were measured at)
+// pruned_vs_dense ratios, the thread count they were measured at and the
+// int16 kernel ISA the fast executor dispatched to)
 // and the per-replica "configs" array with
 // throughput, speedup-vs-serial, and p50/p95/p99 latency.
 //
@@ -24,6 +25,7 @@
 // injects transient replica failures. The bench then classifies every
 // outcome — ok, truthful transient failure, or anything else — and
 // exits non-zero only if a request was lost or resolved untruthfully.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,6 +41,7 @@
 #include "data/synthetic_video.h"
 #include "fpga/compiled_executor.h"
 #include "fpga/model_compiler.h"
+#include "kernels/qgemm_tile.h"
 #include "kernels/thread_pool.h"
 #include "models/tiny_r2plus1d.h"
 #include "nn/trainer.h"
@@ -178,24 +181,41 @@ int main(int argc, char** argv) {
     clips.push_back(dataset.MakeSample(i % dcfg.num_classes, rng).clip);
   }
 
-  // Executor comparison: serial Infer loops over the same clips, on one
+  // Executor comparison: serial Infers of the same clips, on one
   // thread. The baseline's ratios were recorded on one thread; over the
   // pool the fast executor's per-layer fan-out would fold the host's
-  // core count and load into them.
-  const auto time_serial = [&clips, num_clips](
-                               const fpga::CompiledTinyR2Plus1d& m) {
-    const double t0 = obs::NowUs();
-    for (const TensorF& clip : clips) (void)m.Infer(clip);
-    return 1e6 * num_clips / (obs::NowUs() - t0);
-  };
+  // core count and load into them. The executors take turns clip by
+  // clip, so a drift in the host's speed slows all three alike, and
+  // each rate is the inverse of the median Infer time, so a single
+  // preempted Infer does not move it. A fast Infer takes a fraction of
+  // a millisecond, so each clip runs kFastReps times on the fast
+  // executors.
   constexpr int kExecutorThreads = 1;
-  double sim_cps = 0.0, fast_cps = 0.0, pruned_cps = 0.0;
+  constexpr int kFastReps = 8;
+  std::vector<double> sim_us, fast_us, pruned_us;
   {
     ThreadPool::SerialScope serial;
-    sim_cps = time_serial(*sim_model);
-    fast_cps = time_serial(*fast_model);
-    pruned_cps = time_serial(*pruned_model);
+    const auto time_us = [](const fpga::CompiledTinyR2Plus1d& m,
+                            const TensorF& clip, std::vector<double>& out) {
+      const double t0 = obs::NowUs();
+      (void)m.Infer(clip);
+      out.push_back(obs::NowUs() - t0);
+    };
+    for (const TensorF& clip : clips) {
+      time_us(*sim_model, clip, sim_us);
+      for (int rep = 0; rep < kFastReps; ++rep) {
+        time_us(*fast_model, clip, fast_us);
+        time_us(*pruned_model, clip, pruned_us);
+      }
+    }
   }
+  const auto median_cps = [](std::vector<double>& us) {
+    std::nth_element(us.begin(), us.begin() + us.size() / 2, us.end());
+    return 1e6 / us[us.size() / 2];
+  };
+  const double sim_cps = median_cps(sim_us);
+  const double fast_cps = median_cps(fast_us);
+  const double pruned_cps = median_cps(pruned_us);
   const double fast_vs_sim = fast_cps / sim_cps;
   const double pruned_vs_dense = pruned_cps / fast_cps;
 
@@ -324,6 +344,7 @@ int main(int argc, char** argv) {
      << "  \"faults_on\": " << (faults_on ? "true" : "false") << ",\n"
      << "  \"executor\": \"fast\",\n"
      << "  \"executors\": {\"threads\": " << kExecutorThreads
+     << ", \"isa\": \"" << kernels::QIsaName(kernels::ActiveQIsa()) << "\""
      << ", \"sim_cps\": " << sim_cps
      << ", \"fast_dense_cps\": " << fast_cps
      << ", \"fast_pruned90_cps\": " << pruned_cps

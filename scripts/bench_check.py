@@ -8,7 +8,8 @@ tolerance (default 15%).
 
 Only *ratio* metrics are guarded — speedups of one configuration over
 another measured in the same run (gemm-vs-naive, dispatched-vs-portable
-SGEMM micro-kernel, fast-vs-sim executor, pruned-vs-dense). Absolute
+SGEMM micro-kernel and int16 conv kernel, fast-vs-sim executor,
+pruned-vs-dense). Absolute
 clips/s or GFLOP/s depend on the host CPU and would make the check fail
 on any machine other than the one that recorded the baseline; ratios
 cancel the machine out.
@@ -33,10 +34,12 @@ GUARDED = [
      "gemm vs naive train-step speedup", None),
     ("BENCH_kernels.json", "sgemm.dispatched_vs_portable",
      "dispatched vs portable SGEMM micro-kernel", "sgemm.isa"),
+    ("BENCH_kernels.json", "qconv.dispatched_vs_portable",
+     "dispatched vs portable int16 conv kernel", "qconv.isa"),
     ("BENCH_serve.json", "executors.fast_vs_sim",
-     "fast executor vs cycle simulator", None),
+     "fast executor vs cycle simulator", "executors.isa"),
     ("BENCH_serve.json", "executors.pruned_vs_dense",
-     "fast executor, 90% pruned vs dense", None),
+     "fast executor, 90% pruned vs dense", "executors.isa"),
 ]
 
 

@@ -26,6 +26,13 @@ echo "==> thread-pool stress (sanitize)"
 ctest --preset sanitize -R 'thread_pool|conv_engine_parity' \
   --repeat until-fail:3
 
+# The int16 conv kernels on every ISA the CPU supports: UBSan traps any
+# signed int32 overflow that a wrong exactness proof lets through the
+# portable int32 kernel, ASan any gather read outside the unpadded
+# input.
+echo "==> int16 conv kernel stress (sanitize)"
+ctest --preset sanitize -R 'qconv_kernel' --repeat until-fail:3
+
 # Same treatment for the serving layer: the dispatcher thread, the MPMC
 # queue, the promise hand-off, and the fault paths (retry, quarantine,
 # watchdog kills) are all lifetime-sensitive, which is exactly what
@@ -36,21 +43,22 @@ ctest --preset sanitize -R 'serve' --repeat until-fail:3
 # ThreadSanitizer pass over the concurrent subsystems: the thread pool,
 # the serving dispatcher/watchdog, the fault-injection paths where the
 # watchdog and replica lanes race for request promises, the compiled
-# model every serving lane calls concurrently, and the float
-# training engine, whose convs run one sample per pool participant with
-# per-participant slab scratch and per-sample dW partials. Guarded by a
-# probe because not every toolchain ships a working libtsan.
-echo "==> thread sanitizer (serve + pool + fault paths + shared model + conv engine)"
+# model every serving lane calls concurrently, the int16 conv kernels
+# with their per-participant panels, and the float training engine,
+# whose convs run one sample per pool participant with per-participant
+# slab scratch and per-sample dW partials. Guarded by a probe because
+# not every toolchain ships a working libtsan.
+echo "==> thread sanitizer (serve + pool + fault paths + shared model + conv engines)"
 if printf 'int main(){return 0;}' \
     | c++ -fsanitize=thread -x c++ - -o /tmp/hwp_tsan_probe 2>/dev/null \
     && /tmp/hwp_tsan_probe 2>/dev/null; then
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}" \
     --target serve_test serve_fault_test thread_pool_test \
-    compiled_executor_test conv_engine_parity_test r2plus1d_block_test \
-    trainer_test sgemm_test
+    compiled_executor_test qconv_kernel_test conv_engine_parity_test \
+    r2plus1d_block_test trainer_test sgemm_test
   ctest --preset tsan \
-    -R 'serve|thread_pool|compiled_executor|conv_engine_parity|r2plus1d_block|trainer|sgemm' \
+    -R 'serve|thread_pool|compiled_executor|qconv_kernel|conv_engine_parity|r2plus1d_block|trainer|sgemm' \
     --repeat until-fail:2
 else
   echo "(ThreadSanitizer unavailable on this toolchain; skipping)"

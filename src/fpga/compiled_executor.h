@@ -1,5 +1,5 @@
 // Fast-path compiled executor: block-CSR pre-packed weights + Q7.8
-// micro-kernels, with timing split from compute.
+// int16 GEMM micro-kernels, with timing split from compute.
 //
 // TiledConvSim is the oracle: it walks Algorithm 2 cycle-by-cycle,
 // counting every MAC and attributing every stall — perfect for DSE and
@@ -13,9 +13,17 @@
 //    the paper's co-design (the pruning block IS the tile the engine
 //    loads): block-enable low means the tile simply isn't in the packed
 //    stream, and skipping it costs zero wall-clock instead of a
-//    walked-and-skipped loop iteration. Within a tile, weights are
-//    stored [tn][kd][kr][kc][tm] so the inner loops stream one packed
-//    weight column against one input row (kernels::QOuterMacRow).
+//    walked-and-skipped loop iteration. A block row is an implicit
+//    GEMM (kernels::QGemmInt32/QGemmInt64): M = the block's output
+//    channels, K = the (tn, kd, kr, kc) slots of its surviving tiles,
+//    stored once, interleaved in pairs for the packed multiply-add (an
+//    odd tile tail is padded by a zero weight), N = output columns.
+//  * The B operand is a per-task panel: for a run of output rows of one
+//    output depth, every K-pair's input taps, gathered once and shared
+//    by all output-channel blocks. Only input-channel blocks some
+//    surviving tile reads are gathered. The zero halo is folded into
+//    that gather — taps outside the input read as zero — so Run takes
+//    the unpadded activation and never materialises a padded copy.
 //  * Timing is analytic. modeled_cycles / blocks_loaded / blocks_skipped
 //    / stall come from PerfModel::LayerCycles + the mask's block counts
 //    — the same accounting the simulator reproduces step by step (their
@@ -23,14 +31,18 @@
 //    compiled_executor_test), so the cycle model stays bit-for-bit
 //    intact while compute no longer pays for it.
 //
-// Results are bitwise identical to TiledConvSim::Run: products
-// accumulate exactly in 64-bit (order-independent), narrowing and the
-// post-processing unit reuse the simulator's Fixed16 arithmetic in the
-// same order. Output-channel blocks × output depth fan out on the
-// hwp3d::ThreadPool; each task owns a disjoint output slab, so results
-// are also thread-count invariant.
+// Results are bitwise identical to TiledConvSim::Run on the padded
+// input. Each output channel's sums are exact: in int32 where the
+// pack-time proof Σ|w| × 32768 < 2³¹ holds for every channel of its
+// block (kernels::Int32AccumIsExact), else in int64 — so they do not
+// depend on accumulation order. Narrowing and the post-processing unit
+// reuse the simulator's Q7.8 arithmetic in the same order.
+// Output depth × row-run tasks fan out on the hwp3d::ThreadPool; each
+// task owns a disjoint output slab, so results are also thread-count
+// invariant.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
@@ -42,6 +54,7 @@
 #include "fixed/quantize.h"
 #include "fpga/tiled_conv_sim.h"
 #include "fpga/tiling.h"
+#include "kernels/qgemm_tile.h"
 
 namespace hwp3d {
 class ThreadPool;
@@ -68,29 +81,38 @@ class PackedConvLayer {
   PackedConvLayer(const TensorQ& weights, const Tiling& tiling,
                   const Ports& ports, const core::BlockMask* mask);
 
-  // Mirror of TiledConvSim::Run (same shapes, same pre-padded input,
-  // same PostOps), bitwise identical output and identical stats.
-  // `pool` overrides the process-wide ThreadPool (tests use standalone
-  // pools to prove thread-count invariance); null uses ThreadPool::Get.
+  // Mirror of TiledConvSim::Run on PadInput(input, padding) (same
+  // PostOps), bitwise identical output and identical stats; `input` is
+  // the unpadded [N][D][R][C] activation. `pool` overrides the
+  // process-wide ThreadPool (tests use standalone pools to prove
+  // thread-count invariance); null uses ThreadPool::Get.
   TiledConvResult Run(const TensorQ& input, std::array<int64_t, 3> stride,
-                      const PostOps& post, std::string_view label = {},
+                      std::array<int64_t, 3> padding, const PostOps& post,
+                      std::string_view label = {},
                       ThreadPool* pool = nullptr) const;
 
-  // Packed-stream footprint: surviving tiles only.
-  int64_t packed_weights() const {
-    return static_cast<int64_t>(wdata_.size());
-  }
-  int64_t surviving_tiles() const {
-    return static_cast<int64_t>(tiles_.size());
-  }
+  int64_t surviving_tiles() const { return surviving_tiles_; }
   int64_t total_tiles() const { return blocks_m_ * blocks_n_; }
 
+  // Fraction of output channels accumulated in int32: the channels of
+  // blocks whose every channel passes the pack-time proof. The rest
+  // accumulate in int64.
+  double int32_exact_frac() const {
+    return static_cast<double>(int32_channels_) / static_cast<double>(M_);
+  }
+
  private:
-  struct Tile {
-    int32_t bn = 0;       // input-channel block index
-    int32_t tn_n = 0;     // channels in this block (partial at the edge)
-    int64_t w_offset = 0; // into wdata_, layout [tn][kd][kr][kc][tm]
+  // One output-channel block's GEMM operands.
+  struct BlockRow {
+    int64_t w_offset = 0;   // into wdata_: [pair][rows][2]
+    int64_t rows = 0;       // tm_n rounded up to kernels::kQMR
+    int64_t first_seg = 0;  // into segs_
+    int64_t num_segs = 0;
+    bool int32_exact = false;
   };
+
+  // Input channels of input-channel block bn (partial at the edge).
+  int64_t TnCount(int64_t bn) const { return std::min(t_.Tn, N_ - bn * t_.Tn); }
 
   // Analytic stats for one run on a D×R×C output (PerfModel + mask).
   TiledConvStats ModelStats(std::array<int64_t, 3> stride, int64_t D,
@@ -100,11 +122,17 @@ class PackedConvLayer {
   Ports p_;
   int64_t M_ = 0, N_ = 0, Kd_ = 0, Kr_ = 0, Kc_ = 0;
   int64_t blocks_m_ = 0, blocks_n_ = 0;
-  std::vector<Tile> tiles_;      // rows concatenated in bm order
-  std::vector<int64_t> row_ptr_; // [blocks_m_+1] offsets into tiles_
-  std::vector<Fixed16> wdata_;   // packed tile weights, pruned elided
+  std::vector<BlockRow> block_rows_;       // [blocks_m_]
+  std::vector<kernels::QSegment> segs_;   // panel pair runs, in bm order
+  std::vector<int16_t> wdata_;            // packed K-pairs, pruned elided
+  // Panel pair offset of each input-channel block, -1 when no
+  // surviving tile reads it; panel_pairs_ pairs in all.
+  std::vector<int64_t> panel_base_;
+  int64_t panel_pairs_ = 0;
   std::optional<core::BlockMask> mask_;  // kept for the analytic stats
   int64_t sum_mn_ = 0;  // Σ over surviving tiles of tm_n*tn_n (for MACs)
+  int64_t surviving_tiles_ = 0;
+  int64_t int32_channels_ = 0;
 };
 
 }  // namespace hwp3d::fpga

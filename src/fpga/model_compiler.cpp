@@ -2,6 +2,7 @@
 
 #include "common/error.h"
 #include "common/strings.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace hwp3d::fpga {
@@ -81,6 +82,9 @@ CompiledTinyR2Plus1d::ConvStage CompiledTinyR2Plus1d::MakeStage(
     stage.packed = std::make_shared<PackedConvLayer>(
         stage.weights, options_.tiling, options_.ports,
         stage.mask.has_value() ? &*stage.mask : nullptr);
+    obs::MetricsRegistry::Get()
+        .GetGauge("exec.int32_exact_frac", {{"layer", stage.name}})
+        .Set(stage.packed->int32_exact_frac());
   }
   return stage;
 }
@@ -89,13 +93,15 @@ TensorQ CompiledTinyR2Plus1d::RunStage(const ConvStage& stage,
                                        const TensorQ& x,
                                        const TensorQ* shortcut,
                                        CompiledRunStats* stats) const {
-  const TensorQ padded = PadInput(x, stage.padding);
   PostOps post = stage.post;
   post.shortcut = shortcut;
-  const TiledConvResult r =
+  // The fast path folds the zero halo into its gather; the simulator
+  // runs on a padded copy, as the paper's host pads for the engine.
+  TiledConvResult r =
       options_.executor == ExecMode::kFast
-          ? stage.packed->Run(padded, stage.stride, post, stage.name)
-          : sim_.Run(stage.weights, padded, stage.stride,
+          ? stage.packed->Run(x, stage.stride, stage.padding, post,
+                              stage.name)
+          : sim_.Run(stage.weights, PadInput(x, stage.padding), stage.stride,
                      stage.mask.has_value() ? &*stage.mask : nullptr, post,
                      stage.name);
   if (stats != nullptr) {
@@ -104,7 +110,7 @@ TensorQ CompiledTinyR2Plus1d::RunStage(const ConvStage& stage,
     stats->blocks_skipped += r.stats.blocks_skipped;
     stats->macs_executed += r.stats.macs_executed;
   }
-  return r.output;
+  return std::move(r.output);
 }
 
 TensorQ CompiledTinyR2Plus1d::RunConv2Plus1d(const ConvStage& spatial,

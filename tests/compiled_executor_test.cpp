@@ -20,6 +20,8 @@
 #include "models/tiny_r2plus1d.h"
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
+#include "obs/metrics.h"
+#include "testing/qtensor.h"
 
 namespace hwp3d {
 namespace {
@@ -32,34 +34,9 @@ using fpga::PackedConvLayer;
 using fpga::PostOps;
 using fpga::TiledConvResult;
 using fpga::TiledConvSim;
-
-TensorQ RandomQ(const Shape& shape, Rng& rng, double lo = -2.0,
-                double hi = 2.0) {
-  TensorF f(shape);
-  for (int64_t i = 0; i < f.numel(); ++i) {
-    f[i] = static_cast<float>(rng.Uniform(lo, hi));
-  }
-  return Quantize(f);
-}
-
-core::BlockMask RandomMask(int64_t blocks_m, int64_t blocks_n,
-                           double keep_prob, Rng& rng) {
-  core::BlockMask mask;
-  mask.blocks_m = blocks_m;
-  mask.blocks_n = blocks_n;
-  mask.enabled.assign(static_cast<size_t>(blocks_m * blocks_n), 0);
-  for (int64_t bm = 0; bm < blocks_m; ++bm)
-    for (int64_t bn = 0; bn < blocks_n; ++bn)
-      mask.set(bm, bn, rng.Flip(keep_prob));
-  return mask;
-}
-
-void ExpectBitwiseEqual(const TensorQ& a, const TensorQ& b) {
-  ASSERT_TRUE(a.SameShape(b));
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    ASSERT_EQ(a[i].raw(), b[i].raw()) << "element " << i;
-  }
-}
+using testing::ExpectBitwiseEqual;
+using testing::RandomMask;
+using testing::RandomQ;
 
 void ExpectStatsEqual(const fpga::TiledConvStats& sim,
                       const fpga::TiledConvStats& fast) {
@@ -117,7 +94,7 @@ void CheckLayerParity(const LayerCase& lc, uint64_t seed) {
 
   const PackedConvLayer packed(weights, lc.tiling, ports,
                                masked ? &mask : nullptr);
-  const TiledConvResult got = packed.Run(input, lc.stride, post);
+  const TiledConvResult got = packed.Run(input, lc.stride, {0, 0, 0}, post);
 
   ExpectBitwiseEqual(want.output, got.output);
   ExpectStatsEqual(want.stats, got.stats);
@@ -178,7 +155,7 @@ TEST(PackedConvLayerTest, MatchesSimWithFullyPrunedRows) {
   const TiledConvSim sim(tiling, ports);
   const auto want = sim.Run(weights, input, {1, 1, 1}, &mask, post);
   const PackedConvLayer packed(weights, tiling, ports, &mask);
-  const auto got = packed.Run(input, {1, 1, 1}, post);
+  const auto got = packed.Run(input, {1, 1, 1}, {0, 0, 0}, post);
   ExpectBitwiseEqual(want.output, got.output);
   ExpectStatsEqual(want.stats, got.stats);
 }
@@ -198,10 +175,12 @@ TEST(PackedConvLayerTest, ThreadCountInvariance) {
   const PackedConvLayer packed(weights, tiling, ports, &mask);
 
   ThreadPool serial(1);
-  const auto want = packed.Run(input, {1, 1, 1}, post, {}, &serial);
+  const auto want =
+      packed.Run(input, {1, 1, 1}, {0, 0, 0}, post, {}, &serial);
   for (int threads = 2; threads <= 8; ++threads) {
     ThreadPool pool(threads);
-    const auto got = packed.Run(input, {1, 1, 1}, post, {}, &pool);
+    const auto got =
+        packed.Run(input, {1, 1, 1}, {0, 0, 0}, post, {}, &pool);
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     ExpectBitwiseEqual(want.output, got.output);
     ExpectStatsEqual(want.stats, got.stats);
@@ -214,7 +193,7 @@ TEST(PackedConvLayerTest, FastRunUsesAccountedScratch) {
   const TensorQ weights = RandomQ(Shape{8, 8, 3, 3, 3}, rng);
   const TensorQ input = RandomQ(Shape{8, 6, 8, 8}, rng);
   const PackedConvLayer packed(weights, tiling, fpga::Ports{}, nullptr);
-  (void)packed.Run(input, {1, 1, 1}, PostOps{});
+  (void)packed.Run(input, {1, 1, 1}, {0, 0, 0}, PostOps{});
   EXPECT_GT(kernels::ScratchBytesInUse(), 0);
 }
 
@@ -324,6 +303,22 @@ TEST_F(CompiledExecutorModelTest, NonDivisibleTilingParity) {
   opts.tiling = fpga::Tiling{3, 3, 2, 4, 4};
   opts.masks = PruneMasks(0.5, {3, 3});
   CheckModelParity(opts);
+}
+
+TEST_F(CompiledExecutorModelTest, ExportsInt32ExactFractionPerLayer) {
+  // Compiling sets one gauge per conv: the trained weights pass the
+  // int32 proof in every channel of the 12 convs (stem pair, two
+  // residual stages of two pairs and a projection each).
+  auto compiled = CompiledTinyR2Plus1d::Compile(*model_, {});
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  int layers = 0;
+  for (const obs::MetricSnapshot& m : obs::MetricsRegistry::Get().Snapshot()) {
+    if (m.name != "exec.int32_exact_frac") continue;
+    ++layers;
+    EXPECT_EQ(m.kind, obs::MetricKind::Gauge);
+    EXPECT_DOUBLE_EQ(m.gauge_value, 1.0);
+  }
+  EXPECT_EQ(layers, 12);
 }
 
 TEST_F(CompiledExecutorModelTest, SharedModelMatchesSerialUnderConcurrency) {
