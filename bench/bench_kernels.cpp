@@ -314,17 +314,20 @@ struct QConvResult {
   double int32_exact_frac = 0.0;
 };
 
-// One-thread GMAC/s of the fast executor on the dense serving model's
-// stage-1 spatial conv (8 -> 28 channels, 1x3x3, padding (0,1,1), input
-// 8x16x16, tiling [4,4,2,4,4]) with the dispatched int16 kernel and with
-// the portable one. Weights in +-0.25 (|raw| <= 64 over 72 slots) keep
-// every channel inside the int32 proof.
+// One-thread GMAC/s of the fast executor's engine on the dense serving
+// model's stage-1 spatial conv (8 -> 28 channels, 1x3x3, padding
+// (0,1,1), input 8x16x16, tiling [4,4,2,4,4]) with the dispatched int16
+// kernel and with the portable one. Stride 1 reads B in place from the
+// halo-padded input, as served (the output gets the temporal conv's
+// depth halo); layout conversion is not timed. Weights in +-0.25
+// (|raw| <= 64 over 72 slots) keep every channel inside the int32 proof.
 QConvResult RunQConvComparison() {
   Rng rng(51);
   TensorF wf(Shape{28, 8, 1, 3, 3}), xf(Shape{8, 8, 16, 16});
   FillUniform(wf, rng, -0.25f, 0.25f);
   FillUniform(xf, rng, -2.0f, 2.0f);
-  const TensorQ weights = Quantize(wf), input = Quantize(xf);
+  const TensorQ weights = Quantize(wf);
+  const fpga::QActivation input = fpga::QActivation::Quantize(xf, {0, 1, 1});
   const fpga::PackedConvLayer layer(weights, fpga::Tiling{4, 4, 2, 4, 4},
                                     fpga::Ports{}, nullptr);
   fpga::PostOps post;
@@ -336,8 +339,8 @@ QConvResult RunQConvComparison() {
   const auto run_ms = [&](kernels::QIsa isa) {
     kernels::SetQIsa(isa);
     const double t0 = obs::NowUs();
-    const fpga::TiledConvResult r =
-        layer.Run(input, {1, 1, 1}, {0, 1, 1}, post);
+    const fpga::PackedConvLayer::Result r = layer.Run(
+        input, {1, 1, 1}, {0, 1, 1}, post, nullptr, {1, 0, 0});
     benchmark::DoNotOptimize(r.output.data());
     return (obs::NowUs() - t0) / 1000.0;
   };
@@ -510,7 +513,8 @@ void RunEngineComparison(const std::string& json_path) {
       << "  },\n"
       << "  \"qconv\": {\n"
       << "    \"config\": \"dense stage-1 spatial conv 8->28 ch, 1x3x3, "
-         "pad (0,1,1), input 8x16x16, tiling [4,4,2,4,4], 1 thread\",\n"
+         "pad (0,1,1), input 8x16x16 read in place, tiling [4,4,2,4,4], "
+         "1 thread\",\n"
       << "    \"isa\": \"" << qconv.isa << "\",\n"
       << "    \"dispatched_gmacs\": " << qconv.dispatched_gmacs << ",\n"
       << "    \"portable_gmacs\": " << qconv.portable_gmacs << ",\n"

@@ -28,8 +28,7 @@ ctest --preset sanitize -R 'thread_pool|conv_engine_parity' \
 
 # The int16 conv kernels on every ISA the CPU supports: UBSan traps any
 # signed int32 overflow that a wrong exactness proof lets through the
-# portable int32 kernel, ASan any gather read outside the unpadded
-# input.
+# portable int32 kernel, ASan any read past an activation's slack.
 echo "==> int16 conv kernel stress (sanitize)"
 ctest --preset sanitize -R 'qconv_kernel' --repeat until-fail:3
 

@@ -1,10 +1,9 @@
 #include "fpga/compiled_executor.h"
 
 #include <algorithm>
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
+#include <array>
+#include <cstring>
+#include <mutex>
 
 #include "common/error.h"
 #include "fpga/perf_model.h"
@@ -25,92 +24,189 @@ int64_t OutExtent(int64_t in, int64_t k, int64_t s) {
 
 int64_t RoundUp(int64_t a, int64_t b) { return CeilDiv(a, b) * b; }
 
-// Output columns per task: a task gathers the panel of a run of whole
-// output rows up to this many columns (a 324-pair panel of 128 columns
-// is 162 KiB, resident in L2) and runs every output-channel block on it.
+// GEMM columns per task: a task runs every output-channel block on this
+// many columns (a multiple of kernels::kQNR), so the int32 accumulators
+// of a block stay in L1.
 constexpr int64_t kTaskCols = 128;
 
-// A K slot of an input-channel block, ordered [tn][kd][kr][kc].
-struct Slot {
-  int64_t tn, kd, kr, kc;
-};
-
-Slot DecodeSlot(int64_t s, int64_t Kd, int64_t Kr, int64_t Kc) {
-  return {s / (Kd * Kr * Kc), s / (Kr * Kc) % Kd, s / Kc % Kr, s % Kc};
+// The layout of a dense [N][D][R][C] tensor; to_raw maps an element to
+// its raw Q7.8 value.
+template <typename T, typename ToRaw>
+QActivation ToLayout(const Tensor<T>& t, std::array<int64_t, 3> halo,
+                     ToRaw to_raw) {
+  HWP_SHAPE_CHECK_MSG(t.rank() == 4,
+                      "activation must be rank-4 [N][D][R][C], got "
+                          << t.shape().ToString());
+  QActivation a(t.dim(0), {t.dim(1), t.dim(2), t.dim(3)}, halo);
+  const auto [D, R, C] = a.extent();
+  const T* src = t.data();
+  for (int64_t n = 0; n < a.channels(); ++n) {
+    for (int64_t d = 0; d < D; ++d) {
+      for (int64_t r = 0; r < R; ++r, src += C) {
+        int16_t* dst =
+            a.data() + 2 * (n / 2 * a.plane() + a.Interior(d, r, 0)) + n % 2;
+        for (int64_t c = 0; c < C; ++c) dst[2 * c] = to_raw(src[c]);
+      }
+    }
+  }
+  return a;
 }
 
-// The output columns whose tap of one K slot lies inside the input row:
-// output column c reads input column c * stride + off, inside for c in
-// [first, end).
-struct ColRange {
-  int64_t off = 0, first = 0, end = 0;
-};
+// Storage of released large activations. A clip's layers allocate and
+// free activations of a handful of layouts; the allocator would hand the
+// large ones back to the OS between clips (mmap, top-of-heap trims) and
+// fault them in again. Small ones stay with the allocator, whose
+// per-thread caches serve concurrent lanes without a shared lock.
+// Bounded, so it holds at most the storage of a few clips in flight.
+class StorageFreeList {
+ public:
+  using Key = std::array<int64_t, 7>;
 
-ColRange Inside(int64_t off, int64_t stride, int64_t width, int64_t cols) {
-  const int64_t last = width - 1 - off;
-  const int64_t first = std::min(cols, off >= 0 ? 0 : CeilDiv(-off, stride));
-  const int64_t end = last < 0 ? 0 : std::min(cols, last / stride + 1);
-  return {off, first, std::max(first, end)};
-}
+  static StorageFreeList& Get() {
+    // Never destroyed: activations may outlive static destruction.
+    static StorageFreeList* list = new StorageFreeList;
+    return *list;
+  }
 
-// Writes one panel pair row: dst[2c] = tap of slot a, dst[2c+1] = tap of
-// slot b, for `cols` output columns. A null row (a tap row in the zero
-// halo) and columns outside [first, end) read as zero.
-void GatherPairRow(const Fixed16* ra, const ColRange& a, const Fixed16* rb,
-                   const ColRange& b, int64_t stride, int64_t cols,
-                   int16_t* __restrict dst) {
-  const auto tap = [stride](const Fixed16* row, const ColRange& x,
-                            int64_t c) -> int16_t {
-    return row != nullptr && c >= x.first && c < x.end
-               ? row[c * stride + x.off].raw()
-               : 0;
+  // A free buffer of at least n values: one that held `key` if any (its
+  // border is zero: *clean is set), else the smallest, else a new one.
+  std::vector<int16_t>* Take(const Key& key, size_t n, bool* clean) {
+    if (n >= kMinValues) {
+      std::lock_guard<std::mutex> lk(mu_);
+      auto best = free_.end();
+      for (auto it = free_.begin(); it != free_.end(); ++it) {
+        if (it->key == key) {
+          best = it;
+          break;
+        }
+        if (it->storage->size() >= n &&
+            (best == free_.end() ||
+             it->storage->size() < best->storage->size())) {
+          best = it;
+        }
+      }
+      if (best != free_.end()) {
+        *clean = best->key == key;
+        std::vector<int16_t>* v = best->storage.release();
+        free_.erase(best);
+        return v;
+      }
+    }
+    *clean = true;  // value-initialized
+    return new std::vector<int16_t>(n);
+  }
+
+  void Give(const Key& key, std::vector<int16_t>* v) {
+    std::unique_ptr<std::vector<int16_t>> owned(v);
+    if (v->size() < kMinValues) return;
+    std::lock_guard<std::mutex> lk(mu_);
+    if (free_.size() < kMaxFree) free_.push_back({key, std::move(owned)});
+  }
+
+ private:
+  struct Entry {
+    Key key;
+    std::unique_ptr<std::vector<int16_t>> storage;
   };
-  // [lo, hi): both taps inside.
-  int64_t lo = cols, hi = cols;
-  if (ra != nullptr && rb != nullptr) {
-    lo = std::max(a.first, b.first);
-    hi = std::max(lo, std::min(a.end, b.end));
-  }
-  for (int64_t c = 0; c < lo; ++c) {
-    dst[2 * c] = tap(ra, a, c);
-    dst[2 * c + 1] = tap(rb, b, c);
-  }
-#if defined(__SSE2__)
-  if (stride == 1 && hi - lo >= 8) {
-    // Eight columns per step; the last step overlaps the one before
-    // rather than running a scalar tail (it rewrites the same values).
-    for (int64_t c = lo;; c += 8) {
-      c = std::min(c, hi - 8);
-      const __m128i va = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(ra + (c + a.off)));
-      const __m128i vb = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(rb + (c + b.off)));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 2 * c),
-                       _mm_unpacklo_epi16(va, vb));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 2 * c + 8),
-                       _mm_unpackhi_epi16(va, vb));
-      if (c + 8 >= hi) break;
-    }
-  } else
-#endif
-  {
-    for (int64_t c = lo; c < hi; ++c) {
-      dst[2 * c] = ra[c * stride + a.off].raw();
-      dst[2 * c + 1] = rb[c * stride + b.off].raw();
-    }
-  }
-  for (int64_t c = hi; c < cols; ++c) {
-    dst[2 * c] = tap(ra, a, c);
-    dst[2 * c + 1] = tap(rb, b, c);
-  }
-}
+  // 64 KiB and up: half glibc's initial mmap and trim thresholds.
+  static constexpr size_t kMinValues = 32 * 1024;
+  static constexpr size_t kMaxFree = 32;
+  std::mutex mu_;
+  std::vector<Entry> free_;  // guarded by mu_
+};
 
 }  // namespace
 
+void detail::RecycleActivation::operator()(
+    std::vector<int16_t>* storage) const {
+  StorageFreeList::Get().Give(layout, storage);
+}
+
+QActivation::QActivation(int64_t channels, std::array<int64_t, 3> extent,
+                         std::array<int64_t, 3> halo)
+    : channels_(channels), extent_(extent), halo_(halo) {
+  HWP_SHAPE_CHECK_MSG(channels > 0 && extent[0] > 0 && extent[1] > 0 &&
+                          extent[2] > 0,
+                      "empty activation");
+  HWP_SHAPE_CHECK_MSG(halo[0] >= 0 && halo[1] >= 0 && halo[2] >= 0,
+                      "negative halo (padding)");
+  const StorageFreeList::Key key = {channels, extent[0], extent[1],
+                                    extent[2], halo[0],   halo[1],
+                                    halo[2]};
+  bool clean = false;
+  data_ = {StorageFreeList::Get().Take(
+               key, static_cast<size_t>(2 * size_pairs()), &clean),
+           detail::RecycleActivation{key}};
+  if (clean) return;
+  // Zero everything outside the interior: the halo, the slack, and the
+  // whole last plane when its second half has no channel.
+  const auto [D, R, C] = extent_;
+  const auto [hd, hr, hc] = halo_;
+  const int64_t row = Cp(), slice = Rp() * Cp();
+  const auto zero = [&](int64_t first_pair, int64_t pairs) {
+    std::fill_n(data() + 2 * first_pair, 2 * pairs, int16_t{0});
+  };
+  for (int64_t q = 0; q < pairs(); ++q) {
+    const int64_t base = q * plane();
+    if (2 * q + 1 == channels_) {
+      zero(base, plane());
+      continue;
+    }
+    zero(base, hd * slice);
+    zero(base + (hd + D) * slice, hd * slice);
+    for (int64_t d = hd; d < hd + D; ++d) {
+      const int64_t s = base + d * slice;
+      zero(s, hr * row);
+      zero(s + (hr + R) * row, hr * row);
+      for (int64_t r = hr; hc > 0 && r < hr + R; ++r) {
+        zero(s + r * row, hc);
+        zero(s + r * row + hc + C, hc);
+      }
+    }
+  }
+  zero(pairs() * plane(), kSlackPairs);
+}
+
+QActivation QActivation::FromTensor(const TensorQ& t,
+                                    std::array<int64_t, 3> halo) {
+  return ToLayout(t, halo, [](Fixed16 v) { return v.raw(); });
+}
+
+QActivation QActivation::Quantize(const TensorF& t,
+                                  std::array<int64_t, 3> halo) {
+  return ToLayout(t, halo, [](float v) { return Fixed16::FromFloat(v).raw(); });
+}
+
+TensorQ QActivation::ToTensor() const {
+  const auto [D, R, C] = extent_;
+  TensorQ t(Shape{channels_, D, R, C});
+  Fixed16* dst = t.data();
+  for (int64_t n = 0; n < channels_; ++n) {
+    for (int64_t d = 0; d < D; ++d) {
+      for (int64_t r = 0; r < R; ++r, dst += C) {
+        const int16_t* src =
+            data() + 2 * (n / 2 * plane() + Interior(d, r, 0)) + n % 2;
+        for (int64_t c = 0; c < C; ++c) dst[c] = Fixed16::FromRaw(src[2 * c]);
+      }
+    }
+  }
+  return t;
+}
+
 PackedConvLayer::PackedConvLayer(const TensorQ& weights, const Tiling& tiling,
                                  const Ports& ports,
-                                 const core::BlockMask* mask)
-    : t_(tiling), p_(ports) {
+                                 const core::BlockMask* mask,
+                                 std::string label)
+    : t_(tiling), p_(ports), label_(std::move(label)) {
+  obs::LabelSet labels;
+  if (!label_.empty()) labels = {{"layer", label_}};
+  auto& reg = obs::MetricsRegistry::Get();
+  const char* names[] = {"exec.runs", "exec.macs_executed",
+                         "exec.blocks_loaded", "exec.blocks_skipped",
+                         "exec.modeled_cycles"};
+  for (size_t i = 0; i < counters_.size(); ++i) {
+    counters_[i] = &reg.GetCounter(names[i], labels);
+  }
   HWP_SHAPE_CHECK_MSG(weights.rank() == 5, "weights must be rank-5");
   M_ = weights.dim(0);
   N_ = weights.dim(1);
@@ -124,25 +220,8 @@ PackedConvLayer::PackedConvLayer(const TensorQ& weights, const Tiling& tiling,
                   "block mask grid mismatch");
     mask_ = *mask;
   }
-  const auto kept = [&](int64_t bm, int64_t bn) {
-    return mask == nullptr || mask->at(bm, bn);
-  };
   const int64_t k_vol = Kd_ * Kr_ * Kc_;
-  // An input-channel block's K slots, [tn][kd][kr][kc], in pairs.
-  const auto pair_count = [&](int64_t bn) {
-    return CeilDiv(TnCount(bn) * k_vol, 2);
-  };
-
-  // Panel layout: the input-channel blocks some surviving tile reads.
-  panel_base_.assign(static_cast<size_t>(blocks_n_), -1);
-  for (int64_t bn = 0; bn < blocks_n_; ++bn) {
-    for (int64_t bm = 0; bm < blocks_m_; ++bm) {
-      if (!kept(bm, bn)) continue;
-      panel_base_[bn] = panel_pairs_;
-      panel_pairs_ += pair_count(bn);
-      break;
-    }
-  }
+  panel_q_.assign(static_cast<size_t>(CeilDiv(N_, 2)), -1);
 
   block_rows_.resize(static_cast<size_t>(blocks_m_));
   for (int64_t bm = 0; bm < blocks_m_; ++bm) {
@@ -151,44 +230,50 @@ PackedConvLayer::PackedConvLayer(const TensorQ& weights, const Tiling& tiling,
     BlockRow& row = block_rows_[bm];
     row.w_offset = static_cast<int64_t>(wdata_.size());
     row.rows = RoundUp(tm_n, kernels::kQMR);
-    row.first_seg = static_cast<int64_t>(segs_.size());
+    row.first_pair = static_cast<int64_t>(taps_.size());
     std::vector<int64_t> abs_sum(static_cast<size_t>(tm_n), 0);
     for (int64_t bn = 0; bn < blocks_n_; ++bn) {
-      if (!kept(bm, bn)) continue;  // elided
-      const int64_t n0 = bn * t_.Tn;
-      const int64_t slots = TnCount(bn) * k_vol;
-      const int64_t pairs = pair_count(bn);
-      // Consecutive surviving blocks are consecutive in the panel too:
-      // one segment covers both.
-      if (static_cast<int64_t>(segs_.size()) > row.first_seg &&
-          segs_.back().first + segs_.back().count == panel_base_[bn]) {
-        segs_.back().count += pairs;
-      } else {
-        segs_.push_back({panel_base_[bn], pairs});
-      }
-      // Weights [pair][rows][2]; zero pads the odd tail and the rows
-      // past tm_n.
-      const size_t base = wdata_.size();
-      wdata_.resize(base + static_cast<size_t>(pairs * row.rows * 2), 0);
-      int16_t* w = wdata_.data() + base;
-      for (int64_t s = 0; s < slots; ++s) {
-        const Slot k = DecodeSlot(s, Kd_, Kr_, Kc_);
-        for (int64_t tm = 0; tm < tm_n; ++tm) {
-          const int16_t v =
-              weights(m0 + tm, n0 + k.tn, k.kd, k.kr, k.kc).raw();
-          w[(s / 2 * row.rows + tm) * 2 + s % 2] = v;
-          abs_sum[tm] += v < 0 ? -int64_t{v} : int64_t{v};
+      if (mask != nullptr && !mask->at(bm, bn)) continue;  // elided
+      const int64_t n0 = bn * t_.Tn, n1 = n0 + TnCount(bn);
+      // K-pairs [channel pair][kd][kr][kc], weights [pair][rows][2]. A
+      // channel outside [n0, n1) — the partner of an odd channel count's
+      // last channel, or the other block's half of a pair an odd Tn
+      // splits — gets a zero weight, as do the rows past tm_n.
+      for (int64_t q = n0 / 2; q <= (n1 - 1) / 2; ++q) {
+        panel_q_[static_cast<size_t>(q)] = 0;
+        const size_t base = wdata_.size();
+        wdata_.resize(base + static_cast<size_t>(k_vol * row.rows * 2), 0);
+        int16_t* w = wdata_.data() + base;
+        for (int64_t tap = 0; tap < k_vol; ++tap) {
+          taps_.push_back({static_cast<int32_t>(q),
+                           static_cast<int32_t>(tap / (Kr_ * Kc_)),
+                           static_cast<int32_t>(tap / Kc_ % Kr_),
+                           static_cast<int32_t>(tap % Kc_)});
+          for (int64_t n = std::max(2 * q, n0); n < std::min(2 * q + 2, n1);
+               ++n) {
+            for (int64_t tm = 0; tm < tm_n; ++tm) {
+              const int16_t v =
+                  weights[((m0 + tm) * N_ + n) * k_vol + tap].raw();
+              w[(tap * row.rows + tm) * 2 + n % 2] = v;
+              abs_sum[tm] += v < 0 ? -int64_t{v} : int64_t{v};
+            }
+          }
         }
       }
       ++surviving_tiles_;
       sum_mn_ += tm_n * TnCount(bn);
     }
-    row.num_segs = static_cast<int64_t>(segs_.size()) - row.first_seg;
+    row.pairs = static_cast<int64_t>(taps_.size()) - row.first_pair;
     row.int32_exact =
         std::all_of(abs_sum.begin(), abs_sum.end(), [](int64_t a) {
           return kernels::Int32AccumIsExact(kernels::Int32AccumBound(a));
         });
     if (row.int32_exact) int32_channels_ += tm_n;
+  }
+  for (size_t q = 0; q < panel_q_.size(); ++q) {
+    if (panel_q_[q] < 0) continue;
+    panel_q_[q] = static_cast<int64_t>(gathered_q_.size());
+    gathered_q_.push_back(static_cast<int64_t>(q));
   }
 }
 
@@ -223,23 +308,25 @@ TiledConvStats PackedConvLayer::ModelStats(std::array<int64_t, 3> stride,
   return stats;
 }
 
-TiledConvResult PackedConvLayer::Run(const TensorQ& input,
-                                     std::array<int64_t, 3> stride,
-                                     std::array<int64_t, 3> padding,
-                                     const PostOps& post,
-                                     std::string_view label,
-                                     ThreadPool* pool) const {
+PackedConvLayer::Result PackedConvLayer::Run(
+    const QActivation& input, std::array<int64_t, 3> stride,
+    std::array<int64_t, 3> padding, const PostOps& post,
+    const QActivation* shortcut, std::array<int64_t, 3> out_halo,
+    ThreadPool* pool) const {
   obs::TraceScope span("exec/conv");
-  if (span.active() && !label.empty()) {
-    span.SetName("exec/" + std::string(label));
-  }
-  HWP_SHAPE_CHECK_MSG(input.rank() == 4, "input must be rank-4 [N][D][R][C]");
-  HWP_SHAPE_CHECK_MSG(input.dim(0) == N_, "input channel mismatch: "
-                                              << input.dim(0) << " vs " << N_);
+  if (span.active() && !label_.empty()) span.SetName("exec/" + label_);
+  HWP_SHAPE_CHECK_MSG(input.channels() == N_, "input channel mismatch: "
+                                                  << input.channels() << " vs "
+                                                  << N_);
+  HWP_CHECK_MSG(post.shortcut == nullptr,
+                "the engine takes the shortcut in the activation layout");
   const auto [Sd, Sr, Sc] = stride;
   const auto [Pd, Pr, Pc] = padding;
+  const auto [Hd, Hr, Hc] = input.halo();
   HWP_SHAPE_CHECK_MSG(Pd >= 0 && Pr >= 0 && Pc >= 0, "negative padding");
-  const int64_t Di = input.dim(1), Ri = input.dim(2), Ci = input.dim(3);
+  HWP_SHAPE_CHECK_MSG(Pd <= Hd && Pr <= Hr && Pc <= Hc,
+                      "padding exceeds the input's halo");
+  const auto [Di, Ri, Ci] = input.extent();
   const int64_t D = OutExtent(Di + 2 * Pd, Kd_, Sd);
   const int64_t R = OutExtent(Ri + 2 * Pr, Kr_, Sr);
   const int64_t C = OutExtent(Ci + 2 * Pc, Kc_, Sc);
@@ -248,87 +335,122 @@ TiledConvResult PackedConvLayer::Run(const TensorQ& input,
     HWP_SHAPE_CHECK_MSG(post.scale.numel() == M_ && post.shift.numel() == M_,
                         "affine params must be [M]");
   }
-  if (post.shortcut != nullptr) {
-    HWP_SHAPE_CHECK_MSG(post.shortcut->rank() == 4 &&
-                            post.shortcut->dim(0) == M_ &&
-                            post.shortcut->dim(1) == D &&
-                            post.shortcut->dim(2) == R &&
-                            post.shortcut->dim(3) == C,
+  if (shortcut != nullptr) {
+    HWP_SHAPE_CHECK_MSG(shortcut->channels() == M_ &&
+                            (shortcut->extent() ==
+                             std::array<int64_t, 3>{D, R, C}),
                         "shortcut shape mismatch");
   }
 
-  TiledConvResult result;
-  result.output = TensorQ(Shape{M_, D, R, C});
-  Fixed16* out = result.output.data();
-  const Fixed16* in = input.data();
+  Result result{QActivation(M_, {D, R, C}, out_halo), {}};
+  QActivation& out = result.output;
+  const int16_t* in = input.data();
+  const int64_t Rp = input.Rp(), Cp = input.Cp(), plane = input.plane();
   const int64_t k_vol = Kd_ * Kr_ * Kc_;
-  const int64_t task_rows = std::clamp<int64_t>(kTaskCols / C, 1, R);
-  const int64_t row_runs = CeilDiv(R, task_rows);
+  const bool direct = ReadsInPlace(stride);
+  // A task computes a chunk of kTaskCols GEMM columns of one output
+  // depth. Column j of a depth is output row j / pitch, column j % pitch:
+  // in place, an output row's B span runs on through the input row's
+  // halo columns (pitch Cp; columns C..Cp-1 are computed and dropped),
+  // while a gathered panel is compact (pitch C).
+  const int64_t pitch = direct ? Cp : C;
+  const int64_t depth_cols = (R - 1) * pitch + C;
+  const int64_t chunks = CeilDiv(depth_cols, kTaskCols);
+  // Pair index, in a plane, of the tap kd = kc = 0 for output depth d
+  // and input row ir - Pr, column 0 (the B base of depth d in place).
+  const auto origin = [&](int64_t d, int64_t ir) {
+    return ((d * Sd - Pd + Hd) * Rp + ir - Pr + Hr) * Cp + Hc - Pc;
+  };
 
-  // Gathers the panel of output depth d, rows [r0, r0 + nr): pair p of
-  // input-channel block bn is row panel_base_[bn] + p, `cols` pairs
-  // wide, zero past nr * C.
-  const auto gather = [&](int64_t d, int64_t r0, int64_t nr, int64_t cols,
-                          int16_t* panel) {
-    // Slot s of block bn at depth d: its input plane (null in the depth
-    // halo and for the odd tail's pad slot), kernel row and columns.
-    struct Taps {
-      const Fixed16* plane = nullptr;
-      int64_t kr = 0;
-      ColRange cols;
-    };
-    const auto slot_taps = [&](int64_t bn, int64_t s) -> Taps {
-      if (s >= TnCount(bn) * k_vol) return {};
-      const Slot k = DecodeSlot(s, Kd_, Kr_, Kc_);
-      const int64_t id = d * Sd + k.kd - Pd;
-      if (id < 0 || id >= Di) return {};
-      const int64_t n = bn * t_.Tn + k.tn;
-      return {in + (n * Di + id) * Ri * Ci, k.kr,
-              Inside(k.kc - Pc, Sc, Ci, C)};
-    };
-    // The slot's input row for output row r, null in the row halo.
-    const auto tap_row = [&](const Taps& sl, int64_t r) -> const Fixed16* {
-      const int64_t ir = r * Sr + sl.kr - Pr;
-      if (sl.plane == nullptr || ir < 0 || ir >= Ri) return nullptr;
-      return sl.plane + ir * Ci;
-    };
-    for (int64_t bn = 0; bn < blocks_n_; ++bn) {
-      if (panel_base_[bn] < 0) continue;
-      const int64_t pairs = CeilDiv(TnCount(bn) * k_vol, 2);
-      for (int64_t p = 0; p < pairs; ++p) {
-        const Taps a = slot_taps(bn, 2 * p), b = slot_taps(bn, 2 * p + 1);
-        int16_t* dst = panel + (panel_base_[bn] + p) * cols * 2;
-        for (int64_t i = 0; i < nr; ++i) {
-          GatherPairRow(tap_row(a, r0 + i), a.cols, tap_row(b, r0 + i),
-                        b.cols, Sc, C, dst + i * C * 2);
-        }
-        std::fill(dst + nr * C * 2, dst + cols * 2, int16_t{0});
+  // Every K-pair's B offset: from its depth's origin in place, else into
+  // the panel, which holds k_vol rows per gathered channel pair.
+  thread_local kernels::ScratchBuffer<int64_t> off_scratch;
+  int64_t* pair_off = off_scratch.Resize(taps_.size());
+  int64_t max_off = 0;
+  for (size_t i = 0; i < taps_.size(); ++i) {
+    const PairTap& t = taps_[i];
+    pair_off[i] = direct ? t.q * plane + (t.kd * Rp + t.kr) * Cp + t.kc
+                         : (panel_q_[static_cast<size_t>(t.q)] * k_vol +
+                            (t.kd * Kr_ + t.kr) * Kc_ + t.kc) *
+                               kTaskCols;
+    max_off = std::max(max_off, pair_off[i]);
+  }
+  if (direct) {
+    // The last task reads furthest: at most kQNR - 1 pairs past the
+    // last plane, into the slack.
+    const int64_t j0 = (chunks - 1) * kTaskCols;
+    const int64_t end = origin(D - 1, 0) + max_off + j0 +
+                        RoundUp(depth_cols - j0, kernels::kQNR);
+    HWP_CHECK_MSG(end <= input.size_pairs(),
+                  "direct read past the activation's slack");
+  }
+
+  // Calls fn(r, rows, c0, c1, j) for the output rows the columns
+  // [j0, j1) of a depth cover: rows [r, r + rows) keep output columns
+  // [c0, c1), the first row's from chunk column j on. A partial row is
+  // a run of its own; consecutive whole rows form one run.
+  const auto for_rows = [&](int64_t j0, int64_t j1, const auto& fn) {
+    for (int64_t r = j0 / pitch; r * pitch < j1;) {
+      const int64_t c0 = std::max<int64_t>(0, j0 - r * pitch);
+      const int64_t c1 = std::min(C, j1 - r * pitch);
+      int64_t rows = 1;
+      if (c0 == 0 && c1 == C) {
+        while ((r + rows) * pitch + C <= j1) ++rows;
+      }
+      if (c0 < c1) fn(r, rows, c0, c1, r * pitch + c0 - j0);
+      r += rows;
+    }
+  };
+
+  // Gathers the panel of a column-strided conv's chunk [j0, j1) of
+  // depth d: row (g, tap) holds the tap of gathered channel pair g.
+  const auto gather = [&](int64_t d, int64_t j0, int64_t j1, int16_t* panel) {
+    for (size_t g = 0; g < gathered_q_.size(); ++g) {
+      const int16_t* src_plane = in + 2 * gathered_q_[g] * plane;
+      for (int64_t tap = 0; tap < k_vol; ++tap) {
+        const int64_t kd = tap / (Kr_ * Kc_), kr = tap / Kc_ % Kr_,
+                      kc = tap % Kc_;
+        int16_t* dst =
+            panel + 2 * (static_cast<int64_t>(g) * k_vol + tap) * kTaskCols;
+        for_rows(j0, j1, [&](int64_t r0, int64_t rows, int64_t c0, int64_t c1,
+                             int64_t j) {
+          for (int64_t r = r0; r < r0 + rows; ++r, j += pitch - (c1 - c0)) {
+            const int16_t* src =
+                src_plane + 2 * (origin(d, r * Sr + kr) + kd * Rp * Cp + kc);
+            for (int64_t c = c0; c < c1; ++c, ++j) {
+              std::memcpy(dst + 2 * j, src + 2 * c * Sc, 2 * sizeof(int16_t));
+            }
+          }
+        });
       }
     }
   };
 
-  // One task per (output depth, run of output rows): disjoint output
-  // slabs and exact sums — bitwise identical for any thread count.
+  // One task per (output depth, column chunk): disjoint output elements
+  // and exact sums — bitwise identical for any thread count.
   const auto run_task = [&](int64_t idx) {
-    const int64_t d = idx / row_runs;
-    const int64_t r0 = idx % row_runs * task_rows;
-    const int64_t nr = std::min(task_rows, R - r0);
-    const int64_t n = nr * C;
-    const int64_t cols = RoundUp(n, kernels::kQNR);
+    const int64_t d = idx / chunks;
+    const int64_t j0 = idx % chunks * kTaskCols;
+    const int64_t j1 = std::min(depth_cols, j0 + kTaskCols);
+    const int64_t cols = RoundUp(j1 - j0, kernels::kQNR);
     const int64_t max_rows = RoundUp(std::min(t_.Tm, M_), kernels::kQMR);
 
     thread_local kernels::ScratchBuffer<int16_t> panel_scratch;
     thread_local kernels::ScratchBuffer<int32_t> acc32_scratch;
     thread_local kernels::ScratchBuffer<int64_t> acc64_scratch;
-    int16_t* panel =
-        panel_scratch.Resize(static_cast<size_t>(panel_pairs_ * cols * 2));
-    gather(d, r0, nr, cols, panel);
+    const int16_t* b = in + 2 * (origin(d, 0) + j0);
+    if (!direct) {
+      int16_t* panel = panel_scratch.Resize(
+          static_cast<size_t>(gathered_q_.size() * k_vol * kTaskCols * 2));
+      gather(d, j0, j1, panel);
+      b = panel;
+    }
 
     for (int64_t bm = 0; bm < blocks_m_; ++bm) {
       const BlockRow& row = block_rows_[bm];
       const kernels::QGemmArgs args{wdata_.data() + row.w_offset, row.rows,
-                                    segs_.data() + row.first_seg,
-                                    row.num_segs, panel, cols};
+                                    pair_off + row.first_pair, row.pairs, b,
+                                    cols};
       int32_t* acc32 = nullptr;
       int64_t* acc64 = nullptr;
       if (row.int32_exact) {
@@ -338,33 +460,61 @@ TiledConvResult PackedConvLayer::Run(const TensorQ& input,
         acc64 = acc64_scratch.Resize(static_cast<size_t>(max_rows * cols));
         kernels::QGemmInt64(args, acc64);
       }
-      // Post-processing unit, per output channel of the block: the
-      // task's rows are contiguous in the [M][D][R][C] output.
+      // Post-processing unit, per output channel pair of the block (per
+      // channel where the block holds only one of a pair), per output row.
       const int64_t m0 = bm * t_.Tm;
       const int64_t tm_n = std::min(t_.Tm, M_ - m0);
-      for (int64_t tm = 0; tm < tm_n; ++tm) {
+      const auto channel = [&](int64_t m) {
+        return post.has_affine
+                   ? kernels::QPostChannel(true, post.scale[m], post.shift[m],
+                                           post.relu)
+                   : kernels::QPostChannel(false, {}, {}, post.relu);
+      };
+      for (int64_t tm = 0; tm < tm_n;) {
         const int64_t m = m0 + tm;
-        const int64_t out_off = ((m * D + d) * R + r0) * C;
-        const Fixed16 scale = post.has_affine ? post.scale[m] : Fixed16{};
-        const Fixed16 shift = post.has_affine ? post.shift[m] : Fixed16{};
-        const Fixed16* shortcut = post.shortcut != nullptr
-                                      ? post.shortcut->data() + out_off
-                                      : nullptr;
-        if (acc32 != nullptr) {
-          kernels::QPostProcessRow(acc32 + tm * cols, n, post.has_affine,
-                                   scale, shift, shortcut, post.relu,
-                                   out + out_off);
-        } else {
-          kernels::QPostProcessRow(acc64 + tm * cols, n, post.has_affine,
-                                   scale, shift, shortcut, post.relu,
-                                   out + out_off);
-        }
+        const bool both = m % 2 == 0 && tm + 1 < tm_n;
+        const int64_t half = m % 2;
+        const kernels::QPostChannel ch0 = channel(m);
+        const kernels::QPostChannel ch1 = both ? channel(m + 1) : ch0;
+        int16_t* dst = out.data() + 2 * (m / 2) * out.plane();
+        const int16_t* sc =
+            shortcut == nullptr
+                ? nullptr
+                : shortcut->data() + 2 * (m / 2) * shortcut->plane();
+        for_rows(j0, j1, [&](int64_t r, int64_t rows, int64_t c0, int64_t c1,
+                             int64_t j) {
+          const int64_t a_off = tm * cols + j;
+          const kernels::QPostRows g{
+              rows, c1 - c0, pitch,
+              shortcut != nullptr ? shortcut->Cp() : 0, out.Cp()};
+          int16_t* o = dst + 2 * out.Interior(d, r, c0);
+          const int16_t* s =
+              sc == nullptr ? nullptr : sc + 2 * shortcut->Interior(d, r, c0);
+          if (both) {
+            if (acc32 != nullptr) {
+              kernels::QPostProcessPair(acc32 + a_off, acc32 + a_off + cols, g,
+                                        ch0, ch1, s, o);
+            } else {
+              kernels::QPostProcessPair(acc64 + a_off, acc64 + a_off + cols, g,
+                                        ch0, ch1, s, o);
+            }
+          } else if (acc32 != nullptr) {
+            kernels::QPostProcessHalf(acc32 + a_off, g, ch0,
+                                      s == nullptr ? nullptr : s + half,
+                                      o + half);
+          } else {
+            kernels::QPostProcessHalf(acc64 + a_off, g, ch0,
+                                      s == nullptr ? nullptr : s + half,
+                                      o + half);
+          }
+        });
+        tm += both ? 2 : 1;
       }
     }
   };
 
   ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::Get();
-  tp.For(0, D * row_runs, run_task);
+  tp.For(0, D * chunks, run_task);
 
   // Timing split from compute: the cycle accounting comes from the
   // analytic model + mask counts, not from walking the loop nest.
@@ -372,22 +522,36 @@ TiledConvResult PackedConvLayer::Run(const TensorQ& input,
 
   const TiledConvStats& s = result.stats;
   if (span.active()) {
-    if (!label.empty()) span.AddArg("layer", std::string(label));
+    if (!label_.empty()) span.AddArg("layer", label_);
     span.AddArg("macs", s.macs_executed);
     span.AddArg("blocks_loaded", s.blocks_loaded);
     span.AddArg("blocks_skipped", s.blocks_skipped);
     span.AddArg("modeled_cycles", s.modeled_cycles);
     span.AddArg("packed_tiles", surviving_tiles());
   }
-  auto& reg = obs::MetricsRegistry::Get();
-  obs::LabelSet labels;
-  if (!label.empty()) labels = {{"layer", std::string(label)}};
-  reg.GetCounter("exec.runs", labels).Add(1);
-  reg.GetCounter("exec.macs_executed", labels).Add(s.macs_executed);
-  reg.GetCounter("exec.blocks_loaded", labels).Add(s.blocks_loaded);
-  reg.GetCounter("exec.blocks_skipped", labels).Add(s.blocks_skipped);
-  reg.GetCounter("exec.modeled_cycles", labels).Add(s.modeled_cycles);
+  counters_[0]->Add(1);
+  counters_[1]->Add(s.macs_executed);
+  counters_[2]->Add(s.blocks_loaded);
+  counters_[3]->Add(s.blocks_skipped);
+  counters_[4]->Add(s.modeled_cycles);
   return result;
+}
+
+TiledConvResult PackedConvLayer::Run(const TensorQ& input,
+                                     std::array<int64_t, 3> stride,
+                                     std::array<int64_t, 3> padding,
+                                     const PostOps& post,
+                                     ThreadPool* pool) const {
+  std::optional<QActivation> shortcut;
+  if (post.shortcut != nullptr) {
+    shortcut = QActivation::FromTensor(*post.shortcut, {0, 0, 0});
+  }
+  PostOps engine_post = post;
+  engine_post.shortcut = nullptr;
+  Result r = Run(QActivation::FromTensor(input, padding), stride, padding,
+                 engine_post, shortcut.has_value() ? &*shortcut : nullptr,
+                 {0, 0, 0}, pool);
+  return {r.output.ToTensor(), r.stats};
 }
 
 }  // namespace hwp3d::fpga

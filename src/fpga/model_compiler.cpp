@@ -1,5 +1,7 @@
 #include "fpga/model_compiler.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
@@ -21,6 +23,59 @@ PostOps FoldBn(nn::BatchNorm3d* bn, bool relu) {
     post.shift = Quantize(shift);
   }
   return post;
+}
+
+void AddStats(const TiledConvStats& r, CompiledRunStats* stats) {
+  if (stats == nullptr) return;
+  stats->modeled_cycles += r.modeled_cycles;
+  stats->blocks_loaded += r.blocks_loaded;
+  stats->blocks_skipped += r.blocks_skipped;
+  stats->macs_executed += r.macs_executed;
+}
+
+// Per-dimension maximum: a halo wide enough for both paddings.
+std::array<int64_t, 3> Widest(std::array<int64_t, 3> a,
+                              std::array<int64_t, 3> b) {
+  return {std::max(a[0], b[0]), std::max(a[1], b[1]), std::max(a[2], b[2])};
+}
+
+// Global average pool of each channel over its D×R×C values, summed in
+// [D][R][C] order in double, in both activation types.
+TensorF GlobalAvgPool(const TensorQ& x) {
+  const int64_t C = x.dim(0);
+  const int64_t vol = x.dim(1) * x.dim(2) * x.dim(3);
+  TensorF pooled(Shape{C});
+  for (int64_t c = 0; c < C; ++c) {
+    double acc = 0.0;
+    for (int64_t i = 0; i < vol; ++i) acc += x[c * vol + i].ToFloat();
+    pooled[c] = static_cast<float>(acc / static_cast<double>(vol));
+  }
+  return pooled;
+}
+
+TensorF GlobalAvgPool(const QActivation& x) {
+  // Both channels of a pair in one pass: two independent sums, each in
+  // its channel's [D][R][C] order.
+  const auto [D, R, C] = x.extent();
+  TensorF pooled(Shape{x.channels()});
+  for (int64_t q = 0; q < x.pairs(); ++q) {
+    const int16_t* plane = x.data() + 2 * q * x.plane();
+    double acc[2] = {0.0, 0.0};
+    for (int64_t d = 0; d < D; ++d) {
+      for (int64_t r = 0; r < R; ++r) {
+        const int16_t* row = plane + 2 * x.Interior(d, r, 0);
+        for (int64_t c = 0; c < 2 * C; c += 2) {
+          acc[0] += Fixed16::FromRaw(row[c]).ToFloat();
+          acc[1] += Fixed16::FromRaw(row[c + 1]).ToFloat();
+        }
+      }
+    }
+    for (int64_t h = 0; h < 2 && 2 * q + h < x.channels(); ++h) {
+      pooled[2 * q + h] =
+          static_cast<float>(acc[h] / static_cast<double>(D * R * C));
+    }
+  }
+  return pooled;
 }
 
 }  // namespace
@@ -81,10 +136,12 @@ CompiledTinyR2Plus1d::ConvStage CompiledTinyR2Plus1d::MakeStage(
   if (options_.executor == ExecMode::kFast) {
     stage.packed = std::make_shared<PackedConvLayer>(
         stage.weights, options_.tiling, options_.ports,
-        stage.mask.has_value() ? &*stage.mask : nullptr);
-    obs::MetricsRegistry::Get()
-        .GetGauge("exec.int32_exact_frac", {{"layer", stage.name}})
+        stage.mask.has_value() ? &*stage.mask : nullptr, stage.name);
+    auto& reg = obs::MetricsRegistry::Get();
+    reg.GetGauge("exec.int32_exact_frac", {{"layer", stage.name}})
         .Set(stage.packed->int32_exact_frac());
+    reg.GetGauge("exec.direct_frac", {{"layer", stage.name}})
+        .Set(PackedConvLayer::ReadsInPlace(stage.stride) ? 1.0 : 0.0);
   }
   return stage;
 }
@@ -93,33 +150,64 @@ TensorQ CompiledTinyR2Plus1d::RunStage(const ConvStage& stage,
                                        const TensorQ& x,
                                        const TensorQ* shortcut,
                                        CompiledRunStats* stats) const {
+  // The simulator runs on a padded copy, as the paper's host pads for
+  // the engine.
   PostOps post = stage.post;
   post.shortcut = shortcut;
-  // The fast path folds the zero halo into its gather; the simulator
-  // runs on a padded copy, as the paper's host pads for the engine.
   TiledConvResult r =
-      options_.executor == ExecMode::kFast
-          ? stage.packed->Run(x, stage.stride, stage.padding, post,
-                              stage.name)
-          : sim_.Run(stage.weights, PadInput(x, stage.padding), stage.stride,
-                     stage.mask.has_value() ? &*stage.mask : nullptr, post,
-                     stage.name);
-  if (stats != nullptr) {
-    stats->modeled_cycles += r.stats.modeled_cycles;
-    stats->blocks_loaded += r.stats.blocks_loaded;
-    stats->blocks_skipped += r.stats.blocks_skipped;
-    stats->macs_executed += r.stats.macs_executed;
-  }
+      sim_.Run(stage.weights, PadInput(x, stage.padding), stage.stride,
+               stage.mask.has_value() ? &*stage.mask : nullptr, post,
+               stage.name);
+  AddStats(r.stats, stats);
   return std::move(r.output);
 }
 
-TensorQ CompiledTinyR2Plus1d::RunConv2Plus1d(const ConvStage& spatial,
-                                             const ConvStage& temporal,
-                                             const TensorQ& x,
-                                             const TensorQ* shortcut,
-                                             CompiledRunStats* stats) const {
-  const TensorQ mid = RunStage(spatial, x, nullptr, stats);
+QActivation CompiledTinyR2Plus1d::RunStage(const ConvStage& stage,
+                                           const QActivation& x,
+                                           const QActivation* shortcut,
+                                           CompiledRunStats* stats) const {
+  PackedConvLayer::Result r =
+      stage.packed->Run(x, stage.stride, stage.padding, stage.post, shortcut,
+                        stage.out_halo);
+  AddStats(r.stats, stats);
+  return std::move(r.output);
+}
+
+template <typename Act>
+Act CompiledTinyR2Plus1d::RunConv2Plus1d(const ConvStage& spatial,
+                                         const ConvStage& temporal,
+                                         const Act& x, const Act* shortcut,
+                                         CompiledRunStats* stats) const {
+  const Act mid = RunStage(spatial, x, nullptr, stats);
   return RunStage(temporal, mid, shortcut, stats);
+}
+
+template <typename Act>
+TensorF CompiledTinyR2Plus1d::Forward(const Act& clip,
+                                      CompiledRunStats* stats) const {
+  // Stem.
+  Act x = RunConv2Plus1d<Act>(stem_spatial_, stem_temporal_, clip, nullptr,
+                               stats);
+
+  // Residual stages.
+  const auto run_block = [&](const Block& b, const Act& in) {
+    Act projected;
+    const Act* shortcut = &in;
+    if (b.shortcut.has_value()) {
+      projected = RunStage(*b.shortcut, in, nullptr, stats);
+      shortcut = &projected;
+    }
+    const Act h = RunConv2Plus1d<Act>(b.c1_spatial, b.c1_temporal, in,
+                                      nullptr, stats);
+    // conv2's temporal stage applies bn2, adds the shortcut tile and the
+    // final ReLU inside the post-processing unit.
+    return RunConv2Plus1d(b.c2_spatial, b.c2_temporal, h, shortcut, stats);
+  };
+  x = run_block(stage1_, x);
+  x = run_block(stage2_, x);
+
+  // Host side: global average pool (the FC follows in Infer).
+  return GlobalAvgPool(x);
 }
 
 CompiledTinyR2Plus1d::CompiledTinyR2Plus1d(models::TinyR2Plus1d& model,
@@ -163,6 +251,24 @@ CompiledTinyR2Plus1d::CompiledTinyR2Plus1d(models::TinyR2Plus1d& model,
   stage1_ = build_block(model.stage1(), 0);
   stage2_ = build_block(model.stage2(), 4);
 
+  // Fast path: each activation's halo is the widest padding among the
+  // stages that read it as a conv input (a shortcut is read interior
+  // only, and the pooled output not at all).
+  const auto block_input_halo = [](const Block& b) {
+    return b.shortcut.has_value()
+               ? Widest(b.c1_spatial.padding, b.shortcut->padding)
+               : b.c1_spatial.padding;
+  };
+  in_halo_ = stem_spatial_.padding;
+  stem_spatial_.out_halo = stem_temporal_.padding;
+  stem_temporal_.out_halo = block_input_halo(stage1_);
+  for (Block* b : {&stage1_, &stage2_}) {
+    b->c1_spatial.out_halo = b->c1_temporal.padding;
+    b->c1_temporal.out_halo = b->c2_spatial.padding;
+    b->c2_spatial.out_halo = b->c2_temporal.padding;
+  }
+  stage1_.c2_temporal.out_halo = block_input_halo(stage2_);
+
   fc_weight_ = model.fc().weight().value;
   fc_bias_ = model.fc().bias().value;
 }
@@ -173,35 +279,12 @@ TensorF CompiledTinyR2Plus1d::Infer(const TensorF& clip,
   HWP_SHAPE_CHECK_MSG(clip.rank() == 4,
                       "Infer expects a [C][D][H][W] clip, got "
                           << clip.shape().ToString());
-  TensorQ x = Quantize(clip);
-
-  // Stem.
-  x = RunConv2Plus1d(stem_spatial_, stem_temporal_, x, nullptr, stats);
-
-  // Residual stages.
-  const auto run_block = [&](const Block& b, const TensorQ& in) {
-    const TensorQ shortcut =
-        b.shortcut.has_value() ? RunStage(*b.shortcut, in, nullptr, stats)
-                               : in;
-    TensorQ h = RunConv2Plus1d(b.c1_spatial, b.c1_temporal, in, nullptr,
-                               stats);
-    // conv2's temporal stage applies bn2, adds the shortcut tile and the
-    // final ReLU inside the post-processing unit.
-    return RunConv2Plus1d(b.c2_spatial, b.c2_temporal, h, &shortcut, stats);
-  };
-  x = run_block(stage1_, x);
-  x = run_block(stage2_, x);
-
-  // Host side: global average pool + FC, in float (as in the paper the
-  // FC layer contributes negligibly and runs on the PS).
-  const int64_t C = x.dim(0);
-  const int64_t vol = x.dim(1) * x.dim(2) * x.dim(3);
-  TensorF pooled(Shape{C});
-  for (int64_t c = 0; c < C; ++c) {
-    double acc = 0.0;
-    for (int64_t i = 0; i < vol; ++i) acc += x[c * vol + i].ToFloat();
-    pooled[c] = static_cast<float>(acc / static_cast<double>(vol));
-  }
+  // The fast path quantizes the clip straight into its layout.
+  const TensorF pooled =
+      options_.executor == ExecMode::kFast
+          ? Forward(QActivation::Quantize(clip, in_halo_), stats)
+          : Forward(Quantize(clip), stats);
+  const int64_t C = pooled.numel();
   const int64_t K = fc_weight_.dim(0);
   TensorF logits(Shape{K});
   for (int64_t k = 0; k < K; ++k) {

@@ -80,21 +80,39 @@ class CompiledTinyR2Plus1d {
     // Block-CSR packed weights for the fast path; shared so copies of
     // this model reuse one packed stream.
     std::shared_ptr<const PackedConvLayer> packed;
+    // Fast path: the halo of the activation this stage writes, the widest
+    // padding among its consumers.
+    std::array<int64_t, 3> out_halo{};
   };
 
   // Builds a stage from a conv and the BN that follows it (null = raw).
   ConvStage MakeStage(nn::Conv3d& conv, nn::BatchNorm3d* bn, bool relu,
                       const core::BlockMask* mask) const;
+
+  // One stage in each engine's activation type: the simulator's dense
+  // TensorQ, or the fast path's QActivation.
   TensorQ RunStage(const ConvStage& stage, const TensorQ& x,
                    const TensorQ* shortcut, CompiledRunStats* stats) const;
+  QActivation RunStage(const ConvStage& stage, const QActivation& x,
+                       const QActivation* shortcut,
+                       CompiledRunStats* stats) const;
 
   // Runs one (2+1)D pair: spatial (BN-mid + ReLU folded) then temporal.
-  TensorQ RunConv2Plus1d(const ConvStage& spatial, const ConvStage& temporal,
-                         const TensorQ& x, const TensorQ* shortcut,
-                         CompiledRunStats* stats) const;
+  template <typename Act>
+  Act RunConv2Plus1d(const ConvStage& spatial, const ConvStage& temporal,
+                     const Act& x, const Act* shortcut,
+                     CompiledRunStats* stats) const;
+
+  // The accelerator part of Infer on a quantized clip, in either
+  // activation type, and the host's global average pool; returns the
+  // pooled features.
+  template <typename Act>
+  TensorF Forward(const Act& clip, CompiledRunStats* stats) const;
 
   CompiledModelOptions options_;
   TiledConvSim sim_;
+  // Fast path: the halo the clip is quantized into.
+  std::array<int64_t, 3> in_halo_{};
 
   // Stem.
   ConvStage stem_spatial_, stem_temporal_;

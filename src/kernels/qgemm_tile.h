@@ -12,14 +12,20 @@
 // interleaved in pairs (p) so one 32-bit lane of a packed multiply-add
 // (vpmaddwd, vpdpwssd) takes a whole pair, and N = output columns.
 //
+// B row p is any span of int16 pairs: it starts at b + 2·pair_off[p].
+// The executor points the offsets either straight into a halo-padded,
+// channel-pair-interleaved activation (the row is the tap of one input
+// channel pair, read in place) or at the rows of a panel it gathered
+// (for column-strided convs), so one kernel serves both.
+//
 // Exactness is proved, not assumed. Every input is an int16, so a
 // partial sum of one output channel is bounded by Σ|w| × 32768 over the
 // channel's surviving weights. Where that bound is below 2³¹
 // (Int32AccumIsExact), every partial sum fits in int32, and int32
-// accumulation gives the int64 sum in any order. The executor calls
-// QGemmInt32 only on blocks whose every channel has the proof;
-// QGemmInt64 keeps the int64 arithmetic for the rest. Both read the same
-// packed operands.
+// accumulation gives the int64 sum in any order, whatever int16 values
+// the B rows hold. The executor calls QGemmInt32 only on blocks whose
+// every channel has the proof; QGemmInt64 keeps the int64 arithmetic for
+// the rest. Both read the same packed operands.
 //
 // QGemmInt32 comes in a portable variant (the reference, whose int32
 // arithmetic UBSan checks for overflow) and in AVX2 vpmaddwd, AVX-512BW
@@ -39,8 +45,9 @@ namespace hwp3d::kernels {
 // Output channels per register block: packed weight rows are padded to
 // a multiple of kQMR with zero weights.
 inline constexpr int64_t kQMR = 4;
-// Panel column granule: panel rows and accumulator rows are padded to a
-// multiple of kQNR columns (one AVX-512 int32 vector).
+// Column granule: a GEMM computes a multiple of kQNR columns (one
+// AVX-512 int32 vector), so B rows are read up to that many pairs past
+// the columns the caller keeps.
 inline constexpr int64_t kQNR = 16;
 
 // True when int32 accumulation of int16 products is exact for a dot
@@ -55,23 +62,18 @@ constexpr int64_t Int32AccumBound(int64_t abs_weight_sum) {
   return abs_weight_sum * 32768;
 }
 
-// A run of consecutive K-pairs of a panel: pairs [first, first + count).
-struct QSegment {
-  int64_t first = 0;
-  int64_t count = 0;
-};
-
 // Packed operands of one output-channel block.
-//  w:     the block's K-pairs in segment order; pair p at w + p * 2 * rows,
-//         row i's two weights at +2i, +2i+1. `rows` is a multiple of kQMR.
-//  panel: [pair][cols][2] int16; `cols` is a multiple of kQNR.
-//  acc:   [rows][cols], overwritten (zero when there are no segments).
+//  w:        the block's K-pairs; pair p at w + p * 2 * rows, row i's two
+//            weights at +2i, +2i+1. `rows` is a multiple of kQMR.
+//  pair_off: B row p is the `cols` int16 pairs at b + 2 * pair_off[p].
+//  cols:     a multiple of kQNR.
+//  acc:      [rows][cols], overwritten (zero when there are no pairs).
 struct QGemmArgs {
   const int16_t* w = nullptr;
   int64_t rows = 0;
-  const QSegment* segs = nullptr;
-  int64_t num_segs = 0;
-  const int16_t* panel = nullptr;
+  const int64_t* pair_off = nullptr;
+  int64_t pairs = 0;
+  const int16_t* b = nullptr;
   int64_t cols = 0;
 };
 
@@ -81,19 +83,55 @@ void QGemmInt32(const QGemmArgs& args, int32_t* acc);
 // The block's sums in int64, for rows the proof does not cover.
 void QGemmInt64(const QGemmArgs& args, int64_t* acc);
 
-// Narrows and post-processes one accumulator row into the output:
-//   v = narrow(acc[c]); if affine: v = v*scale + shift;
-//   if shortcut: v = v + shortcut[c]; if relu: v = max(v, 0)
+// The post-processing unit's parameters for one output channel. Without
+// an affine the unit's multiply by 1.0 (raw 256) and add of 0 are
+// exact, as is adding a zero shortcut, so every channel takes one
+// branch-free path.
+struct QPostChannel {
+  QPostChannel(bool has_affine, Fixed16 s, Fixed16 t, bool relu)
+      : scale(has_affine ? s.raw() : Fixed16::kScale),
+        shift(has_affine ? t.raw() : 0),
+        relu_floor(relu ? 0 : Fixed16::kRawMin) {}
+  int32_t scale, shift, relu_floor;
+};
+
+// A block of `rows` rows of `n` elements of one channel: row i's
+// accumulators start i * acc_pitch values after row 0's, its shortcut
+// and output pairs i * shortcut_pitch and i * out_pitch pairs after.
+struct QPostRows {
+  int64_t rows = 1, n = 0;
+  int64_t acc_pitch = 0, shortcut_pitch = 0, out_pitch = 0;
+};
+
+// Narrows and post-processes accumulators into channel-pair interleaved
+// raw Q7.8 (element c of the pair's channel h at out[2c + h]):
+//   v = narrow(acc[c]); v = v*scale + shift;
+//   if shortcut: v = v + shortcut[2c + h]; v = max(v, relu_floor)
 // in exactly the order and Q7.8 saturating arithmetic of the
 // simulator's post-processing unit (FixedAccum::ToFixed16, Fixed16's
-// operators). `shortcut` may be null. The int32 overload requires the
-// row's proof: it narrows in int32, which Int32AccumIsExact makes safe.
-void QPostProcessRow(const int32_t* acc, int64_t n, bool has_affine,
-                     Fixed16 scale, Fixed16 shift, const Fixed16* shortcut,
-                     bool relu, Fixed16* out);
-void QPostProcessRow(const int64_t* acc, int64_t n, bool has_affine,
-                     Fixed16 scale, Fixed16 shift, const Fixed16* shortcut,
-                     bool relu, Fixed16* out);
+// operators). `shortcut` (same interleaving as `out`) may be null. The
+// int32 overloads require the rows' proof: they narrow in int32, which
+// Int32AccumIsExact makes safe.
+//
+// QPostProcessPair writes both channels of a pair, acc0 to h = 0 and
+// acc1 to h = 1.
+void QPostProcessPair(const int32_t* acc0, const int32_t* acc1,
+                      const QPostRows& rows, const QPostChannel& ch0,
+                      const QPostChannel& ch1, const int16_t* shortcut,
+                      int16_t* out);
+void QPostProcessPair(const int64_t* acc0, const int64_t* acc1,
+                      const QPostRows& rows, const QPostChannel& ch0,
+                      const QPostChannel& ch1, const int16_t* shortcut,
+                      int16_t* out);
+// QPostProcessHalf writes one channel and leaves the other half of each
+// pair untouched: `shortcut` and `out` point at the channel's half (its
+// elements are 2 apart).
+void QPostProcessHalf(const int32_t* acc, const QPostRows& rows,
+                      const QPostChannel& ch, const int16_t* shortcut,
+                      int16_t* out);
+void QPostProcessHalf(const int64_t* acc, const QPostRows& rows,
+                      const QPostChannel& ch, const int16_t* shortcut,
+                      int16_t* out);
 
 // Instruction set of the QGemmInt32 variant.
 enum class QIsa { kPortable, kAvx2, kAvx512Bw, kAvx512Vnni };

@@ -23,6 +23,13 @@
 //    independent of the scheduler.
 //  * Workers are joinable and joined in the destructor; none are
 //    detached (sanitizer-friendly shutdown).
+//
+// Between regions an idle worker spins (with a CPU pause) on the region
+// epoch for a short window before it parks on a condition variable, and
+// the dispatching thread spins on the region's active count before it
+// waits: back-to-back regions, such as the conv layers of one clip,
+// then start and join without a futex round trip. After the window
+// everyone parks, so an idle pool burns no CPU.
 #pragma once
 
 #include <atomic>
@@ -100,12 +107,14 @@ class ThreadPool {
 
   std::mutex submit_mu_;  // serializes concurrent top-level For() calls
 
-  std::mutex mu_;  // guards current_/epoch_/stop_ and Region bookkeeping
+  // Guards current_ and Region joins; epoch_ and stop_ change only under
+  // it but are atomic so spinning threads may read them without it.
+  std::mutex mu_;
   std::condition_variable wake_cv_;  // workers wait for a new region
   std::condition_variable done_cv_;  // caller waits for region completion
   Region* current_ = nullptr;
-  uint64_t epoch_ = 0;
-  bool stop_ = false;
+  std::atomic<uint64_t> epoch_{0};
+  std::atomic<bool> stop_{false};
 };
 
 }  // namespace hwp3d

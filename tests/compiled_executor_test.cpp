@@ -176,11 +176,11 @@ TEST(PackedConvLayerTest, ThreadCountInvariance) {
 
   ThreadPool serial(1);
   const auto want =
-      packed.Run(input, {1, 1, 1}, {0, 0, 0}, post, {}, &serial);
+      packed.Run(input, {1, 1, 1}, {0, 0, 0}, post, &serial);
   for (int threads = 2; threads <= 8; ++threads) {
     ThreadPool pool(threads);
     const auto got =
-        packed.Run(input, {1, 1, 1}, {0, 0, 0}, post, {}, &pool);
+        packed.Run(input, {1, 1, 1}, {0, 0, 0}, post, &pool);
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     ExpectBitwiseEqual(want.output, got.output);
     ExpectStatsEqual(want.stats, got.stats);
@@ -317,6 +317,27 @@ TEST_F(CompiledExecutorModelTest, ExportsInt32ExactFractionPerLayer) {
     ++layers;
     EXPECT_EQ(m.kind, obs::MetricKind::Gauge);
     EXPECT_DOUBLE_EQ(m.gauge_value, 1.0);
+  }
+  EXPECT_EQ(layers, 12);
+}
+
+TEST_F(CompiledExecutorModelTest, ExportsDirectFractionPerLayer) {
+  // Every conv with stride 1 in rows and columns reads its B operand in
+  // place; the second stage's column-strided spatial conv and projection
+  // shortcut gather a panel. Its temporal conv (depth stride 2) is
+  // direct.
+  auto compiled = CompiledTinyR2Plus1d::Compile(*model_, {});
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  int layers = 0;
+  for (const obs::MetricSnapshot& m : obs::MetricsRegistry::Get().Snapshot()) {
+    if (m.name != "exec.direct_frac") continue;
+    ++layers;
+    ASSERT_EQ(m.labels.size(), 1u);
+    const std::string& layer = m.labels[0].second;
+    const bool gathered =
+        layer == "stage2.conv1.spatial" || layer == "stage2.shortcut";
+    EXPECT_EQ(m.kind, obs::MetricKind::Gauge);
+    EXPECT_DOUBLE_EQ(m.gauge_value, gathered ? 0.0 : 1.0) << layer;
   }
   EXPECT_EQ(layers, 12);
 }

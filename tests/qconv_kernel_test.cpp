@@ -1,12 +1,16 @@
 // The int16 conv kernels of the fast executor: every QGemmInt32 variant
 // this CPU supports must give the int64 reference's sums, the int32
-// exactness proof must hold at its boundary, and PackedConvLayer must be
+// exactness proof must hold at its boundary, the post-processing unit
+// must match the fixed-point arithmetic, and PackedConvLayer must be
 // bitwise equal to TiledConvSim on every supported ISA — on partial
-// tiles, odd slot counts, strides, fully pruned rows, channels the
-// proof sends to int64, and with the zero halo folded into the gather
-// (PackedConvLayer on the unpadded input == TiledConvSim on PadInput).
+// tiles, odd slot and channel counts, pairs an odd Tn splits, strides
+// (depth strides read in place, column strides gathered), fully pruned
+// rows, channels the proof sends to int64, every halo shape, and the
+// halo-padded activation layout (PackedConvLayer on the unpadded input,
+// and its engine on wider halos, == TiledConvSim on PadInput).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -70,32 +74,34 @@ FixedAccum AccumOf(int64_t raw) {
 
 TEST(QGemmTest, EveryIsaMatchesInt64Reference) {
   // 8 rows (two register blocks); 16..80 columns cover every AVX-512
-  // block width (1..4 granules) and a remainder; segment lists cover no
-  // segment (a fully pruned row), one, and several with gaps.
+  // block width (1..4 granules) and a remainder. Pair offset lists cover
+  // no pair (a fully pruned row), panel rows in order, one pair, and
+  // in-place reads: rows at any pair offset, overlapping and repeated.
   Rng rng(3);
   const int64_t rows = 8, panel_pairs = 40;
-  const std::vector<std::vector<kernels::QSegment>> seg_lists = {
-      {}, {{0, 40}}, {{0, 1}}, {{3, 5}, {10, 1}, {20, 17}}};
   for (int64_t cols : {16, 32, 48, 64, 80}) {
-    std::vector<int16_t> panel(static_cast<size_t>(panel_pairs * cols * 2));
-    for (int16_t& v : panel) {
+    std::vector<int16_t> b(static_cast<size_t>((panel_pairs + 1) * cols * 2));
+    for (int16_t& v : b) {
       v = static_cast<int16_t>(rng.UniformInt(-32768, 32767));
     }
-    for (const auto& segs : seg_lists) {
-      int64_t pairs = 0;
-      for (const auto& s : segs) pairs += s.count;
+    std::vector<int64_t> in_order;
+    for (int64_t p = 0; p < panel_pairs; ++p) in_order.push_back(p * cols);
+    const std::vector<std::vector<int64_t>> off_lists = {
+        {}, in_order, {0}, {3, 17, 5 * cols + 1, 1, 3, 10 * cols + 7, cols - 1,
+                            panel_pairs * cols}};
+    for (const auto& offs : off_lists) {
+      const int64_t pairs = static_cast<int64_t>(offs.size());
       // |w| <= 64 over at most 80 slots keeps Σ|w|·32768 < 2³¹.
       std::vector<int16_t> w(static_cast<size_t>(pairs * rows * 2));
       for (int16_t& v : w) v = static_cast<int16_t>(rng.UniformInt(-64, 64));
-      const kernels::QGemmArgs args{w.data(), rows, segs.data(),
-                                    static_cast<int64_t>(segs.size()),
-                                    panel.data(), cols};
+      const kernels::QGemmArgs args{w.data(), rows, offs.data(), pairs,
+                                    b.data(), cols};
       std::vector<int64_t> want(static_cast<size_t>(rows * cols), -1);
       kernels::QGemmInt64(args, want.data());
       for (QIsa isa : SupportedIsas()) {
         SCOPED_TRACE(::testing::Message()
                      << kernels::QIsaName(isa) << " cols=" << cols
-                     << " segs=" << segs.size());
+                     << " pairs=" << pairs);
         IsaOverride use(isa);
         std::vector<int32_t> got(static_cast<size_t>(rows * cols), -1);
         kernels::QGemmInt32(args, got.data());
@@ -121,13 +127,22 @@ TEST(QGemmTest, Int32ProofBoundary) {
 TEST(QGemmTest, PostProcessMatchesFixedArithmetic) {
   // Every saturation edge of the unit: sums that narrow past ±128, an
   // affine that saturates, a shortcut that saturates, ReLU on and off,
-  // on rows long and short enough for the vector and scalar paths.
+  // on rows long and short enough for the vector and scalar paths, for
+  // a channel pair (two different channels interleaved) and for one
+  // channel of a pair (the other half left as it was), on one row and
+  // on blocks of rows whose accumulators, shortcut and output each have
+  // their own row pitch (rows narrower than a vector step run together).
   Rng rng(9);
-  for (int64_t n : {3, 8, 13, 128}) {
-    std::vector<int32_t> acc32(static_cast<size_t>(n));
-    std::vector<int64_t> acc64(static_cast<size_t>(n));
-    std::vector<Fixed16> shortcut(static_cast<size_t>(n));
-    for (int64_t c = 0; c < n; ++c) {
+  constexpr int16_t kUntouched = 12345;
+  for (const auto [rows, n] : std::vector<std::array<int64_t, 2>>{
+           {1, 3}, {3, 3}, {3, 8}, {3, 13}, {3, 128}}) {
+    const kernels::QPostRows g{.rows = rows, .n = n, .acc_pitch = n + 5,
+                               .shortcut_pitch = n + 1, .out_pitch = n + 2};
+    const int64_t acc_len = g.rows * g.acc_pitch;
+    std::vector<int32_t> acc32(static_cast<size_t>(2 * acc_len));
+    std::vector<int64_t> acc64(acc32.size());
+    std::vector<int16_t> shortcut(static_cast<size_t>(2 * g.rows * (n + 1)));
+    for (size_t c = 0; c < acc32.size(); ++c) {
       // Magnitudes inside Q7.8 after narrowing, just past it, and at the
       // proof's limit 2³¹ - 32768.
       const int64_t mag =
@@ -135,8 +150,9 @@ TEST(QGemmTest, PostProcessMatchesFixedArithmetic) {
                                  (int64_t{1} << 31) - 32768}[c % 3];
       acc32[c] = static_cast<int32_t>(rng.UniformInt(-mag, mag));
       acc64[c] = acc32[c];
-      shortcut[c] = Fixed16::FromRaw(
-          static_cast<int16_t>(rng.UniformInt(-32768, 32767)));
+    }
+    for (int16_t& v : shortcut) {
+      v = static_cast<int16_t>(rng.UniformInt(-32768, 32767));
     }
     // (scale, shift): none, a mild affine, one that saturates.
     const std::array<std::array<float, 2>, 3> affines = {
@@ -144,24 +160,65 @@ TEST(QGemmTest, PostProcessMatchesFixedArithmetic) {
     for (size_t ai = 0; ai < affines.size(); ++ai) {
       for (bool relu : {false, true}) {
         for (bool with_shortcut : {false, true}) {
-          const bool affine = ai > 0;
-          const Fixed16 scale = Fixed16::FromFloat(affines[ai][0]);
-          const Fixed16 shift = Fixed16::FromFloat(affines[ai][1]);
-          const Fixed16* sc = with_shortcut ? shortcut.data() : nullptr;
-          std::vector<Fixed16> got32(static_cast<size_t>(n));
-          std::vector<Fixed16> got64(static_cast<size_t>(n));
-          kernels::QPostProcessRow(acc32.data(), n, affine, scale, shift, sc,
-                                   relu, got32.data());
-          kernels::QPostProcessRow(acc64.data(), n, affine, scale, shift, sc,
-                                   relu, got64.data());
-          for (int64_t c = 0; c < n; ++c) {
-            Fixed16 v = AccumOf(acc64[c]).ToFixed16();
-            if (affine) v = v * scale + shift;
-            if (sc != nullptr) v = v + sc[c];
+          // Channel h of the pair uses affine (ai + h) % 3.
+          std::array<bool, 2> affine;
+          std::array<Fixed16, 2> scale, shift;
+          std::vector<kernels::QPostChannel> ch;
+          for (size_t h = 0; h < 2; ++h) {
+            const size_t a = (ai + h) % affines.size();
+            affine[h] = a > 0;
+            scale[h] = Fixed16::FromFloat(affines[a][0]);
+            shift[h] = Fixed16::FromFloat(affines[a][1]);
+            ch.emplace_back(affine[h], scale[h], shift[h], relu);
+          }
+          const int16_t* sc = with_shortcut ? shortcut.data() : nullptr;
+          const auto want = [&](size_t h, int64_t i, int64_t c) {
+            Fixed16 v =
+                AccumOf(acc64[h * acc_len + i * g.acc_pitch + c]).ToFixed16();
+            if (affine[h]) v = v * scale[h] + shift[h];
+            if (sc != nullptr) {
+              v = v + Fixed16::FromRaw(sc[2 * (i * g.shortcut_pitch + c) + h]);
+            }
             if (relu && v < Fixed16{}) v = Fixed16{};
-            ASSERT_EQ(got32[c].raw(), v.raw())
-                << "n=" << n << " c=" << c << " affine " << ai;
-            ASSERT_EQ(got64[c].raw(), v.raw()) << "n=" << n << " c=" << c;
+            return v.raw();
+          };
+          const size_t out_len = static_cast<size_t>(2 * g.rows * g.out_pitch);
+          std::vector<int16_t> pair32(out_len, kUntouched);
+          std::vector<int16_t> pair64(out_len, kUntouched);
+          kernels::QPostProcessPair(acc32.data(), acc32.data() + acc_len, g,
+                                    ch[0], ch[1], sc, pair32.data());
+          kernels::QPostProcessPair(acc64.data(), acc64.data() + acc_len, g,
+                                    ch[0], ch[1], sc, pair64.data());
+          for (size_t h = 0; h < 2; ++h) {
+            std::vector<int16_t> half32(out_len, kUntouched);
+            std::vector<int16_t> half64(out_len, kUntouched);
+            const int16_t* sc_h = sc != nullptr ? sc + h : nullptr;
+            kernels::QPostProcessHalf(acc32.data() + h * acc_len, g, ch[h],
+                                      sc_h, half32.data() + h);
+            kernels::QPostProcessHalf(acc64.data() + h * acc_len, g, ch[h],
+                                      sc_h, half64.data() + h);
+            for (int64_t i = 0; i < g.rows; ++i) {
+              for (int64_t c = 0; c < g.out_pitch; ++c) {
+                SCOPED_TRACE(::testing::Message()
+                             << "rows=" << rows << " n=" << n << " row " << i
+                             << " c=" << c
+                             << " h=" << h << " affine " << ai);
+                const size_t at =
+                    static_cast<size_t>(2 * (i * g.out_pitch + c));
+                if (c >= n) {  // past the row: nothing written
+                  ASSERT_EQ(pair32[at + h], kUntouched);
+                  ASSERT_EQ(half32[at + h], kUntouched);
+                  continue;
+                }
+                const int16_t v = want(h, i, c);
+                ASSERT_EQ(pair32[at + h], v);
+                ASSERT_EQ(pair64[at + h], v);
+                ASSERT_EQ(half32[at + h], v);
+                ASSERT_EQ(half64[at + h], v);
+                ASSERT_EQ(half32[at + 1 - h], kUntouched);
+                ASSERT_EQ(half64[at + 1 - h], kUntouched);
+              }
+            }
           }
         }
       }
@@ -220,18 +277,43 @@ void CheckParity(const LayerCase& lc, uint64_t seed,
     use_mask = &mask;
   }
 
+  // Once as given, and once with output channel 0's weights at the int16
+  // maximum, so its block (unless the mask prunes all of it) fails the
+  // int32 proof and runs the int64 reference arithmetic on the same
+  // operands.
+  TensorQ unproven = weights;
+  for (int64_t i = 0; i < lc.N * lc.Kd * lc.Kr * lc.Kc; ++i) {
+    unproven[i] = Fixed16::FromRaw(Fixed16::kRawMax);
+  }
+  // The engine as served: an input halo wider than the padding, the
+  // shortcut and the output in layouts with halos of their own.
+  const std::array<int64_t, 3> wide_halo = {
+      lc.padding[0] + 1, lc.padding[1] + 1, lc.padding[2] + 1};
+  const fpga::QActivation wide_input =
+      fpga::QActivation::FromTensor(input, wide_halo);
+  const fpga::QActivation shortcut_act =
+      fpga::QActivation::FromTensor(shortcut, {1, 0, 1});
+  PostOps engine_post = post;
+  engine_post.shortcut = nullptr;
+
   const fpga::Ports ports;
   const TiledConvSim sim(lc.tiling, ports);
-  const auto want = sim.Run(weights, padded, lc.stride, use_mask, post);
-  const PackedConvLayer packed(weights, lc.tiling, ports, use_mask);
-  for (QIsa isa : SupportedIsas()) {
-    SCOPED_TRACE(kernels::QIsaName(isa));
-    IsaOverride use(isa);
-    const auto got = packed.Run(input, lc.stride, lc.padding, post);
-    ExpectBitwiseEqual(want.output, got.output);
-    EXPECT_EQ(want.stats.macs_executed, got.stats.macs_executed);
-    EXPECT_EQ(want.stats.modeled_cycles, got.stats.modeled_cycles);
-    EXPECT_EQ(want.stats.blocks_skipped, got.stats.blocks_skipped);
+  for (const TensorQ* w : {&weights, static_cast<const TensorQ*>(&unproven)}) {
+    SCOPED_TRACE(w == &weights ? "as given" : "channel 0 unproven");
+    const auto want = sim.Run(*w, padded, lc.stride, use_mask, post);
+    const PackedConvLayer packed(*w, lc.tiling, ports, use_mask);
+    for (QIsa isa : SupportedIsas()) {
+      SCOPED_TRACE(kernels::QIsaName(isa));
+      IsaOverride use(isa);
+      const auto got = packed.Run(input, lc.stride, lc.padding, post);
+      ExpectBitwiseEqual(want.output, got.output);
+      EXPECT_EQ(want.stats.macs_executed, got.stats.macs_executed);
+      EXPECT_EQ(want.stats.modeled_cycles, got.stats.modeled_cycles);
+      EXPECT_EQ(want.stats.blocks_skipped, got.stats.blocks_skipped);
+      const auto wide = packed.Run(wide_input, lc.stride, lc.padding,
+                                   engine_post, &shortcut_act, {1, 1, 1});
+      ExpectBitwiseEqual(want.output, wide.output.ToTensor());
+    }
   }
 }
 
@@ -313,7 +395,7 @@ TEST(QConvLayerTest, ProvenLayerRunsInt32Everywhere) {
   EXPECT_DOUBLE_EQ(packed.int32_exact_frac(), 1.0);
 }
 
-// --- halo fold ---------------------------------------------------------
+// --- model paddings ----------------------------------------------------
 
 TEST(QConvHaloTest, ModelPaddings) {
   // The (2+1)D convs: spatial 1x3x3 with (0,1,1), temporal 3x1x1 with
@@ -360,6 +442,141 @@ TEST(QConvHaloTest, KernelWiderThanUnpaddedEdge) {
                .Kc = 5, .stride = {1, 2, 2}, .padding = {0, 2, 2},
                .tiling = {4, 4, 2, 4, 4}, .keep_prob = -1.0},
               32);
+}
+
+// --- halo-padded layout: B read in place, or gathered ----------------
+
+TEST(QConvDirectTest, OneChannelInputAndOddChannelCounts) {
+  // The clip's single channel shares its pair with an all-zero channel;
+  // an odd output count (as the 57 mid channels of the second stage)
+  // leaves the last output pair's second half unwritten, and an odd
+  // input count reads it back with a zero weight.
+  CheckParity({.M = 6, .N = 1, .Di = 4, .Ri = 9, .Ci = 11, .Kd = 1, .Kr = 3,
+               .Kc = 3, .stride = {1, 1, 1}, .padding = {0, 1, 1},
+               .tiling = {4, 4, 2, 4, 4}, .keep_prob = -1.0},
+              41);
+  CheckParity({.M = 7, .N = 5, .Di = 5, .Ri = 6, .Ci = 6, .Kd = 3, .Kr = 1,
+               .Kc = 1, .stride = {1, 1, 1}, .padding = {1, 0, 0},
+               .tiling = {4, 4, 2, 4, 4}, .keep_prob = -1.0},
+              42);
+}
+
+TEST(QConvDirectTest, OddTnStraddlingPairs) {
+  // Tn = 3 splits input pairs (2,3) and (8,9) between blocks; Tm = 3
+  // splits output pairs (2,3) between block rows 0 and 1. In row 0,
+  // input block 1 is pruned, so pair (2,3) is read only for channel 2;
+  // in row 1, pair (8,9) only for channel 9.
+  core::BlockMask mask;
+  mask.blocks_m = 3;
+  mask.blocks_n = 4;
+  mask.enabled = {1, 0, 1, 1,  //
+                  0, 1, 0, 1,  //
+                  1, 1, 0, 0};
+  CheckParity({.M = 7, .N = 10, .Di = 3, .Ri = 7, .Ci = 9, .Kd = 1, .Kr = 3,
+               .Kc = 3, .stride = {1, 1, 1}, .padding = {0, 1, 1},
+               .tiling = {3, 3, 2, 4, 4}, .keep_prob = 0.0},
+              43, &mask);
+}
+
+TEST(QConvDirectTest, FullyPrunedBlockRow) {
+  // Block row 0 has no surviving tile: its channels get only the
+  // post-ops of a zero sum, written through the same layout.
+  core::BlockMask mask;
+  mask.blocks_m = 3;
+  mask.blocks_n = 2;
+  mask.enabled = {0, 0,  //
+                  1, 1,  //
+                  0, 1};
+  CheckParity({.M = 12, .N = 8, .Di = 2, .Ri = 8, .Ci = 8, .Kd = 1, .Kr = 3,
+               .Kc = 3, .stride = {1, 1, 1}, .padding = {0, 1, 1},
+               .tiling = {4, 4, 2, 4, 4}, .keep_prob = 0.0},
+              44, &mask);
+}
+
+TEST(QConvDirectTest, TemporalStrideDirectColumnStrideGathered) {
+  // Depth stride 2 keeps B in place; any column stride gathers a panel
+  // from the padded layout, with or without a row stride.
+  CheckParity({.M = 8, .N = 6, .Di = 7, .Ri = 5, .Ci = 6, .Kd = 3, .Kr = 1,
+               .Kc = 1, .stride = {2, 1, 1}, .padding = {1, 0, 0},
+               .tiling = {4, 4, 2, 4, 4}, .keep_prob = 0.7},
+              45);
+  CheckParity({.M = 9, .N = 6, .Di = 2, .Ri = 9, .Ci = 9, .Kd = 1, .Kr = 3,
+               .Kc = 3, .stride = {1, 2, 2}, .padding = {0, 1, 1},
+               .tiling = {4, 4, 2, 4, 4}, .keep_prob = -1.0},
+              46);
+  CheckParity({.M = 8, .N = 5, .Di = 4, .Ri = 6, .Ci = 7, .Kd = 1, .Kr = 1,
+               .Kc = 1, .stride = {2, 2, 2}, .padding = {0, 0, 0},
+               .tiling = {4, 4, 2, 4, 4}, .keep_prob = -1.0},
+              47);
+  CheckParity({.M = 5, .N = 4, .Di = 3, .Ri = 5, .Ci = 9, .Kd = 3, .Kr = 3,
+               .Kc = 3, .stride = {1, 1, 2}, .padding = {1, 1, 1},
+               .tiling = {4, 4, 2, 4, 4}, .keep_prob = -1.0},
+              48);
+}
+
+TEST(QConvDirectTest, LastTaskReadsIntoTailSlack) {
+  // 5x5 planes padded to 7x7: the last depth's 4 * 7 + 5 = 33 kept GEMM
+  // columns round up to 48, so the last task reads 15 pairs past the
+  // last plane, into the slack (the sanitize build traps a read past
+  // it).
+  CheckParity({.M = 4, .N = 3, .Di = 2, .Ri = 5, .Ci = 5, .Kd = 1, .Kr = 3,
+               .Kc = 3, .stride = {1, 1, 1}, .padding = {0, 1, 1},
+               .tiling = {4, 4, 2, 4, 4}, .keep_prob = -1.0},
+              49);
+}
+
+// Every element outside the interior of real channels — the halo, the
+// odd channel count's partner half and the slack — is zero.
+void ExpectZeroOutsideInterior(const fpga::QActivation& a) {
+  const auto [D, R, C] = a.extent();
+  const auto [hd, hr, hc] = a.halo();
+  for (int64_t q = 0; q < a.pairs(); ++q) {
+    for (int64_t d = 0; d < a.Dp(); ++d) {
+      for (int64_t r = 0; r < a.Rp(); ++r) {
+        for (int64_t c = 0; c < a.Cp(); ++c) {
+          const bool interior = d >= hd && d < hd + D && r >= hr &&
+                                r < hr + R && c >= hc && c < hc + C;
+          const int64_t pair = ((q * a.Dp() + d) * a.Rp() + r) * a.Cp() + c;
+          for (int64_t h = 0; h < 2; ++h) {
+            if (interior && 2 * q + h < a.channels()) continue;
+            ASSERT_EQ(a.data()[2 * pair + h], 0)
+                << "pair " << q << " at " << d << "," << r << "," << c
+                << " half " << h;
+          }
+        }
+      }
+    }
+  }
+  for (int64_t i = 2 * a.pairs() * a.plane(); i < 2 * a.size_pairs(); ++i) {
+    ASSERT_EQ(a.data()[i], 0) << "slack " << i;
+  }
+}
+
+TEST(QConvDirectTest, LayoutRoundTripKeepsHaloZero) {
+  Rng rng(61);
+  const TensorQ x = RandomQ(Shape{5, 3, 4, 6}, rng);
+  const fpga::QActivation a = fpga::QActivation::FromTensor(x, {1, 2, 1});
+  ExpectBitwiseEqual(x, a.ToTensor());
+  ExpectZeroOutsideInterior(a);
+  const std::vector<int16_t> before(a.data(), a.data() + 2 * a.size_pairs());
+
+  // A non-zero shift without ReLU makes every written element non-zero
+  // in practice, so a write outside the interior would show.
+  const TensorQ w = RandomQ(Shape{7, 5, 3, 3, 3}, rng);
+  PostOps post;
+  post.has_affine = true;
+  post.scale = RandomQ(Shape{7}, rng, 0.5, 1.5);
+  post.shift = RandomQ(Shape{7}, rng, 0.5, 1.0);
+  const PackedConvLayer packed(w, {4, 4, 2, 4, 4}, fpga::Ports{}, nullptr);
+  for (QIsa isa : SupportedIsas()) {
+    SCOPED_TRACE(kernels::QIsaName(isa));
+    IsaOverride use(isa);
+    const auto r = packed.Run(a, {1, 1, 1}, {1, 1, 1}, post, nullptr,
+                              {1, 1, 2});
+    ExpectZeroOutsideInterior(r.output);
+    EXPECT_TRUE(std::equal(before.begin(), before.end(), a.data()))
+        << "the run wrote to its input";
+  }
 }
 
 }  // namespace

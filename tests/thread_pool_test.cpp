@@ -131,6 +131,52 @@ TEST(ThreadPoolTest, ManySmallRegionsReuseWorkers) {
   EXPECT_EQ(total.load(), 2000 * 8);
 }
 
+TEST(ThreadPoolTest, BackToBackRegionsRunEachIndexOnce) {
+  // Regions that follow each other within the workers' spin window, of
+  // sizes that leave workers with nothing (1), fewer chunks than
+  // participants (2, threads()) and many chunks (1000).
+  ThreadPool pool(4);
+  for (int round = 0; round < 200; ++round) {
+    for (int64_t n : {int64_t{1}, int64_t{2}, int64_t{pool.threads()},
+                      int64_t{1000}}) {
+      std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+      pool.For(0, n, [&](int64_t i) { hits[static_cast<size_t>(i)]++; });
+      for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << "n=" << n;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, DestroyRightAfterRegionJoinsPromptly) {
+  // The workers are still spinning for the next region when the pool
+  // goes away: they must see the stop and exit, not finish the window
+  // or park for good.
+  for (int round = 0; round < 20; ++round) {
+    const auto start = std::chrono::steady_clock::now();
+    {
+      ThreadPool pool(4);
+      std::atomic<int64_t> sum{0};
+      pool.For(0, 64, [&](int64_t i) { sum += i; });
+      EXPECT_EQ(sum.load(), 63 * 64 / 2);
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+  }
+}
+
+TEST(ThreadPoolTest, ExceptionRightAfterSpunRegionPropagates) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 50; ++round) {
+    std::atomic<int> ran{0};
+    pool.For(0, 16, [&](int64_t) { ran++; });
+    ASSERT_EQ(ran.load(), 16);
+    EXPECT_THROW(pool.For(0, 16,
+                          [](int64_t i) {
+                            if (i == 7) throw Error("boom");
+                          }),
+                 Error);
+  }
+}
+
 TEST(ThreadPoolTest, MoveOnlyStateInBody) {
   // For() is a template over the body, so a move-only body works (a
   // std::function-based signature would require a copyable one).
