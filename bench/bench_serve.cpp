@@ -6,20 +6,26 @@
 //     executor on dense weights, and the fast executor on a 90%
 //     block-pruned compile — the last demonstrates the wall-clock win
 //     of physically eliding pruned tiles from the packed stream.
-//  2. Batched InferenceServer on the fast executor at increasing
-//     replica counts against a serial loop over the whole pool, on the
-//     same clips.
+//  2. Throughput against serving lanes: an InferenceServer on the fast
+//     executor with 1, 2, ... nproc replica lanes, each kept saturated
+//     by a closed loop of 2 x lanes x max_batch requests in flight, next
+//     to a one-thread serial Infer loop over the same clips. One lane
+//     fans each clip out over the pool; several lanes each run their
+//     clips serially on their own thread. Scaling efficiency is lane
+//     throughput / (lanes x serial throughput).
 //
 // Writes BENCH_serve.json with both sections: an "executors" object
 // (sim/fast/pruned clips-per-second plus the fast_vs_sim and
 // pruned_vs_dense ratios, the thread count they were measured at and the
-// int16 kernel ISA the fast executor dispatched to)
-// and the per-replica "configs" array with
-// throughput, speedup-vs-serial, and p50/p95/p99 latency.
+// int16 kernel ISA the fast executor dispatched to), a "lanes" object
+// (the largest lane count and its scaling efficiency) and the per-lane
+// "configs" array with throughput, speedup and efficiency against the
+// serial loop, mean batch and p50/p95/p99 latency.
 //
-// Replica scaling rides the process-wide hwp3d::ThreadPool, so size it
-// to the host: bench_serve --threads 4 --replicas 1,2,4. Other flags:
-// --clips N, --max-batch N, --max-delay-us N, --json-out=PATH.
+// The single lane rides the process-wide hwp3d::ThreadPool, so size it
+// to the host: bench_serve --threads 4. Other flags: --replicas=1,2,4
+// (lane counts; default 1..nproc), --clips=N, --max-batch=N,
+// --json-out=PATH.
 //
 // Fault sweep: --fault-rate=0.1 (or HWP_FAULTS=serve.replica_infer=0.1)
 // injects transient replica failures. The bench then classifies every
@@ -32,6 +38,7 @@
 #include <fstream>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -57,7 +64,8 @@ namespace {
 struct Row {
   int replicas = 0;
   double throughput_cps = 0.0;
-  double speedup = 0.0;
+  double speedup = 0.0;     // throughput / its serial loop's throughput
+  double efficiency = 0.0;  // speedup / replicas
   double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0;
   double mean_batch = 0.0;
   long long batches = 0;
@@ -86,6 +94,66 @@ std::vector<int> ParseIntList(const char* s) {
   return out;
 }
 
+double Median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+// One closed-loop run: `requests` clips through a `replicas`-lane
+// server with 2 x replicas x max_batch requests in flight, so every
+// lane always finds work. Returns false when a request was lost or
+// resolved untruthfully (anything but OK or, with faults on, a
+// transient kUnavailable).
+bool RunLanes(const fpga::CompiledTinyR2Plus1d& model,
+              const std::vector<TensorF>& clips, int replicas, int max_batch,
+              int requests, bool faults_on, Row& row) {
+  const int window = 2 * replicas * max_batch;
+  serve::ServerConfig cfg;
+  cfg.replicas = replicas;
+  cfg.max_batch = max_batch;
+  cfg.queue_capacity = static_cast<size_t>(window);
+  serve::InferenceServer server(model, cfg);
+
+  std::vector<std::future<StatusOr<serve::InferenceResult>>> futures;
+  futures.reserve(static_cast<size_t>(requests));
+  const auto submit = [&] {
+    futures.push_back(server.SubmitAsync(clips[futures.size() % clips.size()]));
+  };
+  const double t0 = obs::NowUs();
+  while (static_cast<int>(futures.size()) < std::min(window, requests)) {
+    submit();
+  }
+  long long ok = 0, transient = 0, lost = 0;
+  for (int i = 0; i < requests; ++i) {
+    auto r = futures[static_cast<size_t>(i)].get();
+    if (static_cast<int>(futures.size()) < requests) submit();
+    if (r.ok()) {
+      ++ok;
+    } else if (r.status().code() == StatusCode::kUnavailable && faults_on) {
+      ++transient;
+    } else {
+      std::fprintf(stderr, "replicas=%d: untruthful outcome: %s\n",
+                   replicas, r.status().ToString().c_str());
+      ++lost;
+    }
+  }
+  const double wall_us = obs::NowUs() - t0;
+  const serve::ServerStats stats = server.Stats();
+  row.replicas = replicas;
+  row.throughput_cps = 1e6 * requests / wall_us;
+  row.p50_ms = stats.p50_ms;
+  row.p95_ms = stats.p95_ms;
+  row.p99_ms = stats.p99_ms;
+  row.mean_batch = stats.mean_batch_size;
+  row.batches = stats.batches;
+  row.ok = ok;
+  row.transient_failed = transient;
+  row.faults_injected = stats.faults_injected;
+  row.retries = stats.retries;
+  row.quarantined = stats.replicas_quarantined;
+  return lost == 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -94,9 +162,16 @@ int main(int argc, char** argv) {
 
   std::string json_path = "BENCH_serve.json";
   int num_clips = 64;
+  // Per run: long enough that a run outlasts the host's scheduling
+  // hiccups, short enough for 7 trials of every lane count in seconds.
+  constexpr int kRequestsPerRun = 2048;
   int max_batch = 8;
-  long long max_delay_us = 500;
-  std::vector<int> replica_counts = {1, 2, 4};
+  std::vector<int> replica_counts;
+  for (int r = 1; r <= static_cast<int>(std::thread::hardware_concurrency());
+       ++r) {
+    replica_counts.push_back(r);
+  }
+  if (replica_counts.empty()) replica_counts.push_back(1);
   double fault_rate = 0.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
@@ -105,8 +180,6 @@ int main(int argc, char** argv) {
       num_clips = std::atoi(argv[i] + 8);
     } else if (std::strncmp(argv[i], "--max-batch=", 12) == 0) {
       max_batch = std::atoi(argv[i] + 12);
-    } else if (std::strncmp(argv[i], "--max-delay-us=", 15) == 0) {
-      max_delay_us = std::atoll(argv[i] + 15);
     } else if (std::strncmp(argv[i], "--replicas=", 11) == 0) {
       replica_counts = ParseIntList(argv[i] + 11);
     } else if (std::strncmp(argv[i], "--fault-rate=", 13) == 0) {
@@ -209,80 +282,53 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const auto median_cps = [](std::vector<double>& us) {
-    std::nth_element(us.begin(), us.begin() + us.size() / 2, us.end());
-    return 1e6 / us[us.size() / 2];
-  };
-  const double sim_cps = median_cps(sim_us);
-  const double fast_cps = median_cps(fast_us);
-  const double pruned_cps = median_cps(pruned_us);
+  const double sim_cps = 1e6 / Median(sim_us);
+  const double fast_cps = 1e6 / Median(fast_us);
+  const double pruned_cps = 1e6 / Median(pruned_us);
   const double fast_vs_sim = fast_cps / sim_cps;
   const double pruned_vs_dense = pruned_cps / fast_cps;
 
-  // Serial baseline for the serving section: one replica, no queue, no
-  // batching, the fast executor over the whole pool.
-  const double serial_t0 = obs::NowUs();
-  for (const TensorF& clip : clips) (void)compiled.Infer(clip);
-  const double serial_us = obs::NowUs() - serial_t0;
-  const double serial_cps = 1e6 * num_clips / serial_us;
-  const double serial_mean_ms = serial_us / num_clips / 1000.0;
-
-  std::vector<Row> rows;
-  for (int replicas : replica_counts) {
-    serve::ServerConfig cfg;
-    cfg.replicas = replicas;
-    cfg.max_batch = max_batch;
-    cfg.max_delay_us = max_delay_us;
-    cfg.queue_capacity = static_cast<size_t>(num_clips) * 2;
-    serve::InferenceServer server(compiled, cfg);
-
+  // Throughput against lanes. Every lane-count run follows its own
+  // one-thread serial loop, and its speedup is taken against that
+  // loop, so a drift in the host's speed hits both sides of the ratio
+  // alike. The run with the median speedup over kTrials stands for its
+  // lane count.
+  constexpr int kTrials = 7;
+  const auto serial_loop_cps = [&] {
+    ThreadPool::SerialScope serial;
     const double t0 = obs::NowUs();
-    std::vector<std::future<StatusOr<serve::InferenceResult>>> futures;
-    futures.reserve(clips.size());
-    for (const TensorF& clip : clips) {
-      futures.push_back(server.SubmitAsync(clip));
+    for (int i = 0; i < kRequestsPerRun; ++i) {
+      (void)compiled.Infer(clips[static_cast<size_t>(i) % clips.size()]);
     }
-    // Zero request loss: every future must resolve, and every failure
-    // must be a truthful transient (kUnavailable after exhausted
-    // retries under injection). Anything else is a serving bug.
-    long long ok = 0, transient = 0, lost = 0;
-    for (auto& f : futures) {
-      auto r = f.get();
-      if (r.ok()) {
-        ++ok;
-      } else if (r.status().code() == StatusCode::kUnavailable) {
-        ++transient;
-      } else {
-        std::fprintf(stderr, "replicas=%d: untruthful outcome: %s\n",
-                     replicas, r.status().ToString().c_str());
-        ++lost;
+    return 1e6 * kRequestsPerRun / (obs::NowUs() - t0);
+  };
+  std::vector<double> serial_runs;
+  std::vector<std::vector<Row>> trials(replica_counts.size());
+  for (int t = 0; t < kTrials; ++t) {
+    for (size_t k = 0; k < replica_counts.size(); ++k) {
+      serial_runs.push_back(serial_loop_cps());
+      Row row;
+      if (!RunLanes(compiled, clips, replica_counts[k], max_batch,
+                    kRequestsPerRun, faults_on, row)) {
+        return 1;
       }
+      row.speedup = row.throughput_cps / serial_runs.back();
+      row.efficiency = row.speedup / row.replicas;
+      trials[k].push_back(row);
     }
-    const double wall_us = obs::NowUs() - t0;
-    if (lost != 0) return 1;
-    if (!faults_on && transient != 0) {
-      std::fprintf(stderr, "replicas=%d: %lld requests failed\n", replicas,
-                   transient);
-      return 1;
-    }
-    const serve::ServerStats stats = server.Stats();
-    Row row;
-    row.replicas = replicas;
-    row.throughput_cps = 1e6 * num_clips / wall_us;
-    row.speedup = row.throughput_cps / serial_cps;
-    row.p50_ms = stats.p50_ms;
-    row.p95_ms = stats.p95_ms;
-    row.p99_ms = stats.p99_ms;
-    row.mean_batch = stats.mean_batch_size;
-    row.batches = stats.batches;
-    row.ok = ok;
-    row.transient_failed = transient;
-    row.faults_injected = stats.faults_injected;
-    row.retries = stats.retries;
-    row.quarantined = stats.replicas_quarantined;
-    rows.push_back(row);
+  }
+  const double serial_cps = Median(serial_runs);
+  std::vector<Row> rows;
+  for (std::vector<Row>& runs : trials) {
+    std::sort(runs.begin(), runs.end(), [](const Row& a, const Row& b) {
+      return a.speedup < b.speedup;
+    });
+    rows.push_back(runs[runs.size() / 2]);
   }
 
+  const Row& widest = *std::max_element(
+      rows.begin(), rows.end(),
+      [](const Row& a, const Row& b) { return a.replicas < b.replicas; });
   const int threads = ThreadPool::Get().threads();
 
   report::Table exec_table("Executor comparison (serial Infer loop, 1 thread)");
@@ -297,19 +343,20 @@ int main(int argc, char** argv) {
                   report::Table::Ratio(pruned_vs_dense, 2)});
   exec_table.Print();
 
-  report::Table table(faults_on
-                          ? "Batched serving vs serial Infer loop (faults on)"
-                          : "Batched serving vs serial Infer loop");
-  table.Header({"Config", "Clips/s", "Speedup", "p50 ms", "p95 ms",
-                "p99 ms", "Mean batch", "Faults", "Retries", "Quar"});
-  table.Row({"serial x1", report::Table::Num(serial_cps, 1),
-             report::Table::Ratio(1.0, 2),
-             report::Table::Num(serial_mean_ms, 2), "-", "-", "-", "-", "-",
-             "-"});
+  report::Table table(
+      faults_on ? "Serving throughput vs lanes, closed loop (faults on)"
+                : "Serving throughput vs lanes, closed loop");
+  table.Header({"Config", "Clips/s", "Speedup", "Efficiency", "p50 ms",
+                "p95 ms", "p99 ms", "Mean batch", "Faults", "Retries",
+                "Quar"});
+  table.Row({"serial x1 thread", report::Table::Num(serial_cps, 1),
+             report::Table::Ratio(1.0, 2), report::Table::Num(1.0, 2), "-",
+             "-", "-", "-", "-", "-", "-"});
   for (const Row& r : rows) {
     table.Row({"serve x" + std::to_string(r.replicas),
                report::Table::Num(r.throughput_cps, 1),
                report::Table::Ratio(r.speedup, 2),
+               report::Table::Num(r.efficiency, 2),
                report::Table::Num(r.p50_ms, 2),
                report::Table::Num(r.p95_ms, 2),
                report::Table::Num(r.p99_ms, 2),
@@ -319,14 +366,16 @@ int main(int argc, char** argv) {
                std::to_string(r.quarantined)});
   }
   table.Print();
-  std::printf("(executor: fast; thread pool: %d threads; batching: "
-              "max_batch %d, max_delay %lld us)\n",
-              threads, max_batch, max_delay_us);
+  std::printf("(executor: fast; thread pool: %d threads; max_batch %d; "
+              "%d requests per run, median speedup of %d trials)\n",
+              threads, max_batch, kRequestsPerRun, kTrials);
   if (faults_on) {
     long long ok = 0, transient = 0;
-    for (const Row& r : rows) {
-      ok += r.ok;
-      transient += r.transient_failed;
+    for (const std::vector<Row>& runs : trials) {
+      for (const Row& r : runs) {
+        ok += r.ok;
+        transient += r.transient_failed;
+      }
     }
     std::printf("fault sweep: %lld ok, %lld truthful transient failures, "
                 "0 lost\n",
@@ -338,8 +387,8 @@ int main(int argc, char** argv) {
      << "  \"bench\": \"serve\",\n"
      << "  \"threads\": " << threads << ",\n"
      << "  \"clips\": " << num_clips << ",\n"
+     << "  \"requests\": " << kRequestsPerRun << ",\n"
      << "  \"max_batch\": " << max_batch << ",\n"
-     << "  \"max_delay_us\": " << max_delay_us << ",\n"
      << "  \"fault_rate\": " << fault_rate << ",\n"
      << "  \"faults_on\": " << (faults_on ? "true" : "false") << ",\n"
      << "  \"executor\": \"fast\",\n"
@@ -350,14 +399,17 @@ int main(int argc, char** argv) {
      << ", \"fast_pruned90_cps\": " << pruned_cps
      << ", \"fast_vs_sim\": " << fast_vs_sim
      << ", \"pruned_vs_dense\": " << pruned_vs_dense << "},\n"
-     << "  \"serial\": {\"throughput_cps\": " << serial_cps
-     << ", \"mean_ms\": " << serial_mean_ms << "},\n"
+     << "  \"serial\": {\"threads\": 1, \"throughput_cps\": " << serial_cps
+     << "},\n"
+     << "  \"lanes\": {\"max\": " << widest.replicas
+     << ", \"efficiency\": " << widest.efficiency << "},\n"
      << "  \"configs\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     os << "    {\"replicas\": " << r.replicas
        << ", \"throughput_cps\": " << r.throughput_cps
        << ", \"speedup_vs_serial\": " << r.speedup
+       << ", \"efficiency\": " << r.efficiency
        << ", \"p50_ms\": " << r.p50_ms << ", \"p95_ms\": " << r.p95_ms
        << ", \"p99_ms\": " << r.p99_ms
        << ", \"mean_batch\": " << r.mean_batch

@@ -36,11 +36,11 @@ int main(int argc, char** argv) {
   dcfg.height = 10;
   dcfg.width = 10;
 
-  // Both sessions serve from two replica lanes, batching up to 8 clips.
+  // Both sessions serve from two replica lanes; an idle lane takes
+  // whatever is queued, up to 8 clips, without waiting for more.
   serve::ServerConfig serving;
   serving.replicas = 2;
   serving.max_batch = 8;
-  serving.max_delay_us = 1000;
 
   // Session 1: train + ADMM-prune to 50% block sparsity, serve with
   // block-enable masks.
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   for (const nn::Batch& batch : pruned.eval_batches()) {
     const int64_t B = batch.clips.dim(0);
     // Slice the batch into clips and submit the whole wave
-    // asynchronously, so the servers actually form batches.
+    // asynchronously, so the lanes find a backlog and pull it in batches.
     std::vector<TensorF> clips;
     std::vector<int> float_preds;
     for (int64_t b = 0; b < B; ++b) {

@@ -9,10 +9,10 @@ tolerance (default 15%).
 Only *ratio* metrics are guarded — speedups of one configuration over
 another measured in the same run (gemm-vs-naive, dispatched-vs-portable
 SGEMM micro-kernel and int16 conv kernel, fast-vs-sim executor,
-pruned-vs-dense). Absolute
-clips/s or GFLOP/s depend on the host CPU and would make the check fail
-on any machine other than the one that recorded the baseline; ratios
-cancel the machine out.
+pruned-vs-dense, and the serving lanes' scaling efficiency against a
+one-thread serial loop). Absolute clips/s or GFLOP/s depend on the host
+CPU and would make the check fail on any machine other than the one
+that recorded the baseline; ratios cancel the machine out.
 
 Usage: bench_check.py [--tolerance 0.15] [--baseline-dir bench/baselines]
                       [--fresh-dir .]
@@ -23,23 +23,27 @@ import json
 import os
 import sys
 
-# (file, dotted path into the JSON, human label, dotted path of the ISA
-# the ratio was measured with or None). All guarded metrics are
-# higher-is-better ratios. An ISA-bound ratio is compared only when the
-# fresh run dispatched to the same vector ISA as the baseline: on a host
-# that runs the portable kernel there is nothing to guard, and another
-# ISA has another expected ratio.
+# (file, dotted path into the JSON, human label, dotted paths of the
+# context the ratio was measured in). All guarded metrics are
+# higher-is-better ratios. A ratio is compared only when the fresh run
+# has the baseline's context: an ISA-bound ratio needs the same vector
+# ISA (on a host that runs the portable kernel there is nothing to
+# guard, and another ISA has another expected ratio), and the lanes'
+# scaling efficiency needs the same largest lane count (nproc).
 GUARDED = [
     ("BENCH_kernels.json", "train_step.speedup",
-     "gemm vs naive train-step speedup", None),
+     "gemm vs naive train-step speedup", ()),
     ("BENCH_kernels.json", "sgemm.dispatched_vs_portable",
-     "dispatched vs portable SGEMM micro-kernel", "sgemm.isa"),
+     "dispatched vs portable SGEMM micro-kernel", ("sgemm.isa",)),
     ("BENCH_kernels.json", "qconv.dispatched_vs_portable",
-     "dispatched vs portable int16 conv kernel", "qconv.isa"),
+     "dispatched vs portable int16 conv kernel", ("qconv.isa",)),
     ("BENCH_serve.json", "executors.fast_vs_sim",
-     "fast executor vs cycle simulator", "executors.isa"),
+     "fast executor vs cycle simulator", ("executors.isa",)),
     ("BENCH_serve.json", "executors.pruned_vs_dense",
-     "fast executor, 90% pruned vs dense", "executors.isa"),
+     "fast executor, 90% pruned vs dense", ("executors.isa",)),
+    ("BENCH_serve.json", "lanes.efficiency",
+     "serving lanes' scaling efficiency at the most lanes",
+     ("lanes.max", "executors.isa")),
 ]
 
 
@@ -71,7 +75,7 @@ def main():
 
     checked = 0
     failures = []
-    for fname, dotted, label, isa_path in GUARDED:
+    for fname, dotted, label, context_paths in GUARDED:
         base_path = os.path.join(args.baseline_dir, fname)
         fresh_path = os.path.join(args.fresh_dir, fname)
         if not os.path.exists(base_path):
@@ -84,17 +88,20 @@ def main():
         if base_doc is None or fresh_doc is None:
             failures.append(f"{label}: unreadable JSON")
             continue
-        if isa_path is not None:
-            fresh_isa = lookup(fresh_doc, isa_path, (str,))
-            base_isa = lookup(base_doc, isa_path, (str,))
-            if fresh_isa in (None, "portable"):
-                print(f"bench-check: SKIP {label}: host runs the portable "
-                      "kernel")
-                continue
-            if fresh_isa != base_isa:
-                print(f"bench-check: SKIP {label}: host dispatches to "
-                      f"{fresh_isa}, baseline was measured with {base_isa}")
-                continue
+        skip = None
+        for path in context_paths:
+            fresh_ctx = lookup(fresh_doc, path, (str, int))
+            base_ctx = lookup(base_doc, path, (str, int))
+            if path.endswith(".isa") and fresh_ctx in (None, "portable"):
+                skip = "host runs the portable kernel"
+            elif fresh_ctx != base_ctx:
+                skip = (f"{path} is {fresh_ctx} here, baseline was "
+                        f"measured with {base_ctx}")
+            if skip:
+                break
+        if skip:
+            print(f"bench-check: SKIP {label}: {skip}")
+            continue
         base = lookup(base_doc, dotted)
         fresh = lookup(fresh_doc, dotted)
         if base is None:

@@ -32,7 +32,7 @@ ctest --preset sanitize -R 'thread_pool|conv_engine_parity' \
 echo "==> int16 conv kernel stress (sanitize)"
 ctest --preset sanitize -R 'qconv_kernel' --repeat until-fail:3
 
-# Same treatment for the serving layer: the dispatcher thread, the MPMC
+# Same treatment for the serving layer: the lane threads, the MPMC
 # queue, the promise hand-off, and the fault paths (retry, quarantine,
 # watchdog kills) are all lifetime-sensitive, which is exactly what
 # ASan/UBSan catch.
@@ -40,7 +40,7 @@ echo "==> serve + fault stress (sanitize)"
 ctest --preset sanitize -R 'serve' --repeat until-fail:3
 
 # ThreadSanitizer pass over the concurrent subsystems: the thread pool,
-# the serving dispatcher/watchdog, the fault-injection paths where the
+# the serving lanes/watchdog, the fault-injection paths where the
 # watchdog and replica lanes race for request promises, the compiled
 # model every serving lane calls concurrently, the int16 conv kernels
 # with their per-participant panels, and the float training engine,
@@ -59,6 +59,11 @@ if printf 'int main(){return 0;}' \
   ctest --preset tsan \
     -R 'serve|thread_pool|compiled_executor|qconv_kernel|conv_engine_parity|r2plus1d_block|trainer|sgemm' \
     --repeat until-fail:2
+  # The serving lanes are threads of their own that pull from one queue,
+  # race the watchdog for promises and hand leftover work to each other:
+  # hammer the serve tests under TSan as the sanitize stanza does.
+  echo "==> serve lane stress (tsan)"
+  ctest --preset tsan -R 'serve' --repeat until-fail:3
 else
   echo "(ThreadSanitizer unavailable on this toolchain; skipping)"
 fi

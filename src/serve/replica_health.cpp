@@ -39,6 +39,11 @@ std::vector<int> ReplicaHealth::HealthySet() const {
   return set;
 }
 
+bool ReplicaHealth::quarantined(int replica) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return states_[static_cast<size_t>(replica)].quarantined;
+}
+
 int ReplicaHealth::healthy_count() const {
   std::lock_guard<std::mutex> lk(mu_);
   return healthy_;

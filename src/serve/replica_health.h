@@ -2,11 +2,11 @@
 //
 // The InferenceServer records the outcome of every replica attempt
 // here. A replica that fails `quarantine_after` consecutive times is
-// quarantined: it drops out of HealthySet(), so subsequent batches
-// re-stripe across the remaining replicas. Because every replica is a
-// lane over the same immutable compiled model, shrinking the replica
-// set degrades throughput but never changes an answer — outputs stay
-// bitwise identical to a fully-healthy run.
+// quarantined: it drops out of HealthySet() and its serving lane stops
+// pulling work, so the remaining lanes take over its share. Because
+// every replica is a lane over the same immutable compiled model,
+// shrinking the replica set degrades throughput but never changes an
+// answer — outputs stay bitwise identical to a fully-healthy run.
 //
 // The last healthy replica is never quarantined: a server with work
 // queued must keep trying somewhere, and a transient storm that takes
@@ -32,6 +32,7 @@ class ReplicaHealth {
 
   // Indices of non-quarantined replicas, ascending. Never empty.
   std::vector<int> HealthySet() const;
+  bool quarantined(int replica) const;
   int healthy_count() const;
   int quarantined_count() const;
 

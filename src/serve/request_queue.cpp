@@ -1,10 +1,8 @@
 #include "serve/request_queue.h"
 
-#include <chrono>
-#include <cmath>
+#include <algorithm>
 
 #include "common/strings.h"
-#include "obs/trace.h"
 
 namespace hwp3d::serve {
 
@@ -26,40 +24,23 @@ Status RequestQueue::Push(Request&& request) {
   return Status::Ok();
 }
 
-std::vector<Request> RequestQueue::PopBatch(int max_batch,
-                                            int64_t max_delay_us) {
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    nonempty_.wait(lk, [&] { return closed_ || !queue_.empty(); });
-    if (queue_.empty()) return {};  // closed and drained
-    // Flush wait: anchored to the oldest request so tail latency is
-    // bounded by max_delay_us regardless of arrival pattern. A
-    // concurrent consumer may drain the queue while we sleep, in which
-    // case we go back to waiting for the next request.
-    while (!closed_ && !queue_.empty() &&
-           static_cast<int>(queue_.size()) < max_batch) {
-      const double flush_at_us = queue_.front().enqueue_us + max_delay_us;
-      const double now_us = obs::NowUs();
-      if (now_us >= flush_at_us) break;
-      // Round the wait *up*: truncation would turn a sub-microsecond
-      // remainder into wait_for(0) and busy-spin until the clock
-      // crosses the flush point. Ceil overshoots by < 1 us at most,
-      // which the flush-time lower bound tolerates by construction.
-      pop_wait_iterations_.fetch_add(1, std::memory_order_relaxed);
-      nonempty_.wait_for(lk, std::chrono::microseconds(static_cast<int64_t>(
-                                 std::ceil(flush_at_us - now_us))));
-    }
-    if (!queue_.empty()) break;
-    if (closed_) return {};
-  }
+std::vector<Request> RequestQueue::PopBatch(int max_batch) {
   std::vector<Request> batch;
-  const size_t take =
-      std::min(queue_.size(), static_cast<size_t>(max_batch));
-  batch.reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    batch.push_back(std::move(queue_.front()));
-    queue_.pop_front();
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    nonempty_.wait(lk, [&] { return closed_ || !queue_.empty(); });
+    const size_t take =
+        std::min(queue_.size(), static_cast<size_t>(max_batch));
+    batch.reserve(take);
+    for (size_t i = 0; i < take; ++i) {
+      batch.push_back(std::move(queue_.front()));
+      queue_.pop_front();
+    }
+    if (queue_.empty()) return batch;  // empty: closed and drained
   }
+  // More than max_batch was queued: hand the rest to another idle
+  // consumer rather than leave it for this one's next pull.
+  nonempty_.notify_one();
   return batch;
 }
 

@@ -1,21 +1,20 @@
-// Bounded MPMC request queue with time/size-based batching.
+// Bounded MPMC request queue.
 //
 // Producers (Submit callers) push single requests and are never
 // blocked: when the queue is at capacity Push fails immediately with
 // kResourceExhausted — admission control backpressure, the caller
-// decides whether to retry, shed, or propagate. Consumers (batch
-// dispatchers) pop *batches*: PopBatch blocks until at least one
-// request is queued, then flushes as soon as either `max_batch`
-// requests are available or `max_delay_us` has elapsed since the
-// oldest queued request was enqueued — the classic latency/throughput
-// batching knob.
+// decides whether to retry, shed, or propagate. Consumers (the
+// server's replica lanes) pop *batches*: PopBatch blocks only while the
+// queue is empty, then takes whatever is queued, up to `max_batch`, at
+// once. It never waits for a batch to fill, so an idle consumer starts
+// on a lone request right away, and under backlog batches fill by
+// themselves.
 //
 // Close() drains gracefully: pushes fail with kUnavailable, poppers
-// keep receiving the remaining requests (flushed immediately, no delay
-// wait) and finally an empty batch, their signal to exit.
+// keep receiving the remaining requests and finally an empty batch,
+// their signal to exit.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -34,7 +33,7 @@ struct InferenceResult {
   TensorF logits;        // [num_classes]
   int label = 0;         // argmax of logits
   fpga::CompiledRunStats stats;  // modeled accelerator cost of this clip
-  int batch_size = 0;    // size of the batch this request rode in
+  int batch_size = 0;    // size of the lane pull this request rode in
   int replica = 0;       // which replica executed it
   double queue_us = 0.0;  // enqueue -> batch start
   double total_us = 0.0;  // enqueue -> completion
@@ -55,10 +54,10 @@ class RequestQueue {
   // after Close().
   Status Push(Request&& request);
 
-  // Blocks until the queue is non-empty or closed, then applies the
-  // flush policy above and returns up to `max_batch` requests in FIFO
-  // order. An empty vector means closed-and-drained.
-  std::vector<Request> PopBatch(int max_batch, int64_t max_delay_us);
+  // Blocks while the queue is empty and open, then returns up to
+  // `max_batch` requests in FIFO order without waiting for more. An
+  // empty vector means closed-and-drained.
+  std::vector<Request> PopBatch(int max_batch);
 
   void Close();
 
@@ -66,21 +65,12 @@ class RequestQueue {
   size_t size() const;
   size_t capacity() const { return capacity_; }
 
-  // Total timed condition-variable waits taken inside PopBatch since
-  // construction. Diagnostic: a PopBatch that waits out a flush window
-  // takes O(1) timed waits; an unbounded count means the consumer is
-  // busy-spinning (regression guard for the truncating-wait bug).
-  int64_t pop_wait_iterations() const {
-    return pop_wait_iterations_.load(std::memory_order_relaxed);
-  }
-
  private:
   const size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable nonempty_;  // pushes and Close() signal here
   std::deque<Request> queue_;
   bool closed_ = false;
-  std::atomic<int64_t> pop_wait_iterations_{0};
 };
 
 }  // namespace hwp3d::serve

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <deque>
+#include <string_view>
 
 #include "common/error.h"
 #include "common/fault_injection.h"
@@ -80,9 +80,10 @@ const ServerConfig& CheckedConfig(const ServerConfig& config) {
 }  // namespace
 
 Status ValidateServerConfig(const ServerConfig& config) {
-  if (config.replicas < 1) {
+  if (config.replicas < 1 || config.replicas > kMaxReplicas) {
     return InvalidArgumentError(
-        StrFormat("replicas (%d): need at least 1", config.replicas));
+        StrFormat("replicas (%d): need 1 to %d (one lane thread each)",
+                  config.replicas, kMaxReplicas));
   }
   if (config.max_batch < 1) {
     return InvalidArgumentError(
@@ -90,8 +91,8 @@ Status ValidateServerConfig(const ServerConfig& config) {
   }
   if (config.max_delay_us < 0) {
     return InvalidArgumentError(StrFormat(
-        "max_delay_us (%lld): must be >= 0 (0 = flush every request "
-        "immediately)",
+        "max_delay_us (%lld): must be >= 0 (unused: a lane never waits "
+        "for a batch to fill)",
         static_cast<long long>(config.max_delay_us)));
   }
   if (config.queue_capacity < 1) {
@@ -135,7 +136,8 @@ InferenceServer::InferenceServer(const fpga::CompiledTinyR2Plus1d& model,
   replica_fault_points_.reserve(static_cast<size_t>(config_.replicas));
   for (int r = 0; r < config_.replicas; ++r) {
     replica_fault_points_.push_back(
-        StrFormat("%s.r%d", kFaultReplicaInfer, r));
+        {StrFormat("%s.r%d", kFaultReplicaInfer, r),
+         StrFormat("%s.r%d", kFaultReplicaWedge, r)});
   }
   {
     std::lock_guard<std::mutex> lk(stats_mu_);
@@ -145,7 +147,11 @@ InferenceServer::InferenceServer(const fpga::CompiledTinyR2Plus1d& model,
       static_cast<double>(config_.replicas));
   ServeMetrics::Get().executor.Set(
       model_.executor() == fpga::ExecMode::kFast ? 1.0 : 0.0);
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
+  watch_.resize(static_cast<size_t>(config_.replicas));
+  lanes_.reserve(static_cast<size_t>(config_.replicas));
+  for (int lane = 0; lane < config_.replicas; ++lane) {
+    lanes_.emplace_back([this, lane] { LaneLoop(lane); });
+  }
   if (config_.watchdog_timeout_us > 0) {
     watchdog_ = std::thread([this] { WatchdogLoop(); });
   }
@@ -208,11 +214,13 @@ StatusOr<InferenceResult> InferenceServer::Submit(const TensorF& clip,
 void InferenceServer::Shutdown() {
   queue_.Close();
   // Serialize the joins so concurrent Shutdown() calls (user + dtor)
-  // are safe; the dispatcher drains the queue before PopBatch returns
-  // empty. The watchdog outlives the dispatcher on purpose: it must be
-  // able to kill a batch wedged during the drain.
+  // are safe; the lanes drain the queue before PopBatch returns empty.
+  // The watchdog outlives the lanes on purpose: it must be able to kill
+  // a batch wedged during the drain.
   std::lock_guard<std::mutex> lk(shutdown_mu_);
-  if (dispatcher_.joinable()) dispatcher_.join();
+  for (std::thread& lane : lanes_) {
+    if (lane.joinable()) lane.join();
+  }
   {
     std::lock_guard<std::mutex> wlk(watch_mu_);
     watchdog_stop_ = true;
@@ -221,12 +229,16 @@ void InferenceServer::Shutdown() {
   if (watchdog_.joinable()) watchdog_.join();
 }
 
-void InferenceServer::DispatchLoop() {
-  for (;;) {
-    std::vector<Request> batch =
-        queue_.PopBatch(config_.max_batch, config_.max_delay_us);
+void InferenceServer::LaneLoop(int lane) {
+  // With several lanes, each runs its clips one after another on this
+  // thread; a lone lane fans each clip out over the pool instead.
+  std::optional<ThreadPool::SerialScope> serial;
+  if (config_.replicas > 1) serial.emplace();
+  // A quarantined lane stops pulling (the last healthy one never is).
+  while (!health_.quarantined(lane)) {
+    std::vector<Request> batch = queue_.PopBatch(config_.max_batch);
     if (batch.empty()) return;  // closed and drained
-    RunBatch(batch);
+    RunBatch(lane, batch);
     ServeMetrics::Get().queue_depth.Set(static_cast<double>(queue_.size()));
   }
 }
@@ -278,7 +290,13 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
       }
       return DeadlineExceededError("expired mid-batch");
     }
-    if (inj.Trip(kFaultReplicaWedge)) {
+    const FaultPoints& points =
+        replica_fault_points_[static_cast<size_t>(replica)];
+    const std::string_view wedge =
+        inj.Trip(kFaultReplicaWedge) ? std::string_view(kFaultReplicaWedge)
+        : inj.Trip(points.wedge)     ? std::string_view(points.wedge)
+                                     : std::string_view();
+    if (!wedge.empty()) {
       // Simulated wedged replica: stall, then continue normally. The
       // watchdog (when armed) kills the batch out from under us.
       m.faults_injected.Add(1);
@@ -286,14 +304,13 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
         std::lock_guard<std::mutex> lk(stats_mu_);
         ++totals_.faults_injected;
       }
-      SleepUs(inj.delay_us(kFaultReplicaWedge));
+      SleepUs(inj.delay_us(wedge));
       if (cancelled.load(std::memory_order_acquire)) {
         return CancelledError("batch cancelled by watchdog");
       }
     }
     const bool injected_failure =
-        inj.Trip(kFaultReplicaInfer) ||
-        inj.Trip(replica_fault_points_[static_cast<size_t>(replica)]);
+        inj.Trip(kFaultReplicaInfer) || inj.Trip(points.infer);
     if (!injected_failure) {
       InferenceResult result;
       result.queue_us = start_us - req.enqueue_us;
@@ -304,7 +321,7 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
       } catch (const Error& e) {
         // A malformed request is a terminal per-request error, never a
         // replica fault: no retry, no health penalty, and it must not
-        // take the dispatcher (and every queued request) down.
+        // take the lane (and every queued request) down.
         if (pending.Claim()) {
           req.promise.set_value(InvalidArgumentError(
               StrFormat("inference failed: %s", e.what())));
@@ -352,12 +369,12 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
   }
 }
 
-void InferenceServer::RunBatch(std::vector<Request>& batch) {
+void InferenceServer::RunBatch(int lane, std::vector<Request>& batch) {
   auto& m = ServeMetrics::Get();
   obs::TraceScope span("serve/batch");
 
-  // Stable-address wrappers so the watchdog and the replica lanes can
-  // race for each promise through an atomic claim.
+  // Stable-address wrappers so the watchdog and this lane can race for
+  // each promise through an atomic claim.
   std::deque<Pending> owned;
   for (Request& req : batch) owned.emplace_back(std::move(req));
 
@@ -392,45 +409,36 @@ void InferenceServer::RunBatch(std::vector<Request>& batch) {
     ++totals_.batches;
   }
 
-  // Re-stripe over the healthy replica set: with lanes H[0..L), lane k
-  // serves items k, k+L, ... All lanes run the one shared model.
-  const std::vector<int> lanes = health_.HealthySet();
-  const int L = std::min<int>(static_cast<int>(lanes.size()),
-                              static_cast<int>(live.size()));
   std::atomic<bool> cancelled{false};
   if (config_.watchdog_timeout_us > 0) {
     std::lock_guard<std::mutex> lk(watch_mu_);
-    watch_ = WatchTarget{start_us, &live, &cancelled};
+    watch_[static_cast<size_t>(lane)] =
+        WatchTarget{start_us, &live, &cancelled};
   }
 
-  // Items whose lane exhausted its retries; they get one rescue pass on
-  // a (possibly different, still-healthy) replica before failing.
-  std::mutex rescue_mu;
+  // Items whose replica exhausted its retries; they get one rescue pass
+  // on a (possibly different, still-healthy) replica before failing.
   std::vector<Pending*> rescue;
+  const int batch_size = static_cast<int>(live.size());
+  for (Pending* pending : live) {
+    if (cancelled.load(std::memory_order_acquire)) break;
+    // Once this lane's replica is quarantined, the rest of its batch
+    // runs as the first healthy replica.
+    const int replica = health_.quarantined(lane)
+                            ? health_.HealthySet().front()
+                            : lane;
+    Status s = RunOne(*pending, replica, start_us, batch_size, cancelled);
+    if (RetryPolicy::IsRetryable(s)) rescue.push_back(pending);
+  }
 
-  ThreadPool::Get().For(0, L, [&](int64_t k) {
-    const int replica = lanes[static_cast<size_t>(k)];
-    for (size_t i = static_cast<size_t>(k); i < live.size();
-         i += static_cast<size_t>(L)) {
-      if (cancelled.load(std::memory_order_acquire)) return;
-      Status s = RunOne(*live[i], replica, start_us,
-                        static_cast<int>(live.size()), cancelled);
-      if (RetryPolicy::IsRetryable(s)) {
-        std::lock_guard<std::mutex> lk(rescue_mu);
-        rescue.push_back(live[i]);
-      }
-    }
-  });
-
-  // Rescue pass, serial on the dispatcher: the lane's replica may have
-  // been the problem (and may be quarantined by now), so give each
-  // survivor one more run on the current healthy set's first replica.
+  // Rescue pass, inline on this lane: the replica may have been the
+  // problem (and may be quarantined by now), so give each survivor one
+  // more run on the current healthy set's first replica.
   for (Pending* pending : rescue) {
     if (cancelled.load(std::memory_order_acquire)) break;
     if (pending->claimed.load(std::memory_order_acquire)) continue;
-    const std::vector<int> healthy = health_.HealthySet();
-    Status s = RunOne(*pending, healthy.front(), start_us,
-                      static_cast<int>(live.size()), cancelled);
+    Status s = RunOne(*pending, health_.HealthySet().front(), start_us,
+                      batch_size, cancelled);
     if (RetryPolicy::IsRetryable(s) && pending->Claim()) {
       // Still transiently failing after retries on two replica picks:
       // fail truthfully with the transient status.
@@ -440,12 +448,12 @@ void InferenceServer::RunBatch(std::vector<Request>& batch) {
 
   if (config_.watchdog_timeout_us > 0) {
     std::lock_guard<std::mutex> lk(watch_mu_);
-    watch_.reset();
+    watch_[static_cast<size_t>(lane)].reset();
   }
 
   if (span.active()) {
-    span.AddArg("batch_size", static_cast<int64_t>(live.size()));
-    span.AddArg("replicas", static_cast<int64_t>(L));
+    span.AddArg("batch_size", static_cast<int64_t>(batch_size));
+    span.AddArg("lane", static_cast<int64_t>(lane));
   }
 }
 
@@ -458,35 +466,39 @@ void InferenceServer::WatchdogLoop() {
   while (!watchdog_stop_) {
     watch_cv_.wait_for(lk, poll, [&] { return watchdog_stop_; });
     if (watchdog_stop_) return;
-    if (!watch_) continue;
-    if (obs::NowUs() - watch_->start_us <
-        static_cast<double>(timeout_us)) {
-      continue;
+    const double now_us = obs::NowUs();
+    for (size_t lane = 0; lane < watch_.size(); ++lane) {
+      std::optional<WatchTarget>& watch = watch_[lane];
+      if (!watch ||
+          now_us - watch->start_us < static_cast<double>(timeout_us)) {
+        continue;
+      }
+      // The lane's batch is stuck (wedged replica call, pathological
+      // stall): cancel it cooperatively and fail every outstanding
+      // request so waiters — and a pending Shutdown() — stop depending
+      // on it. The other lanes keep pulling.
+      watch->cancelled->store(true, std::memory_order_release);
+      int64_t killed = 0;
+      for (Pending* p : *watch->live) {
+        if (!p->Claim()) continue;
+        ++killed;
+        p->req.promise.set_value(DeadlineExceededError(StrFormat(
+            "watchdog: batch stuck for more than %lld us; request failed "
+            "without a result",
+            static_cast<long long>(timeout_us))));
+      }
+      m.watchdog_fired.Add(1);
+      m.deadline_exceeded.Add(killed);
+      {
+        std::lock_guard<std::mutex> slk(stats_mu_);
+        ++totals_.watchdog_fired;
+        totals_.deadline_exceeded += killed;
+      }
+      HWP_LOG(Warning) << "serve watchdog fired: lane " << lane
+                       << " batch exceeded " << timeout_us << " us; failed "
+                       << killed << " outstanding request(s)";
+      watch.reset();  // one firing per registered batch
     }
-    // The batch is stuck (wedged replica call, pathological stall):
-    // cancel the lanes cooperatively and fail every outstanding request
-    // so waiters — and a pending Shutdown() — stop depending on it.
-    watch_->cancelled->store(true, std::memory_order_release);
-    int64_t killed = 0;
-    for (Pending* p : *watch_->live) {
-      if (!p->Claim()) continue;
-      ++killed;
-      p->req.promise.set_value(DeadlineExceededError(StrFormat(
-          "watchdog: batch stuck for more than %lld us; request failed "
-          "without a result",
-          static_cast<long long>(timeout_us))));
-    }
-    m.watchdog_fired.Add(1);
-    m.deadline_exceeded.Add(killed);
-    {
-      std::lock_guard<std::mutex> slk(stats_mu_);
-      ++totals_.watchdog_fired;
-      totals_.deadline_exceeded += killed;
-    }
-    HWP_LOG(Warning) << "serve watchdog fired: batch exceeded "
-                     << timeout_us << " us; failed " << killed
-                     << " outstanding request(s)";
-    watch_.reset();  // one firing per registered batch
   }
 }
 

@@ -1,40 +1,48 @@
-// Concurrent batched-inference server over the compiled accelerator
-// simulator, hardened for faulty replicas.
+// Concurrent inference server over the compiled accelerator model,
+// hardened for faulty replicas.
 //
-//   requests ──Push──▶ RequestQueue ──PopBatch──▶ dispatcher thread
-//                                                      │
-//                                        ThreadPool::For over healthy set
-//                                          lane 0 │ lane 1 │ ...   ◀─┐
-//                                          (all run the one model)   │
-//                                                 watchdog thread ───┘
+//   requests ──Push──▶ RequestQueue ◀──PopBatch── lane 0 (replica 0) ◀─┐
+//                                   ◀──PopBatch── lane 1 (replica 1) ◀─┤
+//                                   ◀──PopBatch── ...                  │
+//            each lane: wait for work, take up to max_batch, run it,   │
+//            pull again (all lanes run the one model)                  │
+//                                      watchdog: one target per lane ──┘
 //
-// One dispatcher thread pops batches (flushing at max_batch or
-// max_delay_us) and fans each batch out across the *healthy* replicas
-// on the process-wide hwp3d::ThreadPool: with L healthy replicas, lane
-// k runs batch items k, k+L, k+2L, ... A replica is a lane index with
-// its own health record and fault point, not a copy of the model:
-// every lane calls Infer on the server's one immutable
-// CompiledTinyR2Plus1d (const and safe to call concurrently), so
-// predictions are bitwise identical for any replica count — which is
-// what makes quarantine-and-re-stripe a safe degradation.
+// Each replica owns a lane thread that pulls from the queue whenever it
+// is idle: PopBatch blocks only while the queue is empty and then hands
+// over whatever is queued, up to max_batch, at once. An idle lane never
+// waits for a batch to fill; under backlog batches fill by themselves,
+// and a slow lane holds up only its own batch. With several replicas a
+// lane runs its clips one at a time on its own thread (a
+// ThreadPool::SerialScope keeps each Infer off the pool); a single
+// replica fans each clip out over the process-wide hwp3d::ThreadPool.
+// A replica is a lane index with its own health record and fault
+// points, not a copy of the model: every lane calls Infer on the
+// server's one immutable CompiledTinyR2Plus1d (const and safe to call
+// concurrently), so predictions are bitwise identical for any replica
+// count — which is what makes quarantine a safe degradation.
 //
 // Fault tolerance:
 //  * Transient replica failures (fault points `serve.replica_infer` /
 //    `serve.replica_infer.r<k>`) are retried per `config.retry` —
 //    exponential backoff + deterministic jitter, never sleeping past
 //    the request deadline. Items that exhaust their lane's retries get
-//    one rescue pass on the current healthy set before failing
-//    truthfully with the transient status.
+//    one rescue pass, run inline by the lane on the first healthy
+//    replica, before failing truthfully with the transient status.
 //  * Every attempt outcome feeds ReplicaHealth; `quarantine_after`
-//    consecutive failures quarantine the replica (never the last one)
-//    and subsequent batches re-stripe across the survivors.
-//  * A watchdog thread (enabled by `watchdog_timeout_us > 0`) detects
-//    a batch stuck longer than the timeout — e.g. a wedged replica —
-//    and fails its outstanding requests with kDeadlineExceeded so
-//    waiters and Shutdown() are never hostage to one bad replica call.
-//  * Deadlines are enforced both at batch dispatch and again per item
-//    immediately before the replica call, so a request that expires
-//    mid-batch returns kDeadlineExceeded instead of a stale OK.
+//    consecutive failures quarantine the replica (never the last one).
+//    Its lane serves the rest of its batch as the first healthy replica
+//    and then stops pulling, so a quarantined index never appears in a
+//    later result.
+//  * A watchdog thread (enabled by `watchdog_timeout_us > 0`) watches
+//    each lane's batch and fails one stuck longer than the timeout —
+//    e.g. a wedged replica (`serve.replica_wedge` /
+//    `serve.replica_wedge.r<k>`) — with kDeadlineExceeded, so waiters
+//    and Shutdown() are never hostage to one bad replica call. The
+//    other lanes keep pulling meanwhile.
+//  * Deadlines are enforced both when a lane pulls a request and again
+//    per item immediately before the replica call, so a request that
+//    expires mid-batch returns kDeadlineExceeded instead of a stale OK.
 //
 // Admission control: the bounded queue rejects with kResourceExhausted
 // instead of blocking producers; the fault point `serve.queue_admit`
@@ -45,7 +53,8 @@
 // plus serve.retries/faults_injected/replicas_quarantined/
 // watchdog_fired counters, serve.queue_depth and serve.healthy_replicas
 // gauges, serve.batch_size and serve.latency_us histograms; trace span
-// "serve/batch" per dispatch.
+// "serve/batch" per lane pull. A batch is one lane pull: serve.batches
+// counts pulls and serve.batch_size the live requests each one took.
 #pragma once
 
 #include <atomic>
@@ -68,9 +77,12 @@ namespace hwp3d::serve {
 
 // Every field is checked by ValidateServerConfig.
 struct ServerConfig {
-  int replicas = 1;                 // serving lanes over the one model
-  int max_batch = 8;
-  int64_t max_delay_us = 2000;    // flush timer from oldest request
+  int replicas = 1;                 // lane threads over the one model
+  int max_batch = 8;                // most requests one lane pull takes
+  // Unused: a lane never waits for a batch to fill. Kept (and checked
+  // to be >= 0) until batched stage execution gives a batch a reason
+  // to fill.
+  int64_t max_delay_us = 2000;
   size_t queue_capacity = 64;
   int64_t default_deadline_us = 0;  // relative, applied at Submit; 0 = none
   RetryConfig retry;                // transient replica-failure retries
@@ -83,6 +95,10 @@ struct ServerConfig {
 // the InferenceServer constructor enforces it.
 Status ValidateServerConfig(const ServerConfig& config);
 
+// Each replica is a lane thread; more than this is a configuration
+// error, not a deployment.
+inline constexpr int kMaxReplicas = 256;
+
 // Latencies InferenceServer keeps for its Stats() percentiles (32 KiB).
 inline constexpr size_t kLatencySampleSize = 4096;
 
@@ -91,10 +107,10 @@ struct ServerStats {
   int64_t rejected = 0;           // admission failures (queue full)
   int64_t deadline_exceeded = 0;
   int64_t completed = 0;
-  int64_t batches = 0;
+  int64_t batches = 0;            // lane pulls that ran a request
   int64_t retries = 0;            // backoff-then-retry attempts
   int64_t faults_injected = 0;    // fault-point trips observed in serve
-  int64_t watchdog_fired = 0;     // stuck batches killed
+  int64_t watchdog_fired = 0;     // stuck lane batches killed
   int64_t replicas_quarantined = 0;  // currently quarantined
   int64_t healthy_replicas = 0;
   int64_t queue_depth = 0;        // at the time of the Stats() call
@@ -130,7 +146,7 @@ class InferenceServer {
                                    int64_t deadline_us = 0);
 
   // Stops admission, waits for every accepted request to complete, and
-  // joins the dispatcher + watchdog. Idempotent.
+  // joins the lanes + watchdog. Idempotent.
   void Shutdown();
 
   ServerStats Stats() const;
@@ -147,16 +163,23 @@ class InferenceServer {
     bool Claim() { return !claimed.exchange(true); }
   };
 
-  // The batch currently fanned out on the replicas, as seen by the
-  // watchdog. Valid only while registered (guarded by watch_mu_).
+  // A lane's batch in flight, as seen by the watchdog. Valid only while
+  // registered in that lane's slot (guarded by watch_mu_).
   struct WatchTarget {
     double start_us = 0.0;
     std::vector<Pending*>* live = nullptr;
     std::atomic<bool>* cancelled = nullptr;
   };
 
-  void DispatchLoop();
-  void RunBatch(std::vector<Request>& batch);
+  struct FaultPoints {
+    std::string infer;  // serve.replica_infer.r<k>
+    std::string wedge;  // serve.replica_wedge.r<k>
+  };
+
+  // Lane `lane` (= its replica index) pulls and runs batches until the
+  // queue is closed and drained or its replica is quarantined.
+  void LaneLoop(int lane);
+  void RunBatch(int lane, std::vector<Request>& batch);
   // Runs one request on `replica` with per-item deadline enforcement
   // and transient-failure retries. Resolves the promise on success /
   // terminal error; returns the transient status (promise untouched)
@@ -169,17 +192,17 @@ class InferenceServer {
   ServerConfig config_;
   RetryPolicy retry_;
   const fpga::CompiledTinyR2Plus1d model_;
-  std::vector<std::string> replica_fault_points_;  // serve.replica_infer.r<k>
+  std::vector<FaultPoints> replica_fault_points_;  // indexed by replica
   ReplicaHealth health_;
   RequestQueue queue_;
-  std::thread dispatcher_;
-  std::mutex shutdown_mu_;  // serializes the dispatcher/watchdog join
+  std::vector<std::thread> lanes_;  // lane k serves as replica k
+  std::mutex shutdown_mu_;  // serializes the lane/watchdog joins
 
   std::thread watchdog_;
   std::mutex watch_mu_;
   std::condition_variable watch_cv_;
   bool watchdog_stop_ = false;
-  std::optional<WatchTarget> watch_;
+  std::vector<std::optional<WatchTarget>> watch_;  // one slot per lane
 
   // Aggregate counters; latency_sample_ feeds the Stats() percentiles.
   mutable std::mutex stats_mu_;

@@ -1,10 +1,15 @@
 // Fault-tolerance behavior of the serving layer under deterministic
 // fault injection: transient replica failures retried to success,
 // consecutive failures quarantining a replica with bitwise-identical
-// degraded output, the watchdog killing a wedged batch, per-item
-// deadline enforcement mid-batch, truthful injected admission
-// failures, and queue churn against a concurrent shutdown. Also unit
-// tests for FaultInjector and RetryPolicy themselves.
+// degraded output (and its lane no longer serving), the per-lane
+// watchdog killing a wedged lane's batch while the other lanes keep
+// serving, per-item deadline enforcement mid-batch, truthful injected
+// admission failures, and queue churn against a concurrent shutdown.
+// Also unit tests for FaultInjector and RetryPolicy themselves.
+//
+// Which lane pulls a request is up to the scheduler, so tests that need
+// a lane busy hold it with an armed wedge fault and wait for the wedge
+// to fire (testing::WaitForTrip) before submitting the rest.
 //
 // Every test resets the process-global FaultInjector in SetUp/TearDown
 // so fault points never leak across tests.
@@ -26,11 +31,13 @@
 #include "obs/trace.h"
 #include "serve/server.h"
 #include "tensor/tensor_ops.h"
+#include "testing/fault_wait.h"
 
 namespace hwp3d {
 namespace {
 
 using serve::InferenceResult;
+using testing::WaitForTrip;
 
 // --- FaultInjector ----------------------------------------------------
 
@@ -205,7 +212,6 @@ TEST_F(ServeFaultTest, TransientFailureRetriesToSuccess) {
   serve::ServerConfig cfg;
   cfg.replicas = 1;
   cfg.max_batch = 1;
-  cfg.max_delay_us = 1'000;
   cfg.retry = FastRetry(3);
   serve::InferenceServer server(*compiled_, cfg);
 
@@ -230,7 +236,6 @@ TEST_F(ServeFaultTest, ExhaustedRetriesFailTruthfully) {
   serve::ServerConfig cfg;
   cfg.replicas = 1;
   cfg.max_batch = 1;
-  cfg.max_delay_us = 1'000;
   cfg.retry = FastRetry(2);
   serve::InferenceServer server(*compiled_, cfg);
 
@@ -248,11 +253,16 @@ TEST_F(ServeFaultTest, QuarantineDegradesWithBitwiseIdenticalOutput) {
   // Replica 1 always fails; replica 0 is healthy. After K = 2
   // consecutive failures r1 is quarantined and every request is still
   // answered — bitwise identical to the direct (healthy) path.
+  //
+  // Lane 1 must see work: replica 0 wedges once, and the rest of the
+  // requests go in only after that wedge fired. If lane 0 took the
+  // first request it is stuck while lane 1 pulls the rest; if lane 1
+  // took it, the wedge fired in its rescue pass, after the quarantine.
   FaultInjector::Get().Arm("serve.replica_infer.r1", 1'000'000);
+  FaultInjector::Get().Arm("serve.replica_wedge.r0", 1, /*delay_us=*/200'000);
   serve::ServerConfig cfg;
   cfg.replicas = 2;
   cfg.max_batch = 8;
-  cfg.max_delay_us = 2'000;
   cfg.quarantine_after = 2;
   cfg.retry = FastRetry(3);
   serve::InferenceServer server(*compiled_, cfg);
@@ -260,8 +270,10 @@ TEST_F(ServeFaultTest, QuarantineDegradesWithBitwiseIdenticalOutput) {
   std::vector<TensorF> clips;
   for (int i = 0; i < 8; ++i) clips.push_back(MakeClip(i % 4, 50 + i));
   std::vector<std::future<StatusOr<InferenceResult>>> futures;
-  for (const TensorF& clip : clips) {
-    futures.push_back(server.SubmitAsync(clip));
+  futures.push_back(server.SubmitAsync(clips[0]));
+  WaitForTrip("serve.replica_wedge.r0");
+  for (size_t i = 1; i < clips.size(); ++i) {
+    futures.push_back(server.SubmitAsync(clips[i]));
   }
   for (size_t i = 0; i < futures.size(); ++i) {
     auto r = futures[i].get();
@@ -275,8 +287,8 @@ TEST_F(ServeFaultTest, QuarantineDegradesWithBitwiseIdenticalOutput) {
   EXPECT_EQ(stats.healthy_replicas, 1);
   EXPECT_GT(stats.faults_injected, 0);
 
-  // Later batches re-stripe onto the healthy survivor only: no new
-  // faults fire because the armed point targets the quarantined replica.
+  // Later requests run on the healthy survivor only: no new faults fire
+  // because the armed point targets the quarantined replica.
   const int64_t faults_before = stats.faults_injected;
   auto late = server.Submit(clips[0]);
   ASSERT_TRUE(late.ok()) << late.status().ToString();
@@ -284,54 +296,180 @@ TEST_F(ServeFaultTest, QuarantineDegradesWithBitwiseIdenticalOutput) {
   EXPECT_EQ(server.Stats().faults_injected, faults_before);
 }
 
+TEST_F(ServeFaultTest, QuarantinedReplicaNeverServesLaterRequests) {
+  // Three lanes; replica 2 always fails and is quarantined on its first
+  // failure. Replicas 0 and 1 each wedge once for 500 ms, so within the
+  // first few requests lane 2 is the only free lane and must pull one.
+  // After the quarantine a burst of requests comes back from replicas 0
+  // and 1 only: lane 2 stopped pulling, and what was left of its last
+  // batch ran as a healthy replica.
+  auto& inj = FaultInjector::Get();
+  inj.Arm("serve.replica_infer.r2", 1'000'000);
+  inj.Arm("serve.replica_wedge.r0", 1, /*delay_us=*/500'000);
+  inj.Arm("serve.replica_wedge.r1", 1, /*delay_us=*/500'000);
+  serve::ServerConfig cfg;
+  cfg.replicas = 3;
+  cfg.max_batch = 4;
+  cfg.quarantine_after = 1;
+  cfg.retry = FastRetry(1);
+  serve::InferenceServer server(*compiled_, cfg);
+
+  std::vector<std::future<StatusOr<InferenceResult>>> warmup;
+  int seed = 500;
+  while (server.Stats().replicas_quarantined == 0) {
+    warmup.push_back(server.SubmitAsync(MakeClip(0, seed++)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (auto& f : warmup) {
+    auto r = f.get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_NE(r->replica, 2);  // r2 never succeeds
+  }
+  EXPECT_EQ(server.Stats().healthy_replicas, 2);
+
+  std::vector<std::future<StatusOr<InferenceResult>>> later;
+  for (int i = 0; i < 24; ++i) {
+    later.push_back(server.SubmitAsync(MakeClip(i % 4, seed++)));
+  }
+  for (auto& f : later) {
+    auto r = f.get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_NE(r->replica, 2);
+  }
+  EXPECT_EQ(server.Stats().replicas_quarantined, 1);
+}
+
 TEST_F(ServeFaultTest, WatchdogFailsAStuckBatch) {
-  // The first replica call wedges for 400 ms; the watchdog (50 ms) must
-  // fail both batch requests with kDeadlineExceeded long before the
-  // wedge clears, so waiters are not hostage to the stuck call.
-  FaultInjector::Get().Arm("serve.replica_wedge", 1, /*delay_us=*/400'000);
+  // One lane; the watchdog (50 ms) must fail a wedged batch (300 ms
+  // wedge) with kDeadlineExceeded long before the wedge clears, so
+  // waiters are not hostage to the stuck call. The lone first request
+  // wedges; two more queue behind it, form the lane's next batch and
+  // wedge again, and the watchdog fails that whole batch too.
+  FaultInjector::Get().Arm("serve.replica_wedge", 2, /*delay_us=*/300'000);
   serve::ServerConfig cfg;
   cfg.replicas = 1;
   cfg.max_batch = 2;
-  cfg.max_delay_us = 60'000'000;  // only the size trigger flushes
   cfg.watchdog_timeout_us = 50'000;
   serve::InferenceServer server(*compiled_, cfg);
 
   auto f0 = server.SubmitAsync(MakeClip(0, 70));
+  WaitForTrip("serve.replica_wedge");
   auto f1 = server.SubmitAsync(MakeClip(1, 71));
+  auto f2 = server.SubmitAsync(MakeClip(2, 72));
   auto r0 = f0.get();
-  auto r1 = f1.get();
   ASSERT_FALSE(r0.ok());
-  ASSERT_FALSE(r1.ok());
   EXPECT_EQ(r0.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(r1.status().code(), StatusCode::kDeadlineExceeded);
+  // Released while the lane is still wedged: the queued pair has not
+  // been pulled yet.
+  EXPECT_EQ(f1.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  for (auto* f : {&f1, &f2}) {
+    auto r = f->get();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  }
 
   server.Shutdown();  // returns once the wedged call unwinds
   const auto stats = server.Stats();
-  EXPECT_EQ(stats.watchdog_fired, 1);
-  EXPECT_EQ(stats.deadline_exceeded, 2);
+  EXPECT_EQ(stats.watchdog_fired, 2);
+  EXPECT_EQ(stats.batches, 2);
+  EXPECT_EQ(stats.deadline_exceeded, 3);
   EXPECT_EQ(stats.completed, 0);
 }
 
+TEST_F(ServeFaultTest, WatchdogFailsOnlyTheWedgedLanesBatch) {
+  // Two lanes. One wedges on the first request for 1 s; the per-lane
+  // watchdog fails that request alone, while the other lane serves
+  // every later request normally.
+  FaultInjector::Get().Arm("serve.replica_wedge", 1, /*delay_us=*/1'000'000);
+  serve::ServerConfig cfg;
+  cfg.replicas = 2;
+  cfg.max_batch = 4;
+  cfg.watchdog_timeout_us = 50'000;
+  serve::InferenceServer server(*compiled_, cfg);
+
+  auto stuck = server.SubmitAsync(MakeClip(0, 73));
+  WaitForTrip("serve.replica_wedge");
+  std::vector<std::future<StatusOr<InferenceResult>>> others;
+  for (int i = 0; i < 6; ++i) {
+    others.push_back(server.SubmitAsync(MakeClip(i % 4, 74 + i)));
+  }
+  auto rs = stuck.get();
+  ASSERT_FALSE(rs.ok());
+  EXPECT_EQ(rs.status().code(), StatusCode::kDeadlineExceeded);
+  for (auto& f : others) {
+    auto r = f.get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  // Everything above resolved while the wedged call still sleeps.
+  const auto stats = server.Stats();
+  EXPECT_EQ(stats.watchdog_fired, 1);
+  EXPECT_EQ(stats.deadline_exceeded, 1);
+  EXPECT_EQ(stats.completed, 6);
+  server.Shutdown();
+  EXPECT_EQ(server.Stats().watchdog_fired, 1);
+}
+
+TEST_F(ServeFaultTest, WedgedLaneDoesNotHoldUpTheOthers) {
+  // No watchdog: one lane sleeps 2 s inside a wedged call, and every
+  // request submitted meanwhile completes on the other lane before the
+  // wedge clears.
+  FaultInjector::Get().Arm("serve.replica_wedge", 1, /*delay_us=*/2'000'000);
+  serve::ServerConfig cfg;
+  cfg.replicas = 2;
+  cfg.max_batch = 4;
+  serve::InferenceServer server(*compiled_, cfg);
+
+  auto wedged = server.SubmitAsync(MakeClip(0, 90));
+  WaitForTrip("serve.replica_wedge");
+  std::vector<std::future<StatusOr<InferenceResult>>> others;
+  for (int i = 0; i < 8; ++i) {
+    others.push_back(server.SubmitAsync(MakeClip(i % 4, 91 + i)));
+  }
+  int other_replica = -1;
+  for (auto& f : others) {
+    auto r = f.get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (other_replica < 0) other_replica = r->replica;
+    EXPECT_EQ(r->replica, other_replica);  // all on the free lane
+  }
+  EXPECT_EQ(wedged.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  auto rw = wedged.get();  // the wedge clears and the request completes
+  ASSERT_TRUE(rw.ok()) << rw.status().ToString();
+  EXPECT_NE(rw->replica, other_replica);
+  EXPECT_EQ(server.Stats().completed, 9);
+}
+
 TEST_F(ServeFaultTest, MidBatchDeadlineIsEnforcedPerItem) {
-  // Item A wedges the lone replica for 200 ms; item B's 20 ms deadline
-  // expires while A runs. The per-item check must fail B with
+  // The lone lane first wedges for 100 ms on W. Meanwhile A (no
+  // deadline) and B (200 ms deadline) queue and form its next batch,
+  // pulled at ~100 ms while B is still live. A then wedges for 200 ms
+  // (the replica's own wedge point; the shared one fired once), and B
+  // expires while A runs: the per-item check must fail B with
   // kDeadlineExceeded instead of running it and reporting a stale OK.
-  FaultInjector::Get().Arm("serve.replica_wedge", 1, /*delay_us=*/200'000);
+  FaultInjector::Get().Arm("serve.replica_wedge", 1, /*delay_us=*/100'000);
+  FaultInjector::Get().Arm("serve.replica_wedge.r0", 1, /*delay_us=*/200'000);
   serve::ServerConfig cfg;
   cfg.replicas = 1;
   cfg.max_batch = 2;
-  cfg.max_delay_us = 60'000'000;
   serve::InferenceServer server(*compiled_, cfg);
 
+  auto fw = server.SubmitAsync(MakeClip(2, 79));
+  WaitForTrip("serve.replica_wedge");
   auto fa = server.SubmitAsync(MakeClip(0, 80));  // no deadline
-  auto fb = server.SubmitAsync(MakeClip(1, 81), /*deadline_us=*/20'000);
+  auto fb = server.SubmitAsync(MakeClip(1, 81), /*deadline_us=*/200'000);
+  ASSERT_TRUE(fw.get().ok());
   auto ra = fa.get();
   ASSERT_TRUE(ra.ok()) << ra.status().ToString();
+  EXPECT_EQ(ra->batch_size, 2);  // A and B were pulled together
   auto rb = fb.get();
   ASSERT_FALSE(rb.ok());
   EXPECT_EQ(rb.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(rb.status().message().find("mid-batch"), std::string::npos)
+      << rb.status().ToString();
   const auto stats = server.Stats();
-  EXPECT_EQ(stats.completed, 1);
+  EXPECT_EQ(stats.completed, 2);
   EXPECT_EQ(stats.deadline_exceeded, 1);
 }
 
@@ -340,7 +478,6 @@ TEST_F(ServeFaultTest, InjectedAdmissionFailureIsTruthful) {
   serve::ServerConfig cfg;
   cfg.replicas = 1;
   cfg.max_batch = 1;
-  cfg.max_delay_us = 1'000;
   serve::InferenceServer server(*compiled_, cfg);
 
   auto rejected = server.Submit(MakeClip(0, 90));
@@ -364,7 +501,6 @@ TEST_F(ServeFaultTest, ClosedQueueChurnResolvesEveryFuture) {
   serve::ServerConfig cfg;
   cfg.replicas = 2;
   cfg.max_batch = 4;
-  cfg.max_delay_us = 500;
   cfg.queue_capacity = 8;
   cfg.retry = FastRetry(2);
   serve::InferenceServer server(*compiled_, cfg);

@@ -1,8 +1,11 @@
-// Serve-layer behavior: queue batching (flush at max_batch and at
-// max_delay), admission-control backpressure, deadline expiry, graceful
-// drain, and the bitwise replica-count invariance the server promises.
-// Tests assert counts/statuses, never timing upper bounds (CI hosts are
-// slow and single-core).
+// Serve-layer behavior: lanes that pull what is queued (a lone request
+// starts at once, a backlog is taken as one batch), admission-control
+// backpressure, deadline expiry, graceful drain, and the bitwise
+// replica-count invariance the server promises. Tests assert
+// counts/statuses; the one timing bound (a lone request's queue wait)
+// is a tenth of a 10 s batching window that the server must not wait
+// out. A lane is held busy with an armed `serve.replica_wedge` fault,
+// never with a sleep, so the tests stay deterministic on slow hosts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +15,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "data/synthetic_video.h"
@@ -24,6 +28,7 @@
 #include "serve/request_queue.h"
 #include "serve/server.h"
 #include "tensor/tensor_ops.h"
+#include "testing/fault_wait.h"
 
 namespace hwp3d {
 namespace {
@@ -31,6 +36,7 @@ namespace {
 using serve::InferenceResult;
 using serve::Request;
 using serve::RequestQueue;
+using testing::WaitForTrip;
 
 Request MakeRequest() {
   Request req;
@@ -79,25 +85,33 @@ TEST(LatencyReservoirTest, SampleFollowsTheStreamDistribution) {
 
 // --- RequestQueue -----------------------------------------------------
 
-TEST(RequestQueueTest, FlushesImmediatelyAtMaxBatch) {
+TEST(RequestQueueTest, PopsWhatIsQueuedWithoutWaiting) {
   RequestQueue q(16);
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(q.Push(MakeRequest()).ok());
-  // max_delay is far in the future; only the size trigger can flush.
-  const auto batch = q.PopBatch(/*max_batch=*/4, /*max_delay_us=*/60'000'000);
-  EXPECT_EQ(batch.size(), 4u);
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(RequestQueueTest, FlushesPartialBatchAfterMaxDelay) {
-  RequestQueue q(16);
+  // A consumer blocked on the empty queue takes the first request as
+  // soon as it arrives; it does not wait for a batch to fill (nothing
+  // else is ever pushed, so a wait would never end).
+  auto consumer =
+      std::async(std::launch::async, [&q] { return q.PopBatch(8); });
   ASSERT_TRUE(q.Push(MakeRequest()).ok());
-  const double start_us = obs::NowUs();
-  const auto batch = q.PopBatch(/*max_batch=*/8, /*max_delay_us=*/5'000);
-  EXPECT_EQ(batch.size(), 1u);
-  // The flush timer is anchored to the enqueue time, so at least
-  // max_delay_us must have passed since then (lower bound only).
-  EXPECT_GE(obs::NowUs() - batch[0].enqueue_us, 5'000.0);
-  (void)start_us;
+  EXPECT_EQ(consumer.get().size(), 1u);
+
+  // A backlog is taken at once, up to max_batch, in FIFO order; the
+  // rest stays queued for the next pull.
+  std::vector<double> enqueued;
+  for (int i = 0; i < 6; ++i) {
+    Request req = MakeRequest();
+    req.enqueue_us = i;
+    enqueued.push_back(req.enqueue_us);
+    ASSERT_TRUE(q.Push(std::move(req)).ok());
+  }
+  std::vector<double> popped;
+  for (size_t want : {4u, 2u}) {
+    const auto batch = q.PopBatch(4);
+    ASSERT_EQ(batch.size(), want);
+    for (const Request& r : batch) popped.push_back(r.enqueue_us);
+  }
+  EXPECT_EQ(popped, enqueued);
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(RequestQueueTest, RejectsWhenFullAndAfterClose) {
@@ -110,23 +124,9 @@ TEST(RequestQueueTest, RejectsWhenFullAndAfterClose) {
   EXPECT_EQ(q.Push(MakeRequest()).code(), StatusCode::kUnavailable);
 
   // Closed but not drained: consumers still receive the backlog...
-  EXPECT_EQ(q.PopBatch(8, 1'000'000).size(), 2u);
+  EXPECT_EQ(q.PopBatch(8).size(), 2u);
   // ...and then the empty shutdown signal.
-  EXPECT_TRUE(q.PopBatch(8, 1'000'000).empty());
-}
-
-TEST(RequestQueueTest, NearFlushWaitDoesNotBusySpin) {
-  // Regression: with sub-microsecond time left before the flush point,
-  // the wait used to truncate to wait_for(0) and busy-spin the CPU
-  // until the deadline passed. The wait must always ceil to >= 1 us, so
-  // the pop needs only a handful of wakeups, not thousands.
-  RequestQueue q(16);
-  Request req = MakeRequest();
-  req.enqueue_us = obs::NowUs() - 0.6;  // flush lands 0.4 us away at 1 us delay
-  ASSERT_TRUE(q.Push(std::move(req)).ok());
-  const auto batch = q.PopBatch(/*max_batch=*/8, /*max_delay_us=*/1);
-  EXPECT_EQ(batch.size(), 1u);
-  EXPECT_LE(q.pop_wait_iterations(), 64);
+  EXPECT_TRUE(q.PopBatch(8).empty());
 }
 
 // --- InferenceServer over a compiled model ----------------------------
@@ -134,6 +134,7 @@ TEST(RequestQueueTest, NearFlushWaitDoesNotBusySpin) {
 class ServeTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    FaultInjector::Get().Reset();
     SetLogLevel(LogLevel::Warning);
     models::TinyR2Plus1dConfig mcfg;
     mcfg.num_classes = 4;
@@ -159,7 +160,10 @@ class ServeTest : public ::testing::Test {
     compiled_ = std::make_unique<fpga::CompiledTinyR2Plus1d>(
         std::move(compiled).value());
   }
-  void TearDown() override { SetLogLevel(LogLevel::Info); }
+  void TearDown() override {
+    FaultInjector::Get().Reset();
+    SetLogLevel(LogLevel::Info);
+  }
 
   TensorF MakeClip(int label, uint64_t seed) {
     Rng rng(seed);
@@ -172,31 +176,38 @@ class ServeTest : public ::testing::Test {
   std::unique_ptr<fpga::CompiledTinyR2Plus1d> compiled_;
 };
 
-TEST_F(ServeTest, FullBatchRunsAsOneDispatch) {
+TEST_F(ServeTest, BacklogIsPulledAsOneBatch) {
+  // The only lane is held by a wedged first request while four more
+  // queue behind it; once free, it takes all four in one pull.
+  FaultInjector::Get().Arm("serve.replica_wedge", 1, /*delay_us=*/200'000);
   serve::ServerConfig cfg;
-  cfg.replicas = 2;
+  cfg.replicas = 1;
   cfg.max_batch = 4;
-  cfg.max_delay_us = 60'000'000;  // only the size trigger can flush
   serve::InferenceServer server(*compiled_, cfg);
+  auto first = server.SubmitAsync(MakeClip(0, 99));
+  WaitForTrip("serve.replica_wedge");
   std::vector<std::future<StatusOr<InferenceResult>>> futures;
   for (int i = 0; i < 4; ++i) {
     futures.push_back(server.SubmitAsync(MakeClip(i % 4, 100 + i)));
   }
+  auto lone = first.get();
+  ASSERT_TRUE(lone.ok()) << lone.status().ToString();
+  EXPECT_EQ(lone->batch_size, 1);
   for (auto& f : futures) {
     auto r = f.get();
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->batch_size, 4);
   }
   const auto stats = server.Stats();
-  EXPECT_EQ(stats.completed, 4);
-  EXPECT_EQ(stats.batches, 1);
+  EXPECT_EQ(stats.completed, 5);
+  EXPECT_EQ(stats.batches, 2);
+  EXPECT_DOUBLE_EQ(stats.mean_batch_size, 2.5);
 }
 
 TEST_F(ServeTest, StatsPercentilesAreExactForFewRequests) {
   serve::ServerConfig cfg;
   cfg.replicas = 2;
   cfg.max_batch = 4;
-  cfg.max_delay_us = 500;
   serve::InferenceServer server(*compiled_, cfg);
   std::vector<std::future<StatusOr<InferenceResult>>> futures;
   for (int i = 0; i < 24; ++i) {
@@ -214,25 +225,35 @@ TEST_F(ServeTest, StatsPercentilesAreExactForFewRequests) {
   EXPECT_DOUBLE_EQ(stats.p99_ms, serve::PercentileUs(total_us, 0.99) / 1e3);
 }
 
-TEST_F(ServeTest, LoneRequestFlushesAfterMaxDelay) {
-  serve::ServerConfig cfg;
-  cfg.replicas = 1;
-  cfg.max_batch = 64;
-  cfg.max_delay_us = 2'000;
-  serve::InferenceServer server(*compiled_, cfg);
-  auto r = server.Submit(MakeClip(0, 7));
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->batch_size, 1);
-  EXPECT_GE(r->queue_us, 2'000.0);  // sat out the full flush delay
+TEST_F(ServeTest, LoneRequestSkipsTheBatchingWindow) {
+  // An idle lane starts on a lone request at once: it never sits out
+  // max_delay_us waiting for a batch to fill, whether one lane fans
+  // the clip out over the pool or one of several runs it serially.
+  for (int replicas : {1, 3}) {
+    SCOPED_TRACE(replicas);
+    serve::ServerConfig cfg;
+    cfg.replicas = replicas;
+    cfg.max_batch = 64;
+    cfg.max_delay_us = 10'000'000;
+    serve::InferenceServer server(*compiled_, cfg);
+    auto r = server.Submit(MakeClip(0, 7));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->batch_size, 1);
+    EXPECT_LT(r->queue_us, cfg.max_delay_us / 10.0);
+  }
 }
 
 TEST_F(ServeTest, BackpressureRejectsBeyondQueueCapacity) {
+  // The only lane is held by a wedged request, so nothing leaves the
+  // queue while it fills.
+  FaultInjector::Get().Arm("serve.replica_wedge", 1, /*delay_us=*/200'000);
   serve::ServerConfig cfg;
   cfg.replicas = 1;
-  cfg.max_batch = 64;           // the size trigger can't fire
-  cfg.max_delay_us = 500'000;   // and the delay trigger not for 500 ms
+  cfg.max_batch = 64;
   cfg.queue_capacity = 4;
   serve::InferenceServer server(*compiled_, cfg);
+  auto held = server.SubmitAsync(MakeClip(0, 9));
+  WaitForTrip("serve.replica_wedge");
   std::vector<std::future<StatusOr<InferenceResult>>> futures;
   for (int i = 0; i < 5; ++i) {
     futures.push_back(server.SubmitAsync(MakeClip(0, 10 + i)));
@@ -242,22 +263,22 @@ TEST_F(ServeTest, BackpressureRejectsBeyondQueueCapacity) {
   auto rejected = futures[4].get();
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-  server.Shutdown();  // drains the 4 accepted requests
+  server.Shutdown();  // drains the 4 queued requests behind the wedge
+  EXPECT_TRUE(held.get().ok());
   for (int i = 0; i < 4; ++i) {
     auto r = futures[i].get();
     EXPECT_TRUE(r.ok()) << r.status().ToString();
   }
   const auto stats = server.Stats();
-  EXPECT_EQ(stats.accepted, 4);
+  EXPECT_EQ(stats.accepted, 5);
   EXPECT_EQ(stats.rejected, 1);
-  EXPECT_EQ(stats.completed, 4);
+  EXPECT_EQ(stats.completed, 5);
 }
 
 TEST_F(ServeTest, ExpiredDeadlineSkipsInference) {
   serve::ServerConfig cfg;
   cfg.replicas = 1;
   cfg.max_batch = 8;
-  cfg.max_delay_us = 50'000;  // the request waits 50 ms in the queue
   serve::InferenceServer server(*compiled_, cfg);
   auto r = server.Submit(MakeClip(1, 3), /*deadline_us=*/1);
   ASSERT_FALSE(r.ok());
@@ -268,20 +289,25 @@ TEST_F(ServeTest, ExpiredDeadlineSkipsInference) {
 
 TEST_F(ServeTest, ShutdownDrainsAllAcceptedRequests) {
   serve::ServerConfig cfg;
-  cfg.replicas = 2;
+  cfg.replicas = 4;
   cfg.max_batch = 4;
-  cfg.max_delay_us = 60'000'000;
-  cfg.queue_capacity = 16;
+  cfg.queue_capacity = 32;
   serve::InferenceServer server(*compiled_, cfg);
   std::vector<std::future<StatusOr<InferenceResult>>> futures;
-  for (int i = 0; i < 6; ++i) {  // 6 < max_batch*2: one partial batch
+  for (int i = 0; i < 30; ++i) {
     futures.push_back(server.SubmitAsync(MakeClip(i % 4, 40 + i)));
   }
-  server.Shutdown();  // must flush the backlog, not abandon it
-  int ok = 0;
-  for (auto& f : futures) ok += f.get().ok();
-  EXPECT_EQ(ok, 6);
-  EXPECT_EQ(server.Stats().completed, 6);
+  server.Shutdown();  // the 4 lanes must drain the backlog, not drop it
+  for (auto& f : futures) {
+    auto r = f.get();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_GE(r->replica, 0);
+    EXPECT_LT(r->replica, 4);
+  }
+  const auto stats = server.Stats();
+  EXPECT_EQ(stats.accepted, 30);
+  EXPECT_EQ(stats.completed, 30);
+  EXPECT_EQ(stats.queue_depth, 0);
 
   // After shutdown the server refuses new work.
   auto late = server.Submit(MakeClip(0, 99));
@@ -293,7 +319,6 @@ TEST_F(ServeTest, MalformedClipFailsOnlyThatRequest) {
   serve::ServerConfig cfg;
   cfg.replicas = 1;
   cfg.max_batch = 2;
-  cfg.max_delay_us = 60'000'000;
   serve::InferenceServer server(*compiled_, cfg);
   auto bad = server.SubmitAsync(TensorF(Shape{1, 6, 10}));  // rank 3
   auto good = server.SubmitAsync(MakeClip(2, 5));
@@ -312,11 +337,10 @@ TEST_F(ServeTest, PredictionsInvariantAcrossReplicaCounts) {
   std::vector<TensorF> direct;
   for (const TensorF& clip : clips) direct.push_back(compiled_->Infer(clip));
 
-  for (int replicas : {1, 4}) {
+  for (int replicas : {1, 2, 4}) {
     serve::ServerConfig cfg;
     cfg.replicas = replicas;
     cfg.max_batch = 3;
-    cfg.max_delay_us = 1'000;
     serve::InferenceServer server(*compiled_, cfg);
     std::vector<std::future<StatusOr<InferenceResult>>> futures;
     for (const TensorF& clip : clips) {
@@ -350,7 +374,6 @@ data::SyntheticVideoConfig SmallDataConfig() {
 serve::ServerConfig SmallServing(int replicas = 1) {
   serve::ServerConfig cfg;
   cfg.replicas = replicas;
-  cfg.max_delay_us = 1'000;
   return cfg;
 }
 
@@ -390,6 +413,9 @@ TEST_F(ServeTest, EveryInvalidServerConfigFieldIsRejected) {
   };
   const Case cases[] = {
       {"replicas", [](serve::ServerConfig& c) { c.replicas = 0; }},
+      // Rejected before any lane thread starts.
+      {"replicas",
+       [](serve::ServerConfig& c) { c.replicas = serve::kMaxReplicas + 1; }},
       {"max_batch", [](serve::ServerConfig& c) { c.max_batch = 0; }},
       {"queue_capacity",
        [](serve::ServerConfig& c) { c.queue_capacity = 0; }},
