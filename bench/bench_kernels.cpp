@@ -124,7 +124,8 @@ void BM_Conv3dForwardGemm(benchmark::State& state) {
 BENCHMARK(BM_Conv3dForwardGemm);
 
 void BM_Sgemm(benchmark::State& state) {
-  const int64_t m = 64, n = 1024, k = 288;  // typical im2col shape
+  // A conv's GEMM: K = 32 channels x 3x3 taps.
+  const int64_t m = 64, n = 1024, k = 288;
   Rng rng(11);
   TensorF a(Shape{m, k}), b(Shape{k, n}), c(Shape{m, n});
   FillUniform(a, rng, -1.0f, 1.0f);

@@ -22,8 +22,10 @@ done
 # Hammer the thread-pool tests under the sanitizers: pool bugs are
 # timing-dependent, so repeat until-fail to shake out races. All pool
 # workers are joinable (never detached), so sanitizer runs stay clean.
+# The conv engine and the channel-parallel BatchNorm3d (nn_layers) run
+# their samples and channels on the pool.
 echo "==> thread-pool stress (sanitize)"
-ctest --preset sanitize -R 'thread_pool|conv_engine_parity' \
+ctest --preset sanitize -R 'thread_pool|conv_engine_parity|nn_layers' \
   --repeat until-fail:3
 
 # The int16 conv kernels on every ISA the CPU supports: UBSan traps any
@@ -45,9 +47,10 @@ ctest --preset sanitize -R 'serve' --repeat until-fail:3
 # model every serving lane calls concurrently, the int16 conv kernels
 # with their per-participant panels, and the float training engine,
 # whose convs run one sample per pool participant with per-participant
-# slab scratch and per-sample dW partials. Guarded by a probe because
-# not every toolchain ships a working libtsan.
-echo "==> thread sanitizer (serve + pool + fault paths + shared model + conv engines)"
+# halo scratch and per-sample dW partials, and whose BatchNorm3d runs
+# one channel per task. Guarded by a probe because not every toolchain
+# ships a working libtsan.
+echo "==> thread sanitizer (serve + pool + fault paths + shared model + conv engines + BN)"
 if printf 'int main(){return 0;}' \
     | c++ -fsanitize=thread -x c++ - -o /tmp/hwp_tsan_probe 2>/dev/null \
     && /tmp/hwp_tsan_probe 2>/dev/null; then
@@ -55,9 +58,9 @@ if printf 'int main(){return 0;}' \
   cmake --build --preset tsan -j "${JOBS}" \
     --target serve_test serve_fault_test thread_pool_test \
     compiled_executor_test qconv_kernel_test conv_engine_parity_test \
-    r2plus1d_block_test trainer_test sgemm_test
+    r2plus1d_block_test trainer_test sgemm_test nn_layers_test
   ctest --preset tsan \
-    -R 'serve|thread_pool|compiled_executor|qconv_kernel|conv_engine_parity|r2plus1d_block|trainer|sgemm' \
+    -R 'serve|thread_pool|compiled_executor|qconv_kernel|conv_engine_parity|r2plus1d_block|trainer|sgemm|nn_layers' \
     --repeat until-fail:2
   # The serving lanes are threads of their own that pull from one queue,
   # race the watchdog for promises and hand leftover work to each other:

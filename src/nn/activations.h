@@ -1,6 +1,9 @@
 // Element-wise activation layers.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "nn/module.h"
 
 namespace hwp3d::nn {
@@ -16,7 +19,10 @@ class ReLU : public Module {
 
  private:
   std::string name_;
-  TensorF cached_input_;
+  // Forward(train=true)'s x > 0, one byte per element: all Backward
+  // needs, at a quarter of a copy of x.
+  Shape cached_shape_;
+  std::vector<uint8_t> cached_positive_;
 };
 
 }  // namespace hwp3d::nn

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "kernels/thread_pool.h"
+
 namespace hwp3d::nn {
 
 BatchNorm3d::BatchNorm3d(int64_t channels, std::string name, float eps,
@@ -21,7 +23,9 @@ BatchNorm3d::BatchNorm3d(int64_t channels, std::string name, float eps,
 
 // Every loop below walks contiguous (b, c) planes of D·H·W elements, in
 // the order of the rank-5 reference loops, with the same float/double
-// arithmetic, so outputs and gradients are bitwise the same.
+// arithmetic, so outputs and gradients are bitwise the same. A channel
+// is one pool task, its double chains run in order on the participant
+// that claimed it, so the results do not depend on the pool size either.
 TensorF BatchNorm3d::Forward(const TensorF& x, bool train) {
   HWP_SHAPE_CHECK_MSG(x.rank() == 5 && x.dim(1) == channels_,
                       name_ << ": bad input " << x.shape().ToString());
@@ -32,18 +36,17 @@ TensorF BatchNorm3d::Forward(const TensorF& x, bool train) {
 
   TensorF mean(Shape{C});
   TensorF inv_std(Shape{C});
-  if (train) {
-    for (int64_t c = 0; c < C; ++c) {
+  TensorF y = TensorF::Uninitialized(x.shape());
+  float* yp = y.data();
+  ThreadPool::Get().For(0, C, [&](int64_t c) {
+    if (train) {
       double s = 0.0;
       for (int64_t b = 0; b < B; ++b) {
         const float* xc = xp + (b * C + c) * plane;
         for (int64_t i = 0; i < plane; ++i) s += xc[i];
       }
-      mean[c] = static_cast<float>(s / per_channel);
-    }
-    for (int64_t c = 0; c < C; ++c) {
-      const float mu = mean[c];
-      double s = 0.0;
+      const float mu = static_cast<float>(s / per_channel);
+      s = 0.0;
       for (int64_t b = 0; b < B; ++b) {
         const float* xc = xp + (b * C + c) * plane;
         for (int64_t i = 0; i < plane; ++i) {
@@ -52,29 +55,23 @@ TensorF BatchNorm3d::Forward(const TensorF& x, bool train) {
         }
       }
       const float var = static_cast<float>(s / per_channel);
+      mean[c] = mu;
       inv_std[c] = 1.0f / std::sqrt(var + eps_);
       running_mean_[c] =
-          (1.0f - momentum_) * running_mean_[c] + momentum_ * mean[c];
-      running_var_[c] =
-          (1.0f - momentum_) * running_var_[c] + momentum_ * var;
-    }
-  } else {
-    for (int64_t c = 0; c < C; ++c) {
+          (1.0f - momentum_) * running_mean_[c] + momentum_ * mu;
+      running_var_[c] = (1.0f - momentum_) * running_var_[c] + momentum_ * var;
+    } else {
       mean[c] = running_mean_[c];
       inv_std[c] = 1.0f / std::sqrt(running_var_[c] + eps_);
     }
-  }
-
-  TensorF y(x.shape());
-  float* yp = y.data();
-  for (int64_t b = 0; b < B; ++b)
-    for (int64_t c = 0; c < C; ++c) {
-      const float g = gamma_.value[c], bt = beta_.value[c];
-      const float mu = mean[c], is = inv_std[c];
+    const float g = gamma_.value[c], bt = beta_.value[c];
+    const float mu = mean[c], is = inv_std[c];
+    for (int64_t b = 0; b < B; ++b) {
       const int64_t off = (b * C + c) * plane;
       for (int64_t i = 0; i < plane; ++i)
         yp[off + i] = g * (xp[off + i] - mu) * is + bt;
     }
+  });
 
   if (train) {
     cached_input_ = x;
@@ -93,9 +90,9 @@ TensorF BatchNorm3d::Backward(const TensorF& dy) {
   const float* xp = x.data();
   const float* dyp = dy.data();
 
-  TensorF dx(x.shape());
+  TensorF dx = TensorF::Uninitialized(x.shape());
   float* dxp = dx.data();
-  for (int64_t c = 0; c < C; ++c) {
+  ThreadPool::Get().For(0, C, [&](int64_t c) {
     const float mu = batch_mean_[c];
     const float is = batch_inv_std_[c];
     const float g = gamma_.value[c];
@@ -123,7 +120,7 @@ TensorF BatchNorm3d::Backward(const TensorF& dy) {
             k * (n * dyp[off + i] - sum_dy - xhat * sum_dy_xhat));
       }
     }
-  }
+  });
   return dx;
 }
 

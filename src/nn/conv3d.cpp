@@ -9,7 +9,7 @@
 namespace hwp3d::nn {
 namespace {
 
-kernels::Conv3dGeom MakeGeom(const Conv3dConfig& cfg, const TensorF& x,
+kernels::Conv3dGeom MakeGeom(const Conv3dConfig& cfg, const Shape& x,
                              int64_t out_d, int64_t out_h, int64_t out_w) {
   kernels::Conv3dGeom g;
   g.batch = x.dim(0);
@@ -74,7 +74,7 @@ TensorF Conv3d::Forward(const TensorF& x, bool train) {
                       name_ << ": empty output for input "
                             << x.shape().ToString());
 
-  TensorF y(Shape{B, M, Do, Ho, Wo});
+  TensorF y = TensorF::Uninitialized(Shape{B, M, Do, Ho, Wo});
   const TensorF& w = weight_.value;
   const TensorF& bias = bias_.value;
   const bool has_bias = cfg_.bias;
@@ -86,10 +86,21 @@ TensorF Conv3d::Forward(const TensorF& x, bool train) {
     span.AddArg("engine", kernels::EngineName(engine));
   }
 
+  // What Backward reads: the gemm engine's zero-halo copies of a padded
+  // input (made once, by this forward), else the input itself.
+  bool keep_input = train;
   if (engine == kernels::Engine::kGemm) {
-    kernels::Conv3dForwardGemm(MakeGeom(cfg_, x, Do, Ho, Wo), x.data(),
-                               w.data(), has_bias ? bias.data() : nullptr,
-                               y.data());
+    const kernels::Conv3dGeom g = MakeGeom(cfg_, x.shape(), Do, Ho, Wo);
+    float* halo = nullptr;
+    if (train && g.padded()) {
+      const int64_t n = g.batch * g.halo_sample_size();
+      if (cached_halo_.numel() != n) cached_halo_ = TensorF(Shape{n});
+      halo = cached_halo_.data();
+      keep_input = false;
+    }
+    kernels::Conv3dForwardGemm(g, x.data(), w.data(),
+                               has_bias ? bias.data() : nullptr, y.data(),
+                               halo);
   } else {
     // Naive reference: direct 7-deep loop, double accumulation.
     ThreadPool::Get().For(0, B * M, [&](int64_t bm) {
@@ -122,15 +133,20 @@ TensorF Conv3d::Forward(const TensorF& x, bool train) {
     });
   }
 
-  if (train) cached_input_ = x;
+  if (train) {
+    cached_engine_ = engine;
+    cached_shape_ = x.shape();
+    if (keep_input) cached_input_ = x;
+  }
   return y;
 }
 
 TensorF Conv3d::Backward(const TensorF& dy) {
-  const TensorF& x = cached_input_;
-  HWP_CHECK_MSG(!x.empty(), name_ << ": Backward before Forward(train=true)");
-  const int64_t B = x.dim(0), N = cfg_.in_channels, M = cfg_.out_channels;
-  const int64_t Di = x.dim(2), Hi = x.dim(3), Wi = x.dim(4);
+  const Shape& in = cached_shape_;
+  HWP_CHECK_MSG(in.rank() == 5,
+                name_ << ": Backward before Forward(train=true)");
+  const int64_t B = in.dim(0), N = cfg_.in_channels, M = cfg_.out_channels;
+  const int64_t Di = in.dim(2), Hi = in.dim(3), Wi = in.dim(4);
   const auto [Kd, Kh, Kw] = cfg_.kernel;
   const auto [Sd, Sh, Sw] = cfg_.stride;
   const auto [Pd, Ph, Pw] = cfg_.padding;
@@ -140,9 +156,10 @@ TensorF Conv3d::Backward(const TensorF& dy) {
 
   const TensorF& w = weight_.value;
   TensorF& dw = weight_.grad;
-  TensorF dx(x.shape());
-
-  const kernels::Engine engine = kernels::CurrentEngine();
+  const kernels::Engine engine = cached_engine_;
+  // The gemm engine writes every element of dx; the naive loops add.
+  TensorF dx = engine == kernels::Engine::kGemm ? TensorF::Uninitialized(in)
+                                                : TensorF(in);
   obs::TraceScope span("nn/conv3d_backward");
   if (span.active()) {
     span.SetName("nn/" + name_ + "/backward");
@@ -150,9 +167,12 @@ TensorF Conv3d::Backward(const TensorF& dy) {
   }
 
   if (engine == kernels::Engine::kGemm) {
-    kernels::Conv3dBackwardGemm(MakeGeom(cfg_, x, Do, Ho, Wo), x.data(),
-                                w.data(), dy.data(), dw.data(), dx.data());
+    const kernels::Conv3dGeom g = MakeGeom(cfg_, in, Do, Ho, Wo);
+    kernels::Conv3dBackwardGemm(
+        g, g.padded() ? cached_halo_.data() : cached_input_.data(), w.data(),
+        dy.data(), dw.data(), dx.data());
   } else {
+    const TensorF& x = cached_input_;
     // dW: parallel over output channel m — each m owns a disjoint slice of dW.
     ThreadPool::Get().For(0, M, [&](int64_t m) {
       for (int64_t n = 0; n < N; ++n) {

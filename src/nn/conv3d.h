@@ -10,6 +10,7 @@
 #include <array>
 
 #include "common/rng.h"
+#include "kernels/engine.h"
 #include "nn/module.h"
 
 namespace hwp3d::nn {
@@ -46,7 +47,13 @@ class Conv3d : public Module {
   std::string name_;
   Param weight_;  // [M][N][Kd][Kr][Kc]
   Param bias_;    // [M]
+  // Cached by Forward(train=true) for Backward: the engine and input
+  // shape, and the input itself, or (gemm engine, padded conv) the
+  // engine's zero-halo copies of it instead.
+  kernels::Engine cached_engine_ = kernels::Engine::kGemm;
+  Shape cached_shape_;
   TensorF cached_input_;
+  TensorF cached_halo_;
 };
 
 }  // namespace hwp3d::nn

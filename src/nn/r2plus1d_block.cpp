@@ -135,19 +135,27 @@ TensorF ResidualBlock::Forward(const TensorF& x, bool train) {
   TensorF y(sum.shape());
   for (int64_t i = 0; i < sum.numel(); ++i)
     y[i] = sum[i] > 0.0f ? sum[i] : 0.0f;
-  if (train) cached_sum_ = sum;
+  if (train) {
+    cached_shape_ = sum.shape();
+    cached_positive_.resize(static_cast<size_t>(sum.numel()));
+    for (int64_t i = 0; i < sum.numel(); ++i) {
+      cached_positive_[static_cast<size_t>(i)] = sum[i] > 0.0f;
+    }
+  }
   return y;
 }
 
 TensorF ResidualBlock::Backward(const TensorF& dy) {
   HWP_TRACE_SCOPE("nn/residual_block_backward");
-  HWP_CHECK_MSG(!cached_sum_.empty(),
+  HWP_CHECK_MSG(cached_shape_.rank() > 0,
                 name_ << ": Backward before Forward(train=true)");
+  HWP_SHAPE_CHECK_MSG(dy.shape() == cached_shape_,
+                      name_ << ": grad shape mismatch");
   // Through the final ReLU.
   TensorF g(dy.shape());
   for (int64_t i = 0; i < dy.numel(); ++i) {
     const float gy = dy[i];  // unconditional load: a select, not a branch
-    g[i] = cached_sum_[i] > 0.0f ? gy : 0.0f;
+    g[i] = cached_positive_[static_cast<size_t>(i)] != 0 ? gy : 0.0f;
   }
 
   // Main path.

@@ -106,8 +106,10 @@ class ResidualBlock : public Module {
   std::unique_ptr<Conv3d> shortcut_conv_;  // null => identity shortcut
   std::unique_ptr<BatchNorm3d> shortcut_bn_;
 
-  // Cached for backward of the final add + ReLU.
-  TensorF cached_sum_;
+  // Cached for backward of the final add + ReLU: sum > 0, one byte per
+  // element.
+  Shape cached_shape_;
+  std::vector<uint8_t> cached_positive_;
 };
 
 }  // namespace hwp3d::nn

@@ -1,7 +1,10 @@
 #include "nn/trainer.h"
 
+#include <optional>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/storage.h"
 
 namespace hwp3d::nn {
 
@@ -12,6 +15,10 @@ EpochStats TrainEpoch(Module& model, Sgd& opt,
   EpochStats stats;
   double loss_sum = 0.0;
   int64_t correct = 0;
+  // From the second batch on, a batch reuses the tensor blocks the one
+  // before it freed instead of faulting fresh pages in
+  // (tensor/storage.h); a one-batch epoch keeps malloc's peak.
+  std::optional<StorageRecycleScope> recycle;
   for (const Batch& batch : batches) {
     HWP_TRACE_SCOPE("nn/batch");
     opt.ZeroGrad();
@@ -28,6 +35,7 @@ EpochStats TrainEpoch(Module& model, Sgd& opt,
     loss_sum += static_cast<double>(loss.loss) * bsz;
     correct += loss.correct;
     stats.samples += bsz;
+    if (!recycle) recycle.emplace();
   }
   if (stats.samples > 0) {
     stats.mean_loss = static_cast<float>(loss_sum / stats.samples);
@@ -48,6 +56,7 @@ EpochStats Evaluate(Module& model, const std::vector<Batch>& batches) {
   EpochStats stats;
   double loss_sum = 0.0;
   int64_t correct = 0;
+  std::optional<StorageRecycleScope> recycle;  // as in TrainEpoch
   for (const Batch& batch : batches) {
     const TensorF logits = model.Forward(batch.clips, /*train=*/false);
     const LossResult loss = SoftmaxCrossEntropy(logits, batch.labels, 0.0f);
@@ -55,6 +64,7 @@ EpochStats Evaluate(Module& model, const std::vector<Batch>& batches) {
     loss_sum += static_cast<double>(loss.loss) * bsz;
     correct += loss.correct;
     stats.samples += bsz;
+    if (!recycle) recycle.emplace();
   }
   if (stats.samples > 0) {
     stats.mean_loss = static_cast<float>(loss_sum / stats.samples);

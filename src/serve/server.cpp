@@ -231,7 +231,8 @@ void InferenceServer::Shutdown() {
 
 void InferenceServer::LaneLoop(int lane) {
   // With several lanes, each runs its clips one after another on this
-  // thread; a lone lane fans each clip out over the pool instead.
+  // thread; a lone lane fans each clip out over the pool instead (RunOne
+  // keeps small clips inline).
   std::optional<ThreadPool::SerialScope> serial;
   if (config_.replicas > 1) serial.emplace();
   // A quarantined lane stops pulling (the last healthy one never is).
@@ -241,6 +242,13 @@ void InferenceServer::LaneLoop(int lane) {
     RunBatch(lane, batch);
     ServeMetrics::Get().queue_depth.Set(static_cast<double>(queue_.size()));
   }
+}
+
+const int64_t* InferenceServer::KnownClipMacs(const Shape& shape) const {
+  for (const auto& [known, macs] : clip_macs_) {
+    if (known == shape) return &macs;
+  }
+  return nullptr;
 }
 
 void InferenceServer::NoteQuarantine(int replica) {
@@ -317,7 +325,17 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
       result.batch_size = batch_size;
       result.replica = replica;
       try {
+        // The first clip of a shape fans out and measures its MACs; later
+        // ones below kInlineClipMacs stay on this thread.
+        const int64_t* macs =
+            config_.replicas == 1 ? KnownClipMacs(req.clip.shape()) : nullptr;
+        std::optional<ThreadPool::SerialScope> inline_clip;
+        if (macs != nullptr && *macs < kInlineClipMacs) inline_clip.emplace();
         result.logits = model_.Infer(req.clip, &result.stats);
+        if (config_.replicas == 1 && macs == nullptr) {
+          clip_macs_.emplace_back(req.clip.shape(),
+                                  result.stats.macs_executed);
+        }
       } catch (const Error& e) {
         // A malformed request is a terminal per-request error, never a
         // replica fault: no retry, no health penalty, and it must not
@@ -478,21 +496,25 @@ void InferenceServer::WatchdogLoop() {
       // request so waiters — and a pending Shutdown() — stop depending
       // on it. The other lanes keep pulling.
       watch->cancelled->store(true, std::memory_order_release);
-      int64_t killed = 0;
+      // Claim first, then stats, then the promises, as RunOne does: a
+      // waiter that sees its future fail must find the firing in Stats().
+      std::vector<Pending*> claimed;
       for (Pending* p : *watch->live) {
-        if (!p->Claim()) continue;
-        ++killed;
-        p->req.promise.set_value(DeadlineExceededError(StrFormat(
-            "watchdog: batch stuck for more than %lld us; request failed "
-            "without a result",
-            static_cast<long long>(timeout_us))));
+        if (p->Claim()) claimed.push_back(p);
       }
+      const int64_t killed = static_cast<int64_t>(claimed.size());
       m.watchdog_fired.Add(1);
       m.deadline_exceeded.Add(killed);
       {
         std::lock_guard<std::mutex> slk(stats_mu_);
         ++totals_.watchdog_fired;
         totals_.deadline_exceeded += killed;
+      }
+      for (Pending* p : claimed) {
+        p->req.promise.set_value(DeadlineExceededError(StrFormat(
+            "watchdog: batch stuck for more than %lld us; request failed "
+            "without a result",
+            static_cast<long long>(timeout_us))));
       }
       HWP_LOG(Warning) << "serve watchdog fired: lane " << lane
                        << " batch exceeded " << timeout_us << " us; failed "

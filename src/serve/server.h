@@ -15,7 +15,9 @@
 // and a slow lane holds up only its own batch. With several replicas a
 // lane runs its clips one at a time on its own thread (a
 // ThreadPool::SerialScope keeps each Infer off the pool); a single
-// replica fans each clip out over the process-wide hwp3d::ThreadPool.
+// replica fans each clip out over the process-wide hwp3d::ThreadPool,
+// unless the clip is below kInlineClipMacs, where the pool's fan-out
+// costs more than it splits.
 // A replica is a lane index with its own health record and fault
 // points, not a copy of the model: every lane calls Infer on the
 // server's one immutable CompiledTinyR2Plus1d (const and safe to call
@@ -98,6 +100,14 @@ Status ValidateServerConfig(const ServerConfig& config);
 // Each replica is a lane thread; more than this is a configuration
 // error, not a deployment.
 inline constexpr int kMaxReplicas = 256;
+
+// A lone lane runs a clip of fewer MACs (CompiledRunStats::
+// macs_executed) inline instead of over the pool. Measured on a 4-vCPU
+// AVX-512 host with the fast executor, one Infer on the pool vs inline:
+// 0.75x at 1.97 M MACs (the 4/8/8 model, 6x10x10 clip), 0.9-1.0x at
+// 3.8 M, 1.04-1.07x at 6.7 M and 1.5-1.8x at 34.65 M (the dense 8/16/32
+// model, 8x16x16 clip).
+inline constexpr int64_t kInlineClipMacs = 4'000'000;
 
 // Latencies InferenceServer keeps for its Stats() percentiles (32 KiB).
 inline constexpr size_t kLatencySampleSize = 4096;
@@ -188,6 +198,9 @@ class InferenceServer {
                 int batch_size, const std::atomic<bool>& cancelled);
   void WatchdogLoop();
   void NoteQuarantine(int replica);
+  // MACs of one clip of `shape` on model_, or null until a clip of that
+  // shape has run. Only a lone lane keeps them (replicas == 1).
+  const int64_t* KnownClipMacs(const Shape& shape) const;
 
   ServerConfig config_;
   RetryPolicy retry_;
@@ -203,6 +216,9 @@ class InferenceServer {
   std::condition_variable watch_cv_;
   bool watchdog_stop_ = false;
   std::vector<std::optional<WatchTarget>> watch_;  // one slot per lane
+
+  // Per clip shape, the MACs of one Infer; touched by the lone lane only.
+  std::vector<std::pair<Shape, int64_t>> clip_macs_;
 
   // Aggregate counters; latency_sample_ feeds the Stats() percentiles.
   mutable std::mutex stats_mu_;

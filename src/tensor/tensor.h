@@ -16,20 +16,32 @@
 
 #include "common/error.h"
 #include "tensor/shape.h"
+#include "tensor/storage.h"
 
 namespace hwp3d {
 
 template <typename T>
 class Tensor {
  public:
+  using Storage = std::vector<T, StorageAllocator<T>>;
+
   Tensor() = default;
 
   explicit Tensor(Shape shape, T fill = T{})
       : shape_(std::move(shape)),
         data_(static_cast<size_t>(shape_.numel()), fill) {}
 
-  Tensor(Shape shape, std::vector<T> data)
-      : shape_(std::move(shape)), data_(std::move(data)) {
+  // A tensor whose elements are left unwritten, for an output the
+  // caller overwrites in full.
+  static Tensor Uninitialized(Shape shape) {
+    Tensor t;
+    t.shape_ = std::move(shape);
+    t.data_ = Storage(static_cast<size_t>(t.shape_.numel()));
+    return t;
+  }
+
+  Tensor(Shape shape, const std::vector<T>& data)
+      : shape_(std::move(shape)), data_(data.begin(), data.end()) {
     HWP_SHAPE_CHECK_MSG(
         static_cast<int64_t>(data_.size()) == shape_.numel(),
         "data size " << data_.size() << " vs shape " << shape_.ToString());
@@ -43,8 +55,8 @@ class Tensor {
 
   T* data() { return data_.data(); }
   const T* data() const { return data_.data(); }
-  std::vector<T>& vec() { return data_; }
-  const std::vector<T>& vec() const { return data_; }
+  Storage& vec() { return data_; }
+  const Storage& vec() const { return data_; }
 
   // Linear element access (bounds-checked in debug builds).
   T& operator[](int64_t i) {
@@ -111,7 +123,7 @@ class Tensor {
   }
 
   Shape shape_;
-  std::vector<T> data_;
+  Storage data_;
 };
 
 using TensorF = Tensor<float>;

@@ -2,24 +2,30 @@
 //
 // For a grid of kernel/stride/padding/bias configurations (including
 // the asymmetric R(2+1)D 1×3×3 and 3×1×1 shapes, the benchmark model's
-// layers at batch 8 and 1, convs lowered in several column slabs, and
-// cases that cross the sgemm KC/NC cache-block boundaries), Forward
-// outputs and every
+// layers at batch 8 and 1, convs run as one GEMM per output depth,
+// stride-2 and wider-than-kernel padding, and cases that cross the
+// sgemm KC/NC cache-block boundaries), Forward outputs and every
 // Backward gradient (dx, dW, db) produced by the gemm engine must
-// match the naive double-accumulation loops within 1e-4.
+// match the naive double-accumulation loops within 1e-4. The in-place
+// forward must also equal an explicit im2col + Sgemm bit for bit on
+// every conv of both benchmark models.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "kernels/conv3d_gemm.h"
 #include "kernels/engine.h"
 #include "nn/conv3d.h"
 #include "nn/linear.h"
+#include "models/tiny_r2plus1d.h"
 #include "nn/r2plus1d_block.h"
 #include "tensor/init.h"
+#include "testing/im2col_reference.h"
 
 namespace hwp3d {
 namespace {
@@ -200,8 +206,9 @@ TEST(ConvEngineParityTest, BenchmarkModelShapes) {
 }
 
 TEST(ConvEngineParityTest, TemporalConvAcrossSeveralColumnSlabs) {
-  // 16x16 planes fill a 256-column slab each, so the 8 output planes are
-  // lowered and scattered in 8 slabs; odd sizes add a partial last slab.
+  // A 3x1x1 conv reads all 8 output depths as one GEMM of 2048 columns
+  // (two NC blocks); the 3x3x3 one runs a GEMM per depth over rows of
+  // 15 columns, 2 of them halo, and its dX reads a zero-bordered dy.
   Conv3dConfig cfg;
   cfg.in_channels = 6;
   cfg.out_channels = 5;
@@ -212,6 +219,144 @@ TEST(ConvEngineParityTest, TemporalConvAcrossSeveralColumnSlabs) {
   cfg.kernel = {3, 3, 3};
   cfg.padding = {1, 1, 1};
   CheckConvParity(cfg, Shape{2, 6, 7, 9, 13}, "3x3x3, 117-column planes");
+}
+
+TEST(ConvEngineParityTest, StrideTwoAndWidePaddingGradients) {
+  // Strides that zero-dilate dy for dX, in one axis or all three;
+  // padding wider than kernel - 1 (the dy border is then empty on that
+  // axis and some dy never reaches dx); odd extents that leave input
+  // rows no output reads.
+  struct Case {
+    std::array<int64_t, 3> kernel, stride, padding;
+    Shape in;
+  };
+  const Case cases[] = {
+      {{3, 3, 3}, {2, 2, 2}, {1, 1, 1}, Shape{2, 3, 7, 9, 8}},
+      {{2, 3, 2}, {2, 2, 1}, {0, 2, 1}, Shape{2, 3, 6, 7, 9}},
+      {{1, 1, 1}, {2, 2, 2}, {1, 1, 1}, Shape{2, 4, 5, 6, 7}},
+      {{3, 1, 1}, {2, 1, 1}, {2, 0, 0}, Shape{3, 5, 7, 4, 5}},
+      {{1, 3, 3}, {1, 2, 2}, {0, 1, 1}, Shape{2, 8, 3, 10, 10}},
+      {{3, 3, 3}, {1, 1, 1}, {2, 2, 2}, Shape{1, 2, 4, 5, 6}},
+  };
+  for (const Case& c : cases) {
+    Conv3dConfig cfg;
+    cfg.in_channels = c.in.dim(1);
+    cfg.out_channels = 5;
+    cfg.kernel = c.kernel;
+    cfg.stride = c.stride;
+    cfg.padding = c.padding;
+    const std::string what =
+        "k=" + std::to_string(c.kernel[0]) + std::to_string(c.kernel[1]) +
+        std::to_string(c.kernel[2]) + " s=" + std::to_string(c.stride[0]) +
+        std::to_string(c.stride[1]) + std::to_string(c.stride[2]) +
+        " p=" + std::to_string(c.padding[0]) + std::to_string(c.padding[1]) +
+        std::to_string(c.padding[2]);
+    CheckConvParity(cfg, c.in, what);
+  }
+}
+
+// Every conv of a TinyR2Plus1d with the input shape it sees for a clip
+// of 1×D×H×W.
+struct ConvAt {
+  nn::Conv3d* conv;
+  std::array<int64_t, 4> in;  // C, D, H, W
+};
+
+std::array<int64_t, 4> OutShape(const nn::Conv3d& conv,
+                                const std::array<int64_t, 4>& in) {
+  const Conv3dConfig& c = conv.config();
+  std::array<int64_t, 4> out{c.out_channels, 0, 0, 0};
+  for (size_t a = 0; a < 3; ++a) {
+    out[a + 1] = Conv3d::OutExtent(in[a + 1], c.kernel[a], c.stride[a],
+                                   c.padding[a]);
+  }
+  return out;
+}
+
+std::vector<ConvAt> ModelConvs(models::TinyR2Plus1d& model,
+                               std::array<int64_t, 4> clip) {
+  std::vector<ConvAt> convs;
+  const auto pair = [&](nn::Conv2Plus1d& p, std::array<int64_t, 4> x) {
+    convs.push_back({&p.spatial(), x});
+    x = OutShape(p.spatial(), x);
+    convs.push_back({&p.temporal(), x});
+    return OutShape(p.temporal(), x);
+  };
+  std::array<int64_t, 4> x = pair(model.stem(), clip);
+  for (nn::ResidualBlock* block : {&model.stage1(), &model.stage2()}) {
+    const std::array<int64_t, 4> in = x;
+    x = pair(block->conv2(), pair(block->conv1(), in));
+    if (block->shortcut_conv() != nullptr) {
+      convs.push_back({block->shortcut_conv(), in});
+    }
+  }
+  return convs;
+}
+
+TEST(ConvEngineParityTest, InPlaceForwardIsBitwiseExplicitIm2col) {
+  // Both benchmark models: the prune job's 4/8/8 on 6x10x10 clips and
+  // serve_dense's 8/16/32 on 8x16x16 clips; batch 8 and 1, without and
+  // with a bias.
+  struct ModelCase {
+    models::TinyR2Plus1dConfig cfg;
+    std::array<int64_t, 4> clip;
+  };
+  ModelCase cases[2];
+  cases[0].cfg.stem_channels = 4;
+  cases[0].cfg.stage1_channels = 8;
+  cases[0].cfg.stage2_channels = 8;
+  cases[0].clip = {1, 6, 10, 10};
+  cases[1].clip = {1, 8, 16, 16};
+  int checked = 0;
+  for (ModelCase& mc : cases) {
+    Rng rng(13);
+    models::TinyR2Plus1d model(mc.cfg, rng);
+    for (const ConvAt& at : ModelConvs(model, mc.clip)) {
+      const Conv3dConfig& c = at.conv->config();
+      const std::array<int64_t, 4> out = OutShape(*at.conv, at.in);
+      for (int64_t batch : {8, 1}) {
+        kernels::Conv3dGeom g;
+        g.batch = batch;
+        g.in_c = at.in[0];
+        g.out_c = c.out_channels;
+        g.in_d = at.in[1];
+        g.in_h = at.in[2];
+        g.in_w = at.in[3];
+        g.k_d = c.kernel[0];
+        g.k_h = c.kernel[1];
+        g.k_w = c.kernel[2];
+        g.s_d = c.stride[0];
+        g.s_h = c.stride[1];
+        g.s_w = c.stride[2];
+        g.p_d = c.padding[0];
+        g.p_h = c.padding[1];
+        g.p_w = c.padding[2];
+        g.out_d = out[1];
+        g.out_h = out[2];
+        g.out_w = out[3];
+        TensorF x(Shape{batch, at.in[0], at.in[1], at.in[2], at.in[3]});
+        FillUniform(x, rng, -1.0f, 1.0f);
+        TensorF bias(Shape{g.out_c});
+        FillUniform(bias, rng, -1.0f, 1.0f);
+        const float* w = at.conv->weight().value.data();
+        for (bool with_bias : {false, true}) {
+          const float* b = with_bias ? bias.data() : nullptr;
+          std::vector<float> ref(
+              static_cast<size_t>(batch * g.out_sample_size()));
+          std::vector<float> got(ref.size());
+          testing::ConvForwardReference(g, x.data(), w, b, ref.data());
+          kernels::Conv3dForwardGemm(g, x.data(), w, b, got.data());
+          ASSERT_EQ(std::memcmp(ref.data(), got.data(),
+                                ref.size() * sizeof(float)),
+                    0)
+              << at.conv->name() << " batch " << batch
+              << (with_bias ? " bias" : "");
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2 * 12 * 2 * 2);  // 12 convs per model
 }
 
 TEST(R2Plus1dEngineParityTest, StrideTwoFactorizedBlockMatches) {

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "kernels/thread_pool.h"
 #include "nn/activations.h"
 #include "nn/batchnorm3d.h"
 #include "nn/linear.h"
@@ -110,6 +115,153 @@ TEST(BatchNormTest, FoldedAffineMatchesEval) {
       for (int64_t d = 0; d < 2; ++d)
         EXPECT_NEAR(y(b, c, d, 0, 0),
                     scale[c] * x(b, c, d, 0, 0) + shift[c], 1e-4f);
+}
+
+// The serial BatchNorm3d loops the channel-parallel layer must equal bit
+// for bit: one channel at a time, the statistics and gradient sums as
+// sequential double chains over (b, i).
+struct BnReference {
+  float eps = 1e-5f, momentum = 0.1f;
+  std::vector<float> gamma, beta, running_mean, running_var;
+  std::vector<float> mean, inv_std;  // of the last train-mode Forward
+
+  explicit BnReference(nn::BatchNorm3d& bn)
+      : gamma(bn.gamma().value.vec().begin(), bn.gamma().value.vec().end()),
+        beta(bn.beta().value.vec().begin(), bn.beta().value.vec().end()),
+        running_mean(bn.running_mean().vec().begin(),
+                     bn.running_mean().vec().end()),
+        running_var(bn.running_var().vec().begin(),
+                    bn.running_var().vec().end()) {}
+
+  TensorF Forward(const TensorF& x, bool train) {
+    const int64_t B = x.dim(0), C = x.dim(1);
+    const int64_t plane = x.dim(2) * x.dim(3) * x.dim(4);
+    const size_t uc = static_cast<size_t>(C);
+    mean.assign(uc, 0.0f);
+    inv_std.assign(uc, 0.0f);
+    for (int64_t c = 0; c < C; ++c) {
+      const size_t i = static_cast<size_t>(c);
+      if (!train) {
+        mean[i] = running_mean[i];
+        inv_std[i] = 1.0f / std::sqrt(running_var[i] + eps);
+        continue;
+      }
+      double s = 0.0;
+      for (int64_t b = 0; b < B; ++b)
+        for (int64_t k = 0; k < plane; ++k) s += x[(b * C + c) * plane + k];
+      mean[i] = static_cast<float>(s / (B * plane));
+      s = 0.0;
+      for (int64_t b = 0; b < B; ++b)
+        for (int64_t k = 0; k < plane; ++k) {
+          const double dev = x[(b * C + c) * plane + k] - mean[i];
+          s += dev * dev;
+        }
+      const float var = static_cast<float>(s / (B * plane));
+      inv_std[i] = 1.0f / std::sqrt(var + eps);
+      running_mean[i] =
+          (1.0f - momentum) * running_mean[i] + momentum * mean[i];
+      running_var[i] = (1.0f - momentum) * running_var[i] + momentum * var;
+    }
+    TensorF y(x.shape());
+    for (int64_t b = 0; b < B; ++b)
+      for (int64_t c = 0; c < C; ++c)
+        for (int64_t k = 0; k < plane; ++k) {
+          const size_t i = static_cast<size_t>(c);
+          const int64_t o = (b * C + c) * plane + k;
+          y[o] = gamma[i] * (x[o] - mean[i]) * inv_std[i] + beta[i];
+        }
+    return y;
+  }
+
+  // dx, and the gamma/beta gradients, of the last train-mode Forward.
+  TensorF Backward(const TensorF& x, const TensorF& dy, std::vector<float>& dg,
+                   std::vector<float>& db) const {
+    const int64_t B = x.dim(0), C = x.dim(1);
+    const int64_t plane = x.dim(2) * x.dim(3) * x.dim(4);
+    const double n = static_cast<double>(B * plane);
+    TensorF dx(x.shape());
+    dg.assign(static_cast<size_t>(C), 0.0f);
+    db.assign(static_cast<size_t>(C), 0.0f);
+    for (int64_t c = 0; c < C; ++c) {
+      const size_t i = static_cast<size_t>(c);
+      double sum_dy = 0.0, sum_dy_xhat = 0.0;
+      for (int64_t b = 0; b < B; ++b)
+        for (int64_t k = 0; k < plane; ++k) {
+          const int64_t o = (b * C + c) * plane + k;
+          const float xhat = (x[o] - mean[i]) * inv_std[i];
+          sum_dy += dy[o];
+          sum_dy_xhat += static_cast<double>(dy[o]) * xhat;
+        }
+      dg[i] = static_cast<float>(sum_dy_xhat);
+      db[i] = static_cast<float>(sum_dy);
+      const double kk = static_cast<double>(gamma[i]) * inv_std[i] / n;
+      for (int64_t b = 0; b < B; ++b)
+        for (int64_t k = 0; k < plane; ++k) {
+          const int64_t o = (b * C + c) * plane + k;
+          const float xhat = (x[o] - mean[i]) * inv_std[i];
+          dx[o] = static_cast<float>(
+              kk * (n * dy[o] - sum_dy - xhat * sum_dy_xhat));
+        }
+    }
+    return dx;
+  }
+};
+
+void ExpectBitwise(const TensorF& ref, const TensorF& got,
+                   const std::string& what) {
+  ASSERT_EQ(ref.shape(), got.shape()) << what;
+  EXPECT_EQ(std::memcmp(ref.data(), got.data(),
+                        static_cast<size_t>(ref.numel()) * sizeof(float)),
+            0)
+      << what;
+}
+
+void ExpectBitwise(const std::vector<float>& ref, const TensorF& got,
+                   const std::string& what) {
+  ASSERT_EQ(static_cast<int64_t>(ref.size()), got.numel()) << what;
+  EXPECT_EQ(std::memcmp(ref.data(), got.data(), ref.size() * sizeof(float)), 0)
+      << what;
+}
+
+// Channel-parallel BatchNorm3d equals the serial loops bit for bit, on
+// one thread (SerialScope) and on the process pool. ctest also runs this
+// with HWP_THREADS=2 and 3 (nn_layers_bn_pool2/3) and the whole binary
+// with HWP_THREADS=4, so pool sizes 1 to 4 are covered.
+TEST(BatchNormPoolTest, BitwiseEqualToSerialReference) {
+  for (bool serial : {true, false}) {
+    SCOPED_TRACE(serial ? "one thread" : "pool");
+    std::optional<ThreadPool::SerialScope> one_thread;
+    if (serial) one_thread.emplace();
+    // Channel counts below, at and above the pool size; the benchmark
+    // model's mid widths 14 and 18.
+    for (int64_t channels : {1, 3, 8, 14, 18}) {
+      Rng rng(static_cast<uint64_t>(60 + channels));
+      nn::BatchNorm3d bn(channels);
+      FillUniform(bn.gamma().value, rng, 0.5f, 1.5f);
+      FillUniform(bn.beta().value, rng, -0.5f, 0.5f);
+      BnReference ref(bn);
+      const std::string what = "C=" + std::to_string(channels);
+      for (int step = 0; step < 2; ++step) {
+        TensorF x(Shape{5, channels, 3, 4, 5});
+        FillNormal(x, rng, 1.0f, 2.0f);
+        TensorF dy(x.shape());
+        FillUniform(dy, rng, -1.0f, 1.0f);
+        bn.ZeroGrad();
+        ExpectBitwise(ref.Forward(x, true), bn.Forward(x, true), what + " y");
+        std::vector<float> dg, db;
+        ExpectBitwise(ref.Backward(x, dy, dg, db), bn.Backward(dy),
+                      what + " dx");
+        ExpectBitwise(dg, bn.gamma().grad, what + " dgamma");
+        ExpectBitwise(db, bn.beta().grad, what + " dbeta");
+        ExpectBitwise(ref.running_mean, bn.running_mean(), what + " mean");
+        ExpectBitwise(ref.running_var, bn.running_var(), what + " var");
+      }
+      TensorF x(Shape{2, channels, 2, 3, 3});
+      FillNormal(x, rng, 0.0f, 1.0f);
+      ExpectBitwise(ref.Forward(x, false), bn.Forward(x, false),
+                    what + " eval y");
+    }
+  }
 }
 
 TEST(MaxPoolTest, SelectsWindowMax) {

@@ -20,13 +20,16 @@
 #include "common/rng.h"
 #include "data/synthetic_video.h"
 #include "fpga/model_compiler.h"
+#include "kernels/thread_pool.h"
 #include "models/tiny_r2plus1d.h"
 #include "nn/trainer.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/inference_session.h"
 #include "serve/latency_reservoir.h"
 #include "serve/request_queue.h"
 #include "serve/server.h"
+#include "tensor/init.h"
 #include "tensor/tensor_ops.h"
 #include "testing/fault_wait.h"
 
@@ -240,6 +243,48 @@ TEST_F(ServeTest, LoneRequestSkipsTheBatchingWindow) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->batch_size, 1);
     EXPECT_LT(r->queue_us, cfg.max_delay_us / 10.0);
+  }
+}
+
+TEST_F(ServeTest, LoneLaneRunsSmallClipsInlineAndFansOutLargeOnes) {
+  if (ThreadPool::Get().threads() == 1) {
+    GTEST_SKIP() << "a one-thread pool runs every clip inline";
+  }
+  const auto regions = [] {
+    return obs::MetricsRegistry::Get().CounterTotal("kernels.pool.regions");
+  };
+  serve::ServerConfig cfg;
+  cfg.replicas = 1;
+  {
+    // The first clip of a shape measures its MACs; the tiny clip is far
+    // below kInlineClipMacs, so no later request opens a pool region.
+    serve::InferenceServer server(*compiled_, cfg);
+    ASSERT_TRUE(server.Submit(MakeClip(0, 1)).ok());
+    const int64_t before = regions();
+    for (int i = 0; i < 8; ++i) {
+      auto r = server.Submit(MakeClip(i % 4, 10 + i));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_LT(r->stats.macs_executed, serve::kInlineClipMacs);
+    }
+    EXPECT_EQ(regions(), before);
+  }
+  // serve_dense's model (8/16/32 channels) on its 8x16x16 clip still
+  // fans every request out.
+  models::TinyR2Plus1d dense(models::TinyR2Plus1dConfig{}, rng_);
+  fpga::CompiledModelOptions copts;
+  copts.tiling = fpga::Tiling{4, 4, 2, 4, 4};
+  auto compiled = fpga::CompiledTinyR2Plus1d::Compile(dense, copts);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  serve::InferenceServer server(compiled.value(), cfg);
+  TensorF clip(Shape{1, 8, 16, 16});
+  FillUniform(clip, rng_, -1.0f, 1.0f);
+  ASSERT_TRUE(server.Submit(clip).ok());
+  for (int i = 0; i < 2; ++i) {
+    const int64_t before = regions();
+    auto r = server.Submit(clip);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->stats.macs_executed, 34'652'160);
+    EXPECT_GT(regions(), before);
   }
 }
 

@@ -5,6 +5,7 @@
 #include "common/rng.h"
 #include "tensor/init.h"
 #include "tensor/serialize.h"
+#include "tensor/storage.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
@@ -157,6 +158,38 @@ TEST(SerializeTest, RejectsTruncated) {
   data.resize(data.size() / 2);
   std::stringstream truncated(data);
   EXPECT_THROW(ReadTensor(truncated), Error);
+}
+
+TEST(TensorStorageTest, RecyclesLargeBlocksOnlyInsideAScope) {
+  const int64_t big = static_cast<int64_t>(kRecycleMinBytes / sizeof(float));
+  const size_t big_bytes = kRecycleMinBytes;
+  ASSERT_EQ(RecycledStorageBytes(), 0u);
+  {
+    const StorageRecycleScope scope;
+    const float* first = nullptr;
+    {
+      TensorF a(Shape{big}, 3.0f);
+      first = a.data();
+    }
+    EXPECT_EQ(RecycledStorageBytes(), big_bytes);
+    // The next block of that size is the kept one, filled afresh.
+    TensorF b(Shape{big});
+    EXPECT_EQ(b.data(), first);
+    EXPECT_EQ(b[0], 0.0f);
+    EXPECT_EQ(b[big - 1], 0.0f);
+    EXPECT_EQ(RecycledStorageBytes(), 0u);
+    { TensorF small(Shape{16}); }
+    EXPECT_EQ(RecycledStorageBytes(), 0u);
+    { TensorF c(Shape{big}); }
+    {
+      const StorageRecycleScope nested;
+    }
+    EXPECT_EQ(RecycledStorageBytes(), big_bytes);  // an inner scope ended
+  }
+  // The last scope frees what was kept; outside a scope nothing is.
+  EXPECT_EQ(RecycledStorageBytes(), 0u);
+  { TensorF d(Shape{big}); }
+  EXPECT_EQ(RecycledStorageBytes(), 0u);
 }
 
 }  // namespace
