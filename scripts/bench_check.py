@@ -29,7 +29,9 @@ import sys
 # has the baseline's context: an ISA-bound ratio needs the same vector
 # ISA (on a host that runs the portable kernel there is nothing to
 # guard, and another ISA has another expected ratio), and the lanes'
-# scaling efficiency needs the same largest lane count (nproc).
+# scaling efficiency needs the same largest lane count (nproc). The
+# gemm-vs-naive train-step ratio needs none: bench_kernels takes it on
+# one thread whatever the pool size.
 GUARDED = [
     ("BENCH_kernels.json", "train_step.speedup",
      "gemm vs naive train-step speedup", ()),

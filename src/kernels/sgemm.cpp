@@ -43,65 +43,11 @@ void PackA(const float* a, int64_t lda, bool trans, int64_t ic, int64_t pc,
   }
 }
 
-#if HWP_SGEMM_X86
-// GCC 12's unmasked shuffle and extract intrinsics pass an undefined
-// merge source to their masked builtins, which -Wuninitialized flags at
-// every call site.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
-// dst[p][j] = src[j][p] for j < 16, p < kc: a full transposed B panel,
-// 16×16 blocks transposed in registers (32-bit, then 64-bit interleaves
-// within 128-bit lanes, then two rounds of lane shuffles).
-__attribute__((target("avx512f"))) void TransposePanelAvx512(
-    const float* const* src, int64_t kc, float* dst) {
-  static_assert(kNR == 16, "one zmm per panel row");
-  int64_t p = 0;
-  for (; p + 16 <= kc; p += 16) {
-    __m512 r[16], t[16], u[16];
-    for (int j = 0; j < 16; ++j) r[j] = _mm512_loadu_ps(src[j] + p);
-    for (int i = 0; i < 8; ++i) {
-      t[2 * i] = _mm512_unpacklo_ps(r[2 * i], r[2 * i + 1]);
-      t[2 * i + 1] = _mm512_unpackhi_ps(r[2 * i], r[2 * i + 1]);
-    }
-    // u[4i + c], lane L: column 4L + c of rows 4i..4i+3.
-    for (int i = 0; i < 4; ++i) {
-      const __m512d a0 = _mm512_castps_pd(t[4 * i]);
-      const __m512d a1 = _mm512_castps_pd(t[4 * i + 1]);
-      const __m512d a2 = _mm512_castps_pd(t[4 * i + 2]);
-      const __m512d a3 = _mm512_castps_pd(t[4 * i + 3]);
-      u[4 * i] = _mm512_castpd_ps(_mm512_unpacklo_pd(a0, a2));
-      u[4 * i + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(a0, a2));
-      u[4 * i + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(a1, a3));
-      u[4 * i + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(a1, a3));
-    }
-    for (int c = 0; c < 4; ++c) {
-      const __m512 v0 = _mm512_shuffle_f32x4(u[c], u[4 + c], 0x88);
-      const __m512 v1 = _mm512_shuffle_f32x4(u[c], u[4 + c], 0xDD);
-      const __m512 w0 = _mm512_shuffle_f32x4(u[8 + c], u[12 + c], 0x88);
-      const __m512 w1 = _mm512_shuffle_f32x4(u[8 + c], u[12 + c], 0xDD);
-      float* d = dst + (p + c) * kNR;
-      _mm512_storeu_ps(d, _mm512_shuffle_f32x4(v0, w0, 0x88));
-      _mm512_storeu_ps(d + 4 * kNR, _mm512_shuffle_f32x4(v1, w1, 0x88));
-      _mm512_storeu_ps(d + 8 * kNR, _mm512_shuffle_f32x4(v0, w0, 0xDD));
-      _mm512_storeu_ps(d + 12 * kNR, _mm512_shuffle_f32x4(v1, w1, 0xDD));
-    }
-  }
-  for (; p < kc; ++p) {
-    for (int j = 0; j < 16; ++j) dst[p * kNR + j] = src[j][p];
-  }
-}
-#pragma GCC diagnostic pop
-#endif  // HWP_SGEMM_X86
-
 // Packs one micro-panel op(B)[pc:pc+kc, j0:j0+nr] into dst as kc×kNR
 // with the column index fastest, zero-padded to kNR columns (stored
-// element (r, j) of B as IndirectB defines it). A full transposed panel
-// with contiguous columns is transposed in registers when
-// simd_transpose is set (the AVX-512 variant is active).
+// element (r, j) of B as IndirectB defines it).
 void PackBPanel(const IndirectB& b, bool trans, int64_t pc, int64_t j0,
-                int64_t kc, int64_t nr, bool simd_transpose, float* dst) {
+                int64_t kc, int64_t nr, float* dst) {
   if (!trans) {
     for (int64_t p = 0; p < kc; ++p) {
       const float* src = b.base + b.row_off[pc + p];
@@ -115,15 +61,6 @@ void PackBPanel(const IndirectB& b, bool trans, int64_t pc, int64_t j0,
     }
     return;
   }
-#if HWP_SGEMM_X86
-  if (simd_transpose && nr == kNR && b.col_off == nullptr) {
-    const float* src[kNR];
-    for (int64_t j = 0; j < kNR; ++j) src[j] = b.base + b.row_off[j0 + j] + pc;
-    TransposePanelAvx512(src, kc, dst);
-    return;
-  }
-#endif
-  (void)simd_transpose;
   // Column j of op(B) is stored row j0 + j: read it along its columns,
   // write it with stride kNR.
   for (int64_t j = 0; j < kNR; ++j) {
@@ -488,9 +425,7 @@ void GemmCore(bool trans_b, int64_t m, int64_t n, int64_t k,
   const double t_start = obs::NowUs();
   double pack_us = 0.0;
 
-  const SgemmIsa isa = ActiveSgemmIsa();
-  const MicroKernelFn micro_kernel = MicroKernelFor(isa);
-  const bool simd_transpose = isa == SgemmIsa::kAvx512;
+  const MicroKernelFn micro_kernel = MicroKernelFor(ActiveSgemmIsa());
   thread_local ScratchBuffer<float> bpack;
   ThreadPool& pool = ThreadPool::Get();
   const int64_t* packed_rows = PackedRowOffsets();
@@ -511,8 +446,7 @@ void GemmCore(bool trans_b, int64_t m, int64_t n, int64_t k,
           bpack.Resize(static_cast<size_t>((njr - first_packed) * kc * kNR));
       for (int64_t jr = first_packed; jr < njr; ++jr) {
         PackBPanel(b, trans_b, pc, jc + jr * kNR, kc,
-                   std::min(kNR, nc - jr * kNR), simd_transpose,
-                   bp + (jr - first_packed) * kc * kNR);
+                   std::min(kNR, nc - jr * kNR), bp + (jr - first_packed) * kc * kNR);
       }
       pack_us += obs::NowUs() - t0;
       for (int64_t ic = 0; ic < m; ic += kMC) {

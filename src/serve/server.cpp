@@ -244,13 +244,6 @@ void InferenceServer::LaneLoop(int lane) {
   }
 }
 
-const int64_t* InferenceServer::KnownClipMacs(const Shape& shape) const {
-  for (const auto& [known, macs] : clip_macs_) {
-    if (known == shape) return &macs;
-  }
-  return nullptr;
-}
-
 void InferenceServer::NoteQuarantine(int replica) {
   auto& m = ServeMetrics::Get();
   m.replicas_quarantined.Add(1);
@@ -325,16 +318,17 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
       result.batch_size = batch_size;
       result.replica = replica;
       try {
-        // The first clip of a shape fans out and measures its MACs; later
-        // ones below kInlineClipMacs stay on this thread.
-        const int64_t* macs =
-            config_.replicas == 1 ? KnownClipMacs(req.clip.shape()) : nullptr;
+        // A clip of the last shape the lone lane ran stays on this thread
+        // when that shape's MACs are below kInlineClipMacs; a clip of a
+        // new shape fans out and replaces the measurement.
+        const bool known = config_.replicas == 1 && last_clip_macs_ >= 0 &&
+                           req.clip.shape() == last_clip_shape_;
         std::optional<ThreadPool::SerialScope> inline_clip;
-        if (macs != nullptr && *macs < kInlineClipMacs) inline_clip.emplace();
+        if (known && last_clip_macs_ < kInlineClipMacs) inline_clip.emplace();
         result.logits = model_.Infer(req.clip, &result.stats);
-        if (config_.replicas == 1 && macs == nullptr) {
-          clip_macs_.emplace_back(req.clip.shape(),
-                                  result.stats.macs_executed);
+        if (config_.replicas == 1 && !known) {
+          last_clip_shape_ = req.clip.shape();
+          last_clip_macs_ = result.stats.macs_executed;
         }
       } catch (const Error& e) {
         // A malformed request is a terminal per-request error, never a

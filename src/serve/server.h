@@ -198,9 +198,6 @@ class InferenceServer {
                 int batch_size, const std::atomic<bool>& cancelled);
   void WatchdogLoop();
   void NoteQuarantine(int replica);
-  // MACs of one clip of `shape` on model_, or null until a clip of that
-  // shape has run. Only a lone lane keeps them (replicas == 1).
-  const int64_t* KnownClipMacs(const Shape& shape) const;
 
   ServerConfig config_;
   RetryPolicy retry_;
@@ -217,8 +214,12 @@ class InferenceServer {
   bool watchdog_stop_ = false;
   std::vector<std::optional<WatchTarget>> watch_;  // one slot per lane
 
-  // Per clip shape, the MACs of one Infer; touched by the lone lane only.
-  std::vector<std::pair<Shape, int64_t>> clip_macs_;
+  // The shape of the last clip a lone lane (replicas == 1) ran and the
+  // MACs of one Infer on it (-1 before the first); one slot, so a client
+  // that varies its clip shape costs a fan-out per new shape, never
+  // memory. Touched by the lone lane only.
+  Shape last_clip_shape_;
+  int64_t last_clip_macs_ = -1;
 
   // Aggregate counters; latency_sample_ feeds the Stats() percentiles.
   mutable std::mutex stats_mu_;

@@ -13,6 +13,19 @@
 // their first batch, so a one-batch epoch keeps malloc's peak. When the
 // last scope ends, every kept block is freed, so what the process holds
 // outside training is unchanged.
+//
+// The serving path's int16 activations (fpga::QActivation) recycle
+// through their own list in src/fpga/compiled_executor.cpp, and the two
+// policies are kept apart on purpose. That list is always on (a server
+// has no scope that ends), holds a bounded number of buffers, and keys
+// each by its activation layout: a buffer that held the same layout
+// comes back with its zero halo intact and skips re-zeroing, and a
+// mismatch falls back to the smallest buffer that fits. This one keeps
+// everything a batch frees but only while training runs, and matches
+// exact byte sizes, because each batch reallocates exactly the sizes the
+// one before it freed. Either policy on the other's traffic does worse:
+// a bound would drop most of a batch's blocks, and keeping serving's
+// buffers without a scope would never give them back.
 #pragma once
 
 #include <cstddef>

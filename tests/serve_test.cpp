@@ -288,6 +288,42 @@ TEST_F(ServeTest, LoneLaneRunsSmallClipsInlineAndFansOutLargeOnes) {
   }
 }
 
+TEST_F(ServeTest, LoneLaneKeepsOnlyTheLastClipShapesMacs) {
+  if (ThreadPool::Get().threads() == 1) {
+    GTEST_SKIP() << "a one-thread pool runs every clip inline";
+  }
+  const auto regions = [] {
+    return obs::MetricsRegistry::Get().CounterTotal("kernels.pool.regions");
+  };
+  serve::ServerConfig cfg;
+  cfg.replicas = 1;
+  serve::InferenceServer server(*compiled_, cfg);
+  const Shape base = MakeClip(0, 1).shape();
+  // A client that varies its clip shape (32 shapes, none larger than
+  // the tiny clip): every new shape fans out once and replaces the one
+  // kept measurement, and a repeat of the shape just measured runs
+  // inline.
+  for (int i = 0; i < 32; ++i) {
+    TensorF clip(Shape{base[0], base[1] - i % 4, base[2] - i / 4 % 4,
+                       base[3] - i / 16});
+    FillUniform(clip, rng_, -1.0f, 1.0f);
+    int64_t before = regions();
+    auto r = server.Submit(clip);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_LT(r->stats.macs_executed, serve::kInlineClipMacs);
+    EXPECT_GT(regions(), before) << "shape " << clip.shape().ToString();
+    before = regions();
+    ASSERT_TRUE(server.Submit(clip).ok());
+    EXPECT_EQ(regions(), before) << "shape " << clip.shape().ToString();
+  }
+  // The first shape was evicted long ago: it is measured again.
+  TensorF first(Shape{base[0], base[1], base[2], base[3]});
+  FillUniform(first, rng_, -1.0f, 1.0f);
+  const int64_t before = regions();
+  ASSERT_TRUE(server.Submit(first).ok());
+  EXPECT_GT(regions(), before);
+}
+
 TEST_F(ServeTest, BackpressureRejectsBeyondQueueCapacity) {
   // The only lane is held by a wedged request, so nothing leaves the
   // queue while it fills.
