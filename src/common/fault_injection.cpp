@@ -3,18 +3,12 @@
 #include <cstdlib>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/strings.h"
 
 namespace hwp3d {
 
 namespace {
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 // FNV-1a: stable across platforms/standard libraries, unlike std::hash.
 uint64_t HashName(std::string_view name) {

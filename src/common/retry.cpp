@@ -3,18 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/rng.h"
+
 namespace hwp3d {
-
-namespace {
-
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 RetryPolicy::RetryPolicy(RetryConfig config, uint64_t seed)
     : config_(config), seed_(seed) {}

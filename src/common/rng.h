@@ -10,6 +10,16 @@
 
 namespace hwp3d {
 
+// SplitMix64's finalizer: a well-mixed 64-bit hash of x, a pure
+// function, for draws that must be reproducible from (seed, index)
+// alone (retry jitter, fault draws, reservoir slots).
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 // Thin wrapper over std::mt19937_64 with convenience samplers.
 class Rng {
  public:

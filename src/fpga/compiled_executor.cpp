@@ -301,11 +301,19 @@ TiledConvStats PackedConvLayer::ModelStats(std::array<int64_t, 3> stride,
   stats.blocks_skipped = lat.blocks_skipped;
   stats.modeled_cycles = lat.cycles;
   stats.stall = lat.stall;
-  // The simulator counts one MAC per (enabled block element, kernel
-  // element, output element); spatial tiles partition D×R×C exactly, so
-  // the count factorizes over the surviving-tile channel area.
-  stats.macs_executed = sum_mn_ * Kd_ * Kr_ * Kc_ * D * R * C;
+  stats.macs_executed = Macs({D, R, C});
   return stats;
+}
+
+std::array<int64_t, 3> PackedConvLayer::OutputExtent(
+    std::array<int64_t, 3> input, std::array<int64_t, 3> stride,
+    std::array<int64_t, 3> padding) const {
+  const std::array<int64_t, 3> out = {
+      OutExtent(input[0] + 2 * padding[0], Kd_, stride[0]),
+      OutExtent(input[1] + 2 * padding[1], Kr_, stride[1]),
+      OutExtent(input[2] + 2 * padding[2], Kc_, stride[2])};
+  HWP_SHAPE_CHECK_MSG(out[0] > 0 && out[1] > 0 && out[2] > 0, "empty output");
+  return out;
 }
 
 PackedConvLayer::Result PackedConvLayer::Run(
@@ -326,11 +334,7 @@ PackedConvLayer::Result PackedConvLayer::Run(
   HWP_SHAPE_CHECK_MSG(Pd >= 0 && Pr >= 0 && Pc >= 0, "negative padding");
   HWP_SHAPE_CHECK_MSG(Pd <= Hd && Pr <= Hr && Pc <= Hc,
                       "padding exceeds the input's halo");
-  const auto [Di, Ri, Ci] = input.extent();
-  const int64_t D = OutExtent(Di + 2 * Pd, Kd_, Sd);
-  const int64_t R = OutExtent(Ri + 2 * Pr, Kr_, Sr);
-  const int64_t C = OutExtent(Ci + 2 * Pc, Kc_, Sc);
-  HWP_SHAPE_CHECK_MSG(D > 0 && R > 0 && C > 0, "empty output");
+  const auto [D, R, C] = OutputExtent(input.extent(), stride, padding);
   if (post.has_affine) {
     HWP_SHAPE_CHECK_MSG(post.scale.numel() == M_ && post.shift.numel() == M_,
                         "affine params must be [M]");

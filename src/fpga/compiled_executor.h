@@ -199,6 +199,18 @@ class PackedConvLayer {
                       std::array<int64_t, 3> padding, const PostOps& post,
                       ThreadPool* pool = nullptr) const;
 
+  // The D×R×C output extent of a run on a D×R×C input with `stride` and
+  // `padding`; throws ShapeError when it is empty.
+  std::array<int64_t, 3> OutputExtent(std::array<int64_t, 3> input,
+                                      std::array<int64_t, 3> stride,
+                                      std::array<int64_t, 3> padding) const;
+
+  // MACs of one run on a D×R×C output, counted as the simulator counts
+  // them: one per (enabled block element, kernel element, output element).
+  int64_t Macs(std::array<int64_t, 3> output) const {
+    return sum_mn_ * Kd_ * Kr_ * Kc_ * output[0] * output[1] * output[2];
+  }
+
   int64_t surviving_tiles() const { return surviving_tiles_; }
   int64_t total_tiles() const { return blocks_m_ * blocks_n_; }
 

@@ -40,22 +40,9 @@ std::array<int64_t, 3> Widest(std::array<int64_t, 3> a,
 }
 
 // Global average pool of each channel over its D×R×C values, summed in
-// [D][R][C] order in double, in both activation types.
-TensorF GlobalAvgPool(const TensorQ& x) {
-  const int64_t C = x.dim(0);
-  const int64_t vol = x.dim(1) * x.dim(2) * x.dim(3);
-  TensorF pooled(Shape{C});
-  for (int64_t c = 0; c < C; ++c) {
-    double acc = 0.0;
-    for (int64_t i = 0; i < vol; ++i) acc += x[c * vol + i].ToFloat();
-    pooled[c] = static_cast<float>(acc / static_cast<double>(vol));
-  }
-  return pooled;
-}
-
+// [D][R][C] order in double. Both channels of a pair in one pass: two
+// independent sums, each in its channel's order.
 TensorF GlobalAvgPool(const QActivation& x) {
-  // Both channels of a pair in one pass: two independent sums, each in
-  // its channel's [D][R][C] order.
   const auto [D, R, C] = x.extent();
   TensorF pooled(Shape{x.channels()});
   for (int64_t q = 0; q < x.pairs(); ++q) {
@@ -115,162 +102,113 @@ StatusOr<CompiledTinyR2Plus1d> CompiledTinyR2Plus1d::Compile(
   }
 }
 
-CompiledTinyR2Plus1d::ConvStage CompiledTinyR2Plus1d::MakeStage(
+CompiledTinyR2Plus1d::Op CompiledTinyR2Plus1d::MakeOp(
     nn::Conv3d& conv, nn::BatchNorm3d* bn, bool relu,
     const core::BlockMask* mask) const {
-  ConvStage stage;
-  stage.name = conv.name();
-  stage.weights = Quantize(conv.weight().value);
-  stage.stride = conv.config().stride;
-  stage.padding = conv.config().padding;
-  stage.post = FoldBn(bn, relu);
-  if (mask != nullptr) {
-    core::BlockPartition part(conv.weight().value.shape(),
-                              options_.tiling.block());
-    HWP_CHECK_MSG(mask->blocks_m == part.blocks_m() &&
-                      mask->blocks_n == part.blocks_n(),
-                  conv.name() << ": mask grid does not match tiling "
-                              << options_.tiling.ToString());
-    stage.mask = *mask;
-  }
-  if (options_.executor == ExecMode::kFast) {
-    stage.packed = std::make_shared<PackedConvLayer>(
-        stage.weights, options_.tiling, options_.ports,
-        stage.mask.has_value() ? &*stage.mask : nullptr, stage.name);
-    auto& reg = obs::MetricsRegistry::Get();
-    reg.GetGauge("exec.int32_exact_frac", {{"layer", stage.name}})
-        .Set(stage.packed->int32_exact_frac());
-    reg.GetGauge("exec.direct_frac", {{"layer", stage.name}})
-        .Set(PackedConvLayer::ReadsInPlace(stage.stride) ? 1.0 : 0.0);
-  }
-  return stage;
-}
-
-TensorQ CompiledTinyR2Plus1d::RunStage(const ConvStage& stage,
-                                       const TensorQ& x,
-                                       const TensorQ* shortcut,
-                                       CompiledRunStats* stats) const {
-  // The simulator runs on a padded copy, as the paper's host pads for
-  // the engine.
-  PostOps post = stage.post;
-  post.shortcut = shortcut;
-  TiledConvResult r =
-      sim_.Run(stage.weights, PadInput(x, stage.padding), stage.stride,
-               stage.mask.has_value() ? &*stage.mask : nullptr, post,
-               stage.name);
-  AddStats(r.stats, stats);
-  return std::move(r.output);
-}
-
-QActivation CompiledTinyR2Plus1d::RunStage(const ConvStage& stage,
-                                           const QActivation& x,
-                                           const QActivation* shortcut,
-                                           CompiledRunStats* stats) const {
-  PackedConvLayer::Result r =
-      stage.packed->Run(x, stage.stride, stage.padding, stage.post, shortcut,
-                        stage.out_halo);
-  AddStats(r.stats, stats);
-  return std::move(r.output);
-}
-
-template <typename Act>
-Act CompiledTinyR2Plus1d::RunConv2Plus1d(const ConvStage& spatial,
-                                         const ConvStage& temporal,
-                                         const Act& x, const Act* shortcut,
-                                         CompiledRunStats* stats) const {
-  const Act mid = RunStage(spatial, x, nullptr, stats);
-  return RunStage(temporal, mid, shortcut, stats);
-}
-
-template <typename Act>
-TensorF CompiledTinyR2Plus1d::Forward(const Act& clip,
-                                      CompiledRunStats* stats) const {
-  // Stem.
-  Act x = RunConv2Plus1d<Act>(stem_spatial_, stem_temporal_, clip, nullptr,
-                               stats);
-
-  // Residual stages.
-  const auto run_block = [&](const Block& b, const Act& in) {
-    Act projected;
-    const Act* shortcut = &in;
-    if (b.shortcut.has_value()) {
-      projected = RunStage(*b.shortcut, in, nullptr, stats);
-      shortcut = &projected;
-    }
-    const Act h = RunConv2Plus1d<Act>(b.c1_spatial, b.c1_temporal, in,
-                                      nullptr, stats);
-    // conv2's temporal stage applies bn2, adds the shortcut tile and the
-    // final ReLU inside the post-processing unit.
-    return RunConv2Plus1d(b.c2_spatial, b.c2_temporal, h, shortcut, stats);
-  };
-  x = run_block(stage1_, x);
-  x = run_block(stage2_, x);
-
-  // Host side: global average pool (the FC follows in Infer).
-  return GlobalAvgPool(x);
+  Op op;
+  op.name = conv.name();
+  op.weights = Quantize(conv.weight().value);
+  op.stride = conv.config().stride;
+  op.padding = conv.config().padding;
+  op.post = FoldBn(bn, relu);
+  if (mask != nullptr) op.mask = *mask;
+  // Packed whatever the executor: MacsFor reads the plan's MACs off it.
+  op.packed = std::make_shared<PackedConvLayer>(
+      op.weights, options_.tiling, options_.ports,
+      op.mask.has_value() ? &*op.mask : nullptr, op.name);
+  auto& reg = obs::MetricsRegistry::Get();
+  reg.GetGauge("exec.int32_exact_frac", {{"layer", op.name}})
+      .Set(op.packed->int32_exact_frac());
+  reg.GetGauge("exec.direct_frac", {{"layer", op.name}})
+      .Set(PackedConvLayer::ReadsInPlace(op.stride) ? 1.0 : 0.0);
+  return op;
 }
 
 CompiledTinyR2Plus1d::CompiledTinyR2Plus1d(models::TinyR2Plus1d& model,
                                            CompiledModelOptions options)
     : options_(std::move(options)),
       sim_(options_.tiling, options_.ports) {
-  const auto prunable = model.PrunableConvs();
-  HWP_CHECK_MSG(options_.masks.empty() ||
-                    options_.masks.size() == prunable.size(),
-                "mask count " << options_.masks.size() << " vs "
-                              << prunable.size() << " prunable convs");
-  const auto mask_for = [&](size_t i) -> const core::BlockMask* {
+  // The topology. Every conv's BN (and ReLU) folds into its
+  // post-processing unit; a residual block's conv2 temporal op applies
+  // bn2, adds the shortcut and applies the final ReLU there. Prunable
+  // convs take their masks in PrunableConvs() order: [c1.spatial,
+  // c1.temporal, c2.spatial, c2.temporal] per stage.
+  const auto add = [&](nn::Conv3d& conv, nn::BatchNorm3d* bn, bool relu,
+                       int input, const core::BlockMask* mask = nullptr,
+                       std::optional<int> shortcut = {}) {
+    ops_.push_back(MakeOp(conv, bn, relu, mask));
+    ops_.back().input = input;
+    ops_.back().shortcut = shortcut;
+    return static_cast<int>(ops_.size()) - 1;
+  };
+  size_t prunable = 0;
+  const auto next_mask = [&]() -> const core::BlockMask* {
+    const size_t i = prunable++;
     return options_.masks.empty() ? nullptr : &options_.masks[i];
   };
-
-  // Stem: spatial (+bn_mid+relu) -> temporal (+stem_bn+relu). Unpruned.
-  stem_spatial_ =
-      MakeStage(model.stem().spatial(), &model.stem().bn_mid(), true, nullptr);
-  stem_temporal_ =
-      MakeStage(model.stem().temporal(), &model.stem_bn(), true, nullptr);
-
-  // Residual stages: prunable conv order is
-  // [c1.spatial, c1.temporal, c2.spatial, c2.temporal] per stage.
-  const auto build_block = [&](nn::ResidualBlock& rb, size_t base) {
-    Block b;
-    b.c1_spatial = MakeStage(rb.conv1().spatial(), &rb.conv1().bn_mid(), true,
-                             mask_for(base + 0));
-    b.c1_temporal =
-        MakeStage(rb.conv1().temporal(), &rb.bn1(), true, mask_for(base + 1));
-    b.c2_spatial = MakeStage(rb.conv2().spatial(), &rb.conv2().bn_mid(), true,
-                             mask_for(base + 2));
-    // bn2's affine is applied before the shortcut add + final ReLU.
-    b.c2_temporal =
-        MakeStage(rb.conv2().temporal(), &rb.bn2(), true, mask_for(base + 3));
-    if (rb.has_projection()) {
-      b.shortcut =
-          MakeStage(*rb.shortcut_conv(), rb.shortcut_bn(), false, nullptr);
-    }
-    return b;
-  };
-  stage1_ = build_block(model.stage1(), 0);
-  stage2_ = build_block(model.stage2(), 4);
-
-  // Fast path: each activation's halo is the widest padding among the
-  // stages that read it as a conv input (a shortcut is read interior
-  // only, and the pooled output not at all).
-  const auto block_input_halo = [](const Block& b) {
-    return b.shortcut.has_value()
-               ? Widest(b.c1_spatial.padding, b.shortcut->padding)
-               : b.c1_spatial.padding;
-  };
-  in_halo_ = stem_spatial_.padding;
-  stem_spatial_.out_halo = stem_temporal_.padding;
-  stem_temporal_.out_halo = block_input_halo(stage1_);
-  for (Block* b : {&stage1_, &stage2_}) {
-    b->c1_spatial.out_halo = b->c1_temporal.padding;
-    b->c1_temporal.out_halo = b->c2_spatial.padding;
-    b->c2_spatial.out_halo = b->c2_temporal.padding;
+  nn::Conv2Plus1d& stem = model.stem();
+  int x = add(stem.spatial(), &stem.bn_mid(), true, -1);
+  x = add(stem.temporal(), &model.stem_bn(), true, x);
+  for (nn::ResidualBlock* rb : {&model.stage1(), &model.stage2()}) {
+    const int shortcut =
+        rb->has_projection()
+            ? add(*rb->shortcut_conv(), rb->shortcut_bn(), false, x)
+            : x;
+    int h = add(rb->conv1().spatial(), &rb->conv1().bn_mid(), true, x,
+                next_mask());
+    h = add(rb->conv1().temporal(), &rb->bn1(), true, h, next_mask());
+    h = add(rb->conv2().spatial(), &rb->conv2().bn_mid(), true, h,
+            next_mask());
+    x = add(rb->conv2().temporal(), &rb->bn2(), true, h, next_mask(),
+            shortcut);
   }
-  stage1_.c2_temporal.out_halo = block_input_halo(stage2_);
+
+  // Walking the plan backwards, each activation's first reader seen is
+  // its last, which frees it. Its halo is the widest padding among the
+  // ops that convolve it (a shortcut is read interior only, and the
+  // pooled output not at all).
+  std::vector<bool> read(ops_.size() + 1, false);  // [0] is the clip
+  const auto last_read = [&](int activation) {
+    const size_t a = static_cast<size_t>(activation + 1);
+    const bool last = !read[a];
+    read[a] = true;
+    return last;
+  };
+  for (size_t i = ops_.size(); i-- > 0;) {
+    Op& op = ops_[i];
+    std::array<int64_t, 3>& halo =
+        op.input < 0 ? in_halo_ : ops_[static_cast<size_t>(op.input)].out_halo;
+    halo = Widest(halo, op.padding);
+    op.frees_input = last_read(op.input);
+    if (op.shortcut.has_value()) op.frees_shortcut = last_read(*op.shortcut);
+  }
 
   fc_weight_ = model.fc().weight().value;
   fc_bias_ = model.fc().bias().value;
+}
+
+QActivation CompiledTinyR2Plus1d::RunOp(const Op& op, const QActivation& x,
+                                        const QActivation* shortcut,
+                                        CompiledRunStats* stats) const {
+  if (options_.executor == ExecMode::kFast) {
+    PackedConvLayer::Result r = op.packed->Run(x, op.stride, op.padding,
+                                               op.post, shortcut, op.out_halo);
+    AddStats(r.stats, stats);
+    return std::move(r.output);
+  }
+  // The simulator runs on a padded dense copy, as the paper's host pads
+  // for the engine. Both layout conversions are lossless.
+  TensorQ dense_shortcut;
+  PostOps post = op.post;
+  if (shortcut != nullptr) {
+    dense_shortcut = shortcut->ToTensor();
+    post.shortcut = &dense_shortcut;
+  }
+  TiledConvResult r =
+      sim_.Run(op.weights, PadInput(x.ToTensor(), op.padding), op.stride,
+               op.mask.has_value() ? &*op.mask : nullptr, post, op.name);
+  AddStats(r.stats, stats);
+  return QActivation::FromTensor(r.output, op.out_halo);
 }
 
 TensorF CompiledTinyR2Plus1d::Infer(const TensorF& clip,
@@ -279,11 +217,24 @@ TensorF CompiledTinyR2Plus1d::Infer(const TensorF& clip,
   HWP_SHAPE_CHECK_MSG(clip.rank() == 4,
                       "Infer expects a [C][D][H][W] clip, got "
                           << clip.shape().ToString());
-  // The fast path quantizes the clip straight into its layout.
-  const TensorF pooled =
-      options_.executor == ExecMode::kFast
-          ? Forward(QActivation::Quantize(clip, in_halo_), stats)
-          : Forward(Quantize(clip), stats);
+  // The clip is quantized straight into its layout. An activation is
+  // freed as soon as the op that reads it last has run.
+  QActivation quantized = QActivation::Quantize(clip, in_halo_);
+  std::vector<QActivation> acts(ops_.size());
+  const auto act = [&](int i) -> QActivation& {
+    return i < 0 ? quantized : acts[static_cast<size_t>(i)];
+  };
+  for (size_t i = 0; i < ops_.size(); ++i) {
+    const Op& op = ops_[i];
+    acts[i] = RunOp(op, act(op.input),
+                    op.shortcut.has_value() ? &act(*op.shortcut) : nullptr,
+                    stats);
+    if (op.frees_input) act(op.input) = QActivation();
+    if (op.frees_shortcut) act(*op.shortcut) = QActivation();
+  }
+
+  // Host side: global average pool and the FC.
+  const TensorF pooled = GlobalAvgPool(acts.back());
   const int64_t C = pooled.numel();
   const int64_t K = fc_weight_.dim(0);
   TensorF logits(Shape{K});
@@ -293,6 +244,27 @@ TensorF CompiledTinyR2Plus1d::Infer(const TensorF& clip,
     logits[k] = static_cast<float>(acc);
   }
   return logits;
+}
+
+int64_t CompiledTinyR2Plus1d::MacsFor(const Shape& clip) const {
+  HWP_SHAPE_CHECK_MSG(clip.rank() == 4, "expects a [C][D][H][W] clip, got "
+                                            << clip.ToString());
+  // The first op convolves the clip; the lowering matches every other
+  // op's input channels to its producer.
+  HWP_SHAPE_CHECK_MSG(clip[0] == ops_.front().weights.dim(1),
+                      "input channel mismatch: " << clip[0] << " vs "
+                          << ops_.front().weights.dim(1));
+  const std::array<int64_t, 3> clip_extent = {clip[1], clip[2], clip[3]};
+  std::vector<std::array<int64_t, 3>> extents(ops_.size());
+  int64_t macs = 0;
+  for (size_t i = 0; i < ops_.size(); ++i) {
+    const Op& op = ops_[i];
+    extents[i] = op.packed->OutputExtent(
+        op.input < 0 ? clip_extent : extents[static_cast<size_t>(op.input)],
+        op.stride, op.padding);
+    macs += op.packed->Macs(extents[i]);
+  }
+  return macs;
 }
 
 int CompiledTinyR2Plus1d::Classify(const TensorF& clip,

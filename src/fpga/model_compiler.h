@@ -1,8 +1,9 @@
-// Compiles a trained TinyR2Plus1d onto the tiled accelerator simulator:
-// quantizes every conv weight to Q7.8, folds each BatchNorm into the
-// post-processing unit's per-channel affine, wires residual shortcuts
-// through the shortcut port, and attaches the block-enable masks of a
-// pruned model so the engine actually skips pruned tiles.
+// Compiles a trained TinyR2Plus1d onto the tiled accelerator: lowers it
+// into an ordered list of conv ops, quantizes every conv weight to Q7.8,
+// folds each BatchNorm into the post-processing unit's per-channel
+// affine, wires residual shortcuts through the shortcut port, and
+// attaches the block-enable masks of a pruned model so the engine
+// actually skips pruned tiles.
 //
 // This is the software counterpart of the paper's deployment flow:
 // ADMM-pruned network -> 16-bit fixed-point accelerator with
@@ -43,21 +44,16 @@ struct CompiledRunStats {
 
 class CompiledTinyR2Plus1d {
  public:
-  // Validates `options` against the model (mask count and per-conv
-  // block grids under tiling.block()) and compiles; the preferred entry
-  // point — returns an actionable Status instead of throwing. The
-  // compiled model snapshots weights and BN statistics, so it is
-  // self-contained and immutable: Infer/Classify are const and safe to
-  // call from many threads concurrently, which is how every serving
-  // lane runs the one model an InferenceServer holds.
+  // The one way to build a compiled model: validates `options` against
+  // the model (mask count and per-conv block grids under tiling.block())
+  // and compiles, returning an actionable Status instead of throwing.
+  // Snapshots the model's weights and (eval-mode) BN statistics, so the
+  // model must already be trained and the result is self-contained and
+  // immutable: Infer/Classify are const and safe to call from many
+  // threads concurrently, which is how every serving lane runs the one
+  // model an InferenceServer holds.
   static StatusOr<CompiledTinyR2Plus1d> Compile(models::TinyR2Plus1d& model,
                                                 CompiledModelOptions options);
-
-  // Snapshots the model's weights and (eval-mode) BN statistics; the
-  // model must already be trained. Throws if masks are provided but do
-  // not match the prunable convs' block grids under tiling.block().
-  CompiledTinyR2Plus1d(models::TinyR2Plus1d& model,
-                       CompiledModelOptions options);
 
   // Runs one clip [C][D][H][W] (float, host side) through the simulated
   // accelerator and the host FC; returns the logits.
@@ -66,62 +62,59 @@ class CompiledTinyR2Plus1d {
   // Argmax convenience.
   int Classify(const TensorF& clip, CompiledRunStats* stats = nullptr) const;
 
+  // The MACs one Infer on a clip of this shape executes (its
+  // CompiledRunStats::macs_executed), worked out from the plan without
+  // running it. Throws ShapeError for a clip Infer would reject.
+  int64_t MacsFor(const Shape& clip) const;
+
   // The engine Infer dispatches to (options.executor).
   ExecMode executor() const { return options_.executor; }
 
  private:
-  struct ConvStage {
+  // One conv of the plan, with its BN folded into the post-processing
+  // unit. Op i writes activation i.
+  struct Op {
     std::string name;                 // conv layer name, labels traces/metrics
     TensorQ weights;                  // [M][N][Kd][Kr][Kc]
     std::array<int64_t, 3> stride;
     std::array<int64_t, 3> padding;
     std::optional<core::BlockMask> mask;
     PostOps post;                     // affine/relu; shortcut set at runtime
-    // Block-CSR packed weights for the fast path; shared so copies of
-    // this model reuse one packed stream.
+    // Block-CSR packed weights; shared so copies of this model reuse one
+    // packed stream.
     std::shared_ptr<const PackedConvLayer> packed;
-    // Fast path: the halo of the activation this stage writes, the widest
-    // padding among its consumers.
+    // The activation this op convolves (-1: the clip) and the one its
+    // post-processing unit adds, if any.
+    int input = -1;
+    std::optional<int> shortcut;
+    // Derived from the op list: the halo of the activation this op
+    // writes (the widest padding among the ops that convolve it), and
+    // whether this op is the last to read its input / its shortcut.
     std::array<int64_t, 3> out_halo{};
+    bool frees_input = false;
+    bool frees_shortcut = false;
   };
 
-  // Builds a stage from a conv and the BN that follows it (null = raw).
-  ConvStage MakeStage(nn::Conv3d& conv, nn::BatchNorm3d* bn, bool relu,
-                      const core::BlockMask* mask) const;
+  // Lowers `model` into ops_ (options must already be validated).
+  CompiledTinyR2Plus1d(models::TinyR2Plus1d& model,
+                       CompiledModelOptions options);
 
-  // One stage in each engine's activation type: the simulator's dense
-  // TensorQ, or the fast path's QActivation.
-  TensorQ RunStage(const ConvStage& stage, const TensorQ& x,
-                   const TensorQ* shortcut, CompiledRunStats* stats) const;
-  QActivation RunStage(const ConvStage& stage, const QActivation& x,
-                       const QActivation* shortcut,
-                       CompiledRunStats* stats) const;
+  // Builds an op from a conv and the BN that follows it (null = raw).
+  Op MakeOp(nn::Conv3d& conv, nn::BatchNorm3d* bn, bool relu,
+            const core::BlockMask* mask) const;
 
-  // Runs one (2+1)D pair: spatial (BN-mid + ReLU folded) then temporal.
-  template <typename Act>
-  Act RunConv2Plus1d(const ConvStage& spatial, const ConvStage& temporal,
-                     const Act& x, const Act* shortcut,
-                     CompiledRunStats* stats) const;
-
-  // The accelerator part of Infer on a quantized clip, in either
-  // activation type, and the host's global average pool; returns the
-  // pooled features.
-  template <typename Act>
-  TensorF Forward(const Act& clip, CompiledRunStats* stats) const;
+  // Runs one op on the executor options_.executor names.
+  QActivation RunOp(const Op& op, const QActivation& x,
+                    const QActivation* shortcut,
+                    CompiledRunStats* stats) const;
 
   CompiledModelOptions options_;
   TiledConvSim sim_;
-  // Fast path: the halo the clip is quantized into.
+  // The halo the clip is quantized into.
   std::array<int64_t, 3> in_halo_{};
-
-  // Stem.
-  ConvStage stem_spatial_, stem_temporal_;
-  // Stages: conv1 spatial/temporal, conv2 spatial/temporal, shortcut.
-  struct Block {
-    ConvStage c1_spatial, c1_temporal, c2_spatial, c2_temporal;
-    std::optional<ConvStage> shortcut;
-  };
-  Block stage1_, stage2_;
+  // The accelerator's part of the network, in execution order; the last
+  // op's output is globally average-pooled on the host.
+  std::vector<Op> ops_;
   // Host-side FC.
   TensorF fc_weight_;  // [out][in]
   TensorF fc_bias_;    // [out]

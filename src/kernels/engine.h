@@ -4,8 +4,11 @@
 //   kNaive — the original 7-deep scalar loops with double accumulators.
 //            Slow, but trivially auditable: it is the bit-exactness
 //            reference the gemm engine is parity-tested against.
-//   kGemm  — im2col lowering + cache-blocked packed sgemm on the
-//            persistent thread pool (src/kernels). The default.
+//   kGemm  — implicit GEMM: cache-blocked packed sgemm reading its B
+//            operand in place from a zero-halo copy of each sample
+//            through a per-tap offset table, no column matrix, on the
+//            persistent thread pool (src/kernels/conv3d_gemm.h). The
+//            default.
 //
 // The process runs kGemm; SetEngine is the hook parity tests and
 // benches use to run kNaive beside it.

@@ -1,7 +1,8 @@
-// Reusable thread-local scratch buffers for kernel lowering.
+// Reusable thread-local scratch buffers for the kernels.
 //
-// The GEMM conv engine and the fast-path executor need per-call scratch
-// (im2col columns, packed GEMM panels, accumulator tiles). Allocating
+// The implicit-GEMM conv engine and the fast-path executor need per-call
+// scratch (zero-halo sample copies, B-row offset tables, per-task
+// gathered panels, packed GEMM panels, accumulator tiles). Allocating
 // them per call would put a malloc/free pair on every hot-path
 // invocation; instead each thread keeps one ScratchBuffer per use site
 // (declared `thread_local`), which grows geometrically and is then

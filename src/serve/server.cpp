@@ -318,18 +318,14 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
       result.batch_size = batch_size;
       result.replica = replica;
       try {
-        // A clip of the last shape the lone lane ran stays on this thread
-        // when that shape's MACs are below kInlineClipMacs; a clip of a
-        // new shape fans out and replaces the measurement.
-        const bool known = config_.replicas == 1 && last_clip_macs_ >= 0 &&
-                           req.clip.shape() == last_clip_shape_;
+        // A lone lane keeps a clip of fewer than kInlineClipMacs MACs on
+        // this thread (several lanes already run serially).
         std::optional<ThreadPool::SerialScope> inline_clip;
-        if (known && last_clip_macs_ < kInlineClipMacs) inline_clip.emplace();
-        result.logits = model_.Infer(req.clip, &result.stats);
-        if (config_.replicas == 1 && !known) {
-          last_clip_shape_ = req.clip.shape();
-          last_clip_macs_ = result.stats.macs_executed;
+        if (config_.replicas == 1 &&
+            model_.MacsFor(req.clip.shape()) < kInlineClipMacs) {
+          inline_clip.emplace();
         }
+        result.logits = model_.Infer(req.clip, &result.stats);
       } catch (const Error& e) {
         // A malformed request is a terminal per-request error, never a
         // replica fault: no retry, no health penalty, and it must not

@@ -101,8 +101,9 @@ Status ValidateServerConfig(const ServerConfig& config);
 // error, not a deployment.
 inline constexpr int kMaxReplicas = 256;
 
-// A lone lane runs a clip of fewer MACs (CompiledRunStats::
-// macs_executed) inline instead of over the pool. Measured on a 4-vCPU
+// A lone lane runs a clip of fewer MACs (CompiledTinyR2Plus1d::MacsFor,
+// worked out from the plan before the clip runs) inline instead of over
+// the pool, from its first request. Measured on a 4-vCPU
 // AVX-512 host with the fast executor, one Infer on the pool vs inline:
 // 0.75x at 1.97 M MACs (the 4/8/8 model, 6x10x10 clip), 0.9-1.0x at
 // 3.8 M, 1.04-1.07x at 6.7 M and 1.5-1.8x at 34.65 M (the dense 8/16/32
@@ -213,13 +214,6 @@ class InferenceServer {
   std::condition_variable watch_cv_;
   bool watchdog_stop_ = false;
   std::vector<std::optional<WatchTarget>> watch_;  // one slot per lane
-
-  // The shape of the last clip a lone lane (replicas == 1) ran and the
-  // MACs of one Infer on it (-1 before the first); one slot, so a client
-  // that varies its clip shape costs a fan-out per new shape, never
-  // memory. Touched by the lone lane only.
-  Shape last_clip_shape_;
-  int64_t last_clip_macs_ = -1;
 
   // Aggregate counters; latency_sample_ feeds the Stats() percentiles.
   mutable std::mutex stats_mu_;

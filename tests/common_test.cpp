@@ -36,6 +36,12 @@ TEST(RngTest, DeterministicAcrossInstances) {
   }
 }
 
+TEST(RngTest, SplitMix64KnownAnswers) {
+  // The reference generator's first outputs from states 0 and 1.
+  EXPECT_EQ(SplitMix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(SplitMix64(1), 0x910a2dec89025cc1ULL);
+}
+
 TEST(RngTest, DifferentSeedsDiffer) {
   Rng a(1), b(2);
   int differing = 0;

@@ -203,24 +203,30 @@ class CompiledExecutorModelTest : public ::testing::Test {
  protected:
   void SetUp() override {
     SetLogLevel(LogLevel::Warning);
-    models::TinyR2Plus1dConfig mcfg;
-    mcfg.num_classes = 4;
-    mcfg.stem_channels = 4;
-    mcfg.stage1_channels = 8;
-    mcfg.stage2_channels = 8;
-    model_ = std::make_unique<models::TinyR2Plus1d>(mcfg, rng_);
     data::SyntheticVideoConfig dcfg;
     dcfg.num_classes = 4;
     dcfg.frames = 6;
     dcfg.height = 10;
     dcfg.width = 10;
     dataset_ = std::make_unique<data::SyntheticVideoDataset>(dcfg);
+    TrainModel(4, 8, 8);
+  }
+  void TearDown() override { SetLogLevel(LogLevel::Info); }
+
+  // Replaces model_ with a model of these widths, trained one epoch so
+  // its BN statistics are the data's.
+  void TrainModel(int64_t stem, int64_t stage1, int64_t stage2) {
+    models::TinyR2Plus1dConfig mcfg;
+    mcfg.num_classes = 4;
+    mcfg.stem_channels = stem;
+    mcfg.stage1_channels = stage1;
+    mcfg.stage2_channels = stage2;
+    model_ = std::make_unique<models::TinyR2Plus1d>(mcfg, rng_);
     auto batches = dataset_->MakeBatches(8, 8, rng_);
     nn::Sgd opt(model_->Params(),
                 {.lr = 0.02f, .momentum = 0.9f, .weight_decay = 0.0f});
     nn::TrainEpoch(*model_, opt, batches, {});
   }
-  void TearDown() override { SetLogLevel(LogLevel::Info); }
 
   TensorF MakeClip(uint64_t seed) {
     Rng rng(seed);
@@ -267,6 +273,8 @@ class CompiledExecutorModelTest : public ::testing::Test {
       EXPECT_EQ(sim_stats.blocks_loaded, fast_stats.blocks_loaded);
       EXPECT_EQ(sim_stats.blocks_skipped, fast_stats.blocks_skipped);
       EXPECT_EQ(sim_stats.macs_executed, fast_stats.macs_executed);
+      EXPECT_EQ(fast->MacsFor(clip.shape()), fast_stats.macs_executed);
+      EXPECT_EQ(sim->MacsFor(clip.shape()), sim_stats.macs_executed);
       EXPECT_EQ(sim->Classify(clip), fast->Classify(clip));
     }
   }
@@ -302,6 +310,19 @@ TEST_F(CompiledExecutorModelTest, NonDivisibleTilingParity) {
   CompiledModelOptions opts;
   opts.tiling = fpga::Tiling{3, 3, 2, 4, 4};
   opts.masks = PruneMasks(0.5, {3, 3});
+  CheckModelParity(opts);
+}
+
+TEST_F(CompiledExecutorModelTest, IdentityShortcutParity) {
+  // stem_channels == stage1_channels: stage 1 has no projection, so its
+  // conv2 temporal op adds the block input itself, an activation with
+  // the (0, 1, 1) halo of the conv1 spatial op that also reads it.
+  TrainModel(4, 4, 8);
+  ASSERT_FALSE(model_->stage1().has_projection());
+  CompiledModelOptions opts;
+  opts.tiling = fpga::Tiling{4, 4, 2, 5, 5};
+  CheckModelParity(opts);
+  opts.masks = PruneMasks(0.5, {4, 4});
   CheckModelParity(opts);
 }
 

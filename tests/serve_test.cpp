@@ -256,8 +256,8 @@ TEST_F(ServeTest, LoneLaneRunsSmallClipsInlineAndFansOutLargeOnes) {
   serve::ServerConfig cfg;
   cfg.replicas = 1;
   {
-    // The first clip of a shape measures its MACs; the tiny clip is far
-    // below kInlineClipMacs, so no later request opens a pool region.
+    // The tiny clip is far below kInlineClipMacs, so no request opens a
+    // pool region.
     serve::InferenceServer server(*compiled_, cfg);
     ASSERT_TRUE(server.Submit(MakeClip(0, 1)).ok());
     const int64_t before = regions();
@@ -288,7 +288,7 @@ TEST_F(ServeTest, LoneLaneRunsSmallClipsInlineAndFansOutLargeOnes) {
   }
 }
 
-TEST_F(ServeTest, LoneLaneKeepsOnlyTheLastClipShapesMacs) {
+TEST_F(ServeTest, LoneLaneRunsEveryTinyShapeInlineFromItsFirstRequest) {
   if (ThreadPool::Get().threads() == 1) {
     GTEST_SKIP() << "a one-thread pool runs every clip inline";
   }
@@ -299,29 +299,19 @@ TEST_F(ServeTest, LoneLaneKeepsOnlyTheLastClipShapesMacs) {
   cfg.replicas = 1;
   serve::InferenceServer server(*compiled_, cfg);
   const Shape base = MakeClip(0, 1).shape();
-  // A client that varies its clip shape (32 shapes, none larger than
-  // the tiny clip): every new shape fans out once and replaces the one
-  // kept measurement, and a repeat of the shape just measured runs
-  // inline.
+  // A client that varies its clip shape (32 shapes, none larger than the
+  // tiny clip): the lane works each shape's MACs out from the plan, so
+  // not even a shape's first request fans out.
   for (int i = 0; i < 32; ++i) {
     TensorF clip(Shape{base[0], base[1] - i % 4, base[2] - i / 4 % 4,
                        base[3] - i / 16});
     FillUniform(clip, rng_, -1.0f, 1.0f);
-    int64_t before = regions();
+    const int64_t before = regions();
     auto r = server.Submit(clip);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_LT(r->stats.macs_executed, serve::kInlineClipMacs);
-    EXPECT_GT(regions(), before) << "shape " << clip.shape().ToString();
-    before = regions();
-    ASSERT_TRUE(server.Submit(clip).ok());
     EXPECT_EQ(regions(), before) << "shape " << clip.shape().ToString();
   }
-  // The first shape was evicted long ago: it is measured again.
-  TensorF first(Shape{base[0], base[1], base[2], base[3]});
-  FillUniform(first, rng_, -1.0f, 1.0f);
-  const int64_t before = regions();
-  ASSERT_TRUE(server.Submit(first).ok());
-  EXPECT_GT(regions(), before);
 }
 
 TEST_F(ServeTest, BackpressureRejectsBeyondQueueCapacity) {
