@@ -39,6 +39,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/init.h"
+#include "tensor/storage.h"
 
 using namespace hwp3d;
 
@@ -404,6 +405,40 @@ EpochResult RunPruneEpochComparison() {
   return r;
 }
 
+struct TrainMemoryResult {
+  double live_peak_mb = 0.0;   // highest live tensor bytes in the epoch
+  double live_after_mb = 0.0;  // still live once the epoch returned
+};
+
+// Live tensor storage (LiveStorageBytes) of one training batch of the
+// dense serving model (TinyR2Plus1d 8/16/32, 10 classes, 8 clips of
+// 8x16x16): the serving set-up's BN-adaptation epoch. Both are bytes
+// above what was live before the epoch, so they count the batch's
+// activations, caches and gradients, not the model or the data. A count,
+// not a timing: the same on every host and pool size.
+TrainMemoryResult RunTrainMemory() {
+  data::SyntheticVideoConfig dcfg;
+  dcfg.num_classes = 10;
+  dcfg.frames = 8;
+  dcfg.height = 16;
+  dcfg.width = 16;
+  const data::SyntheticVideoDataset dataset(dcfg);
+  Rng rng(2);
+  const std::vector<nn::Batch> adapt = dataset.MakeBatches(8, 8, rng);
+  models::TinyR2Plus1d model(models::TinyR2Plus1dConfig{}, rng);
+  nn::Sgd opt(model.Params(),
+              {.lr = 0.02f, .momentum = 0.9f, .weight_decay = 0.0f});
+  const size_t before = LiveStorageBytes();
+  ResetPeakLiveStorageBytes();
+  nn::TrainEpoch(model, opt, adapt, {});
+  constexpr double kMb = 1024.0 * 1024.0;
+  TrainMemoryResult r;
+  r.live_peak_mb = static_cast<double>(PeakLiveStorageBytes() - before) / kMb;
+  r.live_after_mb =
+      static_cast<double>(LiveStorageBytes() - before) / kMb;
+  return r;
+}
+
 // GFLOP/s of the gemm-engine conv forward from BM_Conv3dForwardGemm's
 // shape, plus the pack/compute split from the kernels.gemm.* counters.
 void RunEngineComparison(const std::string& json_path) {
@@ -453,6 +488,7 @@ void RunEngineComparison(const std::string& json_path) {
   const MicroKernelResult micro = RunMicroKernelComparison();
   const QConvResult qconv = RunQConvComparison();
   const EpochResult epoch = RunPruneEpochComparison();
+  const TrainMemoryResult memory = RunTrainMemory();
   const int threads = ThreadPool::Get().threads();
 
   std::printf("\n-- engine comparison (tiny R(2+1)D residual block) --\n");
@@ -482,6 +518,10 @@ void RunEngineComparison(const std::string& json_path) {
   std::printf("%d threads:            %.1f ms\n", threads, epoch.pool_ms);
   std::printf("pool vs 1 thread:     %.2fx\n",
               epoch.one_thread_ms / epoch.pool_ms);
+  std::printf("\n-- training memory, one batch of the dense serving model "
+              "(8/16/32, 8 clips 8x16x16) --\n");
+  std::printf("live tensor peak:     %.2f MB\n", memory.live_peak_mb);
+  std::printf("live after epoch:     %.2f MB\n", memory.live_after_mb);
 
   std::ofstream out(json_path);
   if (!out) {
@@ -534,6 +574,12 @@ void RunEngineComparison(const std::string& json_path) {
       << "    \"pool_ms\": " << epoch.pool_ms << ",\n"
       << "    \"pool_vs_one_thread\": "
       << epoch.one_thread_ms / epoch.pool_ms << "\n"
+      << "  },\n"
+      << "  \"train_memory\": {\n"
+      << "    \"config\": \"TinyR2Plus1d 8/16/32 ch, one batch of 8 clips "
+         "8x16x16, MB of live tensor storage above the pre-epoch level\",\n"
+      << "    \"live_peak_mb\": " << memory.live_peak_mb << ",\n"
+      << "    \"live_after_mb\": " << memory.live_after_mb << "\n"
       << "  }\n"
       << "}\n";
   std::printf("wrote %s\n", json_path.c_str());

@@ -8,8 +8,8 @@
 #             binaries are tuned to THIS machine's ISA — don't ship them)
 #   --check   after the run, compare the fresh summaries against the
 #             committed baselines in bench/baselines/ and exit non-zero
-#             on a >15% regression of a guarded ratio metric
-#             (scripts/bench_check.py)
+#             on a >15% regression of a guarded ratio metric or any
+#             growth of a guarded count (scripts/bench_check.py)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

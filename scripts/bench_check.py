@@ -3,16 +3,22 @@
 
 Compares freshly written bench summaries (BENCH_kernels.json,
 BENCH_serve.json) against the committed baselines in bench/baselines/
-and exits non-zero when a guarded metric regressed by more than the
-tolerance (default 15%).
+and exits non-zero when a guarded metric regressed by more than its
+tolerance (default 15% for ratios, see below).
 
-Only *ratio* metrics are guarded — speedups of one configuration over
-another measured in the same run (gemm-vs-naive, dispatched-vs-portable
-SGEMM micro-kernel and int16 conv kernel, fast-vs-sim executor,
-pruned-vs-dense, and the serving lanes' scaling efficiency against a
-one-thread serial loop). Absolute clips/s or GFLOP/s depend on the host
-CPU and would make the check fail on any machine other than the one
-that recorded the baseline; ratios cancel the machine out.
+Two kinds of metric are guarded:
+
+* higher-is-better *ratios* — speedups of one configuration over
+  another measured in the same run (gemm-vs-naive, dispatched-vs-portable
+  SGEMM micro-kernel and int16 conv kernel, fast-vs-sim executor,
+  pruned-vs-dense, and the serving lanes' scaling efficiency against a
+  one-thread serial loop). Absolute clips/s or GFLOP/s depend on the
+  host CPU and would make the check fail on any machine other than the
+  one that recorded the baseline; ratios cancel the machine out.
+* lower-is-better deterministic *counts* — figures the program fixes
+  whatever the host (the live tensor bytes of a training batch). They
+  carry no noise, so they may exceed the baseline only by the rounding
+  of their printed value (COUNT_SLACK), not by the ratios' tolerance.
 
 Usage: bench_check.py [--tolerance 0.15] [--baseline-dir bench/baselines]
                       [--fresh-dir .]
@@ -23,29 +29,35 @@ import json
 import os
 import sys
 
+RATIO = "ratio"  # higher is better, within --tolerance
+COUNT = "count"  # lower is better, within COUNT_SLACK
+COUNT_SLACK = 0.01
+
 # (file, dotted path into the JSON, human label, dotted paths of the
-# context the ratio was measured in). All guarded metrics are
-# higher-is-better ratios. A ratio is compared only when the fresh run
-# has the baseline's context: an ISA-bound ratio needs the same vector
-# ISA (on a host that runs the portable kernel there is nothing to
-# guard, and another ISA has another expected ratio), and the lanes'
-# scaling efficiency needs the same largest lane count (nproc). The
-# gemm-vs-naive train-step ratio needs none: bench_kernels takes it on
-# one thread whatever the pool size.
+# context the metric was measured in, kind). A metric is compared only
+# when the fresh run has the baseline's context: an ISA-bound ratio
+# needs the same vector ISA (on a host that runs the portable kernel
+# there is nothing to guard, and another ISA has another expected
+# ratio), and the lanes' scaling efficiency needs the same largest lane
+# count (nproc). The gemm-vs-naive train-step ratio needs none:
+# bench_kernels takes it on one thread whatever the pool size; nor do
+# counts.
 GUARDED = [
     ("BENCH_kernels.json", "train_step.speedup",
-     "gemm vs naive train-step speedup", ()),
+     "gemm vs naive train-step speedup", (), RATIO),
     ("BENCH_kernels.json", "sgemm.dispatched_vs_portable",
-     "dispatched vs portable SGEMM micro-kernel", ("sgemm.isa",)),
+     "dispatched vs portable SGEMM micro-kernel", ("sgemm.isa",), RATIO),
     ("BENCH_kernels.json", "qconv.dispatched_vs_portable",
-     "dispatched vs portable int16 conv kernel", ("qconv.isa",)),
+     "dispatched vs portable int16 conv kernel", ("qconv.isa",), RATIO),
+    ("BENCH_kernels.json", "train_memory.live_peak_mb",
+     "live tensor MB at the peak of a dense training batch", (), COUNT),
     ("BENCH_serve.json", "executors.fast_vs_sim",
-     "fast executor vs cycle simulator", ("executors.isa",)),
+     "fast executor vs cycle simulator", ("executors.isa",), RATIO),
     ("BENCH_serve.json", "executors.pruned_vs_dense",
-     "fast executor, 90% pruned vs dense", ("executors.isa",)),
+     "fast executor, 90% pruned vs dense", ("executors.isa",), RATIO),
     ("BENCH_serve.json", "lanes.efficiency",
      "serving lanes' scaling efficiency at the most lanes",
-     ("lanes.max", "executors.isa")),
+     ("lanes.max", "executors.isa"), RATIO),
 ]
 
 
@@ -77,7 +89,7 @@ def main():
 
     checked = 0
     failures = []
-    for fname, dotted, label, context_paths in GUARDED:
+    for fname, dotted, label, context_paths, kind in GUARDED:
         base_path = os.path.join(args.baseline_dir, fname)
         fresh_path = os.path.join(args.fresh_dir, fname)
         if not os.path.exists(base_path):
@@ -119,12 +131,16 @@ def main():
             continue
         ratio = fresh / base
         status = "OK"
-        if ratio < 1.0 - args.tolerance:
+        if kind == COUNT:
+            worse, allowed = ratio - 1.0, COUNT_SLACK
+        else:
+            worse, allowed = 1.0 - ratio, args.tolerance
+        if worse > allowed:
             status = "REGRESSED"
             failures.append(
                 f"{label}: {fresh:.3f} vs baseline {base:.3f} "
-                f"({(1.0 - ratio) * 100.0:.1f}% worse, "
-                f"tolerance {args.tolerance * 100.0:.0f}%)")
+                f"({worse * 100.0:.1f}% worse, "
+                f"tolerance {allowed * 100.0:.0f}%)")
         print(f"bench-check: {status:9s} {label}: fresh {fresh:.3f} / "
               f"baseline {base:.3f} = {ratio:.3f}")
 

@@ -23,9 +23,14 @@ done
 # timing-dependent, so repeat until-fail to shake out races. All pool
 # workers are joinable (never detached), so sanitizer runs stay clean.
 # The conv engine and the channel-parallel BatchNorm3d (nn_layers) run
-# their samples and channels on the pool.
-echo "==> thread-pool stress (sanitize)"
-ctest --preset sanitize -R 'thread_pool|conv_engine_parity|nn_layers' \
+# their samples and channels on the pool. Each module's Backward frees
+# the caches its Forward(train=true) kept (conv halo copies, BN inputs,
+# ReLU masks), so the training tests (conv3d, r2plus1d_block, trainer,
+# train_memory) also run here: ASan catches any read of a released
+# cache.
+echo "==> thread-pool + training-cache stress (sanitize)"
+ctest --preset sanitize \
+  -R 'thread_pool|conv_engine_parity|nn_layers|conv3d|trainer|r2plus1d_block|train_memory' \
   --repeat until-fail:3
 
 # The int16 conv kernels on every ISA the CPU supports: UBSan traps any

@@ -1,6 +1,7 @@
 #include "fpga/compiled_executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <array>
 #include <cstring>
 #include <mutex>
@@ -115,6 +116,17 @@ class StorageFreeList {
   std::vector<Entry> free_;  // guarded by mu_
 };
 
+// Pair index, in a plane, of the tap kd = kc = 0 for output depth d and
+// input row ir - Pr, column 0 (the B base of depth d in place).
+int64_t Origin(const QActivation& in, std::array<int64_t, 3> stride,
+               std::array<int64_t, 3> padding, int64_t d, int64_t ir) {
+  const auto [Hd, Hr, Hc] = in.halo();
+  return ((d * stride[0] - padding[0] + Hd) * in.Rp() + ir - padding[1] +
+          Hr) *
+             in.Cp() +
+         Hc - padding[2];
+}
+
 }  // namespace
 
 void detail::RecycleActivation::operator()(
@@ -197,7 +209,10 @@ PackedConvLayer::PackedConvLayer(const TensorQ& weights, const Tiling& tiling,
                                  const Ports& ports,
                                  const core::BlockMask* mask,
                                  std::string label)
-    : t_(tiling), p_(ports), label_(std::move(label)) {
+    : t_(tiling), p_(ports), label_(std::move(label)), id_([] {
+        static std::atomic<uint64_t> next{1};
+        return next.fetch_add(1, std::memory_order_relaxed);
+      }()) {
   obs::LabelSet labels;
   if (!label_.empty()) labels = {{"layer", label_}};
   auto& reg = obs::MetricsRegistry::Get();
@@ -316,6 +331,109 @@ std::array<int64_t, 3> PackedConvLayer::OutputExtent(
   return out;
 }
 
+PackedConvLayer::ShapePlan PackedConvLayer::MakePlan(
+    const QActivation& input, std::array<int64_t, 3> stride,
+    std::array<int64_t, 3> padding) const {
+  ShapePlan plan;
+  plan.extent = input.extent();
+  plan.halo = input.halo();
+  plan.stride = stride;
+  plan.padding = padding;
+  plan.out = OutputExtent(input.extent(), stride, padding);
+  const auto [D, R, C] = plan.out;
+  const bool direct = ReadsInPlace(stride);
+  // A task computes a chunk of kTaskCols GEMM columns of one output
+  // depth. Column j of a depth is output row j / pitch, column j % pitch:
+  // in place, an output row's B span runs on through the input row's
+  // halo columns (pitch Cp; columns C..Cp-1 are computed and dropped),
+  // while a gathered panel is compact (pitch C).
+  plan.pitch = direct ? input.Cp() : C;
+  plan.depth_cols = (R - 1) * plan.pitch + C;
+  plan.chunks = CeilDiv(plan.depth_cols, kTaskCols);
+
+  // Every K-pair's B offset: from its depth's origin in place, else into
+  // the panel, which holds Kd·Kr·Kc rows per gathered channel pair.
+  const int64_t Rp = input.Rp(), Cp = input.Cp(), plane = input.plane();
+  const int64_t k_vol = Kd_ * Kr_ * Kc_;
+  plan.pair_off.resize(taps_.size());
+  int64_t max_off = 0;
+  for (size_t i = 0; i < taps_.size(); ++i) {
+    const PairTap& t = taps_[i];
+    plan.pair_off[i] = direct ? t.q * plane + (t.kd * Rp + t.kr) * Cp + t.kc
+                              : (panel_q_[static_cast<size_t>(t.q)] * k_vol +
+                                 (t.kd * Kr_ + t.kr) * Kc_ + t.kc) *
+                                    kTaskCols;
+    max_off = std::max(max_off, plan.pair_off[i]);
+  }
+  if (direct) {
+    // The last task reads furthest: at most kQNR - 1 pairs past the
+    // last plane, into the slack.
+    const int64_t j0 = (plan.chunks - 1) * kTaskCols;
+    const int64_t end = Origin(input, stride, padding, D - 1, 0) + max_off +
+                        j0 + RoundUp(plan.depth_cols - j0, kernels::kQNR);
+    HWP_CHECK_MSG(end <= input.size_pairs(),
+                  "direct read past the activation's slack");
+  }
+  // Timing split from compute: the cycle accounting comes from the
+  // analytic model + mask counts, not from walking the loop nest.
+  plan.stats = ModelStats(stride, D, R, C);
+  return plan;
+}
+
+const PackedConvLayer::ShapePlan& PackedConvLayer::PlanFor(
+    const QActivation& input, std::array<int64_t, 3> stride,
+    std::array<int64_t, 3> padding) const {
+  const auto matches = [&](const ShapePlan& p) {
+    return p.extent == input.extent() && p.halo == input.halo() &&
+           p.stride == stride && p.padding == padding;
+  };
+  const auto cached = [&]() -> std::shared_ptr<const ShapePlan> {
+    for (const auto& p : plans_) {
+      if (p != nullptr && matches(*p)) return p;
+    }
+    return nullptr;
+  };
+  // This thread's last plan per layer, direct-mapped by layer id. Run
+  // calls PlanFor once, before its tasks, and its tasks never run
+  // another layer's Run on this thread, so the plan outlives its use.
+  struct Last {
+    uint64_t layer = 0;
+    std::shared_ptr<const ShapePlan> plan;
+  };
+  thread_local std::array<Last, 64> last;
+  Last& mine = last[id_ % last.size()];
+  if (mine.layer != id_ || !matches(*mine.plan)) {
+    std::shared_ptr<const ShapePlan> plan;
+    {
+      std::lock_guard<std::mutex> lk(plans_mu_);
+      plan = cached();
+    }
+    if (plan == nullptr) {
+      // Made outside the lock; of two lanes that miss at once, the
+      // second takes the first one's plan (the same contents).
+      auto made =
+          std::make_shared<const ShapePlan>(MakePlan(input, stride, padding));
+      std::lock_guard<std::mutex> lk(plans_mu_);
+      plan = cached();
+      if (plan == nullptr) {
+        plan = std::move(made);
+        plans_[next_plan_] = plan;
+        next_plan_ = (next_plan_ + 1) % kShapePlans;
+      }
+    }
+    mine = {id_, std::move(plan)};
+  }
+#ifndef NDEBUG
+  const ShapePlan fresh = MakePlan(input, stride, padding);
+  HWP_CHECK_MSG(fresh.pair_off == mine.plan->pair_off &&
+                    fresh.stats == mine.plan->stats &&
+                    fresh.out == mine.plan->out &&
+                    fresh.chunks == mine.plan->chunks,
+                "cached shape plan differs from a fresh one");
+#endif
+  return *mine.plan;
+}
+
 PackedConvLayer::Result PackedConvLayer::Run(
     const QActivation& input, std::array<int64_t, 3> stride,
     std::array<int64_t, 3> padding, const PostOps& post,
@@ -334,7 +452,8 @@ PackedConvLayer::Result PackedConvLayer::Run(
   HWP_SHAPE_CHECK_MSG(Pd >= 0 && Pr >= 0 && Pc >= 0, "negative padding");
   HWP_SHAPE_CHECK_MSG(Pd <= Hd && Pr <= Hr && Pc <= Hc,
                       "padding exceeds the input's halo");
-  const auto [D, R, C] = OutputExtent(input.extent(), stride, padding);
+  const ShapePlan& plan = PlanFor(input, stride, padding);
+  const auto [D, R, C] = plan.out;
   if (post.has_affine) {
     HWP_SHAPE_CHECK_MSG(post.scale.numel() == M_ && post.shift.numel() == M_,
                         "affine params must be [M]");
@@ -346,48 +465,19 @@ PackedConvLayer::Result PackedConvLayer::Run(
                         "shortcut shape mismatch");
   }
 
-  Result result{QActivation(M_, {D, R, C}, out_halo), {}};
+  Result result{QActivation(M_, {D, R, C}, out_halo), plan.stats};
   QActivation& out = result.output;
   const int16_t* in = input.data();
   const int64_t Rp = input.Rp(), Cp = input.Cp(), plane = input.plane();
   const int64_t k_vol = Kd_ * Kr_ * Kc_;
   const bool direct = ReadsInPlace(stride);
-  // A task computes a chunk of kTaskCols GEMM columns of one output
-  // depth. Column j of a depth is output row j / pitch, column j % pitch:
-  // in place, an output row's B span runs on through the input row's
-  // halo columns (pitch Cp; columns C..Cp-1 are computed and dropped),
-  // while a gathered panel is compact (pitch C).
-  const int64_t pitch = direct ? Cp : C;
-  const int64_t depth_cols = (R - 1) * pitch + C;
-  const int64_t chunks = CeilDiv(depth_cols, kTaskCols);
-  // Pair index, in a plane, of the tap kd = kc = 0 for output depth d
-  // and input row ir - Pr, column 0 (the B base of depth d in place).
+  const int64_t pitch = plan.pitch;
+  const int64_t depth_cols = plan.depth_cols;
+  const int64_t chunks = plan.chunks;
+  const int64_t* pair_off = plan.pair_off.data();
   const auto origin = [&](int64_t d, int64_t ir) {
-    return ((d * Sd - Pd + Hd) * Rp + ir - Pr + Hr) * Cp + Hc - Pc;
+    return Origin(input, stride, padding, d, ir);
   };
-
-  // Every K-pair's B offset: from its depth's origin in place, else into
-  // the panel, which holds k_vol rows per gathered channel pair.
-  thread_local kernels::ScratchBuffer<int64_t> off_scratch;
-  int64_t* pair_off = off_scratch.Resize(taps_.size());
-  int64_t max_off = 0;
-  for (size_t i = 0; i < taps_.size(); ++i) {
-    const PairTap& t = taps_[i];
-    pair_off[i] = direct ? t.q * plane + (t.kd * Rp + t.kr) * Cp + t.kc
-                         : (panel_q_[static_cast<size_t>(t.q)] * k_vol +
-                            (t.kd * Kr_ + t.kr) * Kc_ + t.kc) *
-                               kTaskCols;
-    max_off = std::max(max_off, pair_off[i]);
-  }
-  if (direct) {
-    // The last task reads furthest: at most kQNR - 1 pairs past the
-    // last plane, into the slack.
-    const int64_t j0 = (chunks - 1) * kTaskCols;
-    const int64_t end = origin(D - 1, 0) + max_off + j0 +
-                        RoundUp(depth_cols - j0, kernels::kQNR);
-    HWP_CHECK_MSG(end <= input.size_pairs(),
-                  "direct read past the activation's slack");
-  }
 
   // Calls fn(r, rows, c0, c1, j) for the output rows the columns
   // [j0, j1) of a depth cover: rows [r, r + rows) keep output columns
@@ -519,10 +609,6 @@ PackedConvLayer::Result PackedConvLayer::Run(
 
   ThreadPool& tp = pool != nullptr ? *pool : ThreadPool::Get();
   tp.For(0, D * chunks, run_task);
-
-  // Timing split from compute: the cycle accounting comes from the
-  // analytic model + mask counts, not from walking the loop nest.
-  result.stats = ModelStats(stride, D, R, C);
 
   const TiledConvStats& s = result.stats;
   if (span.active()) {

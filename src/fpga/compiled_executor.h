@@ -53,6 +53,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -155,8 +156,9 @@ class QActivation {
 };
 
 // One conv layer's weights packed for fast execution (see file
-// comment). Immutable after construction; Run is const and safe to
-// call concurrently, so every serving lane runs the same one.
+// comment). Immutable after construction but for a small cache of
+// per-shape plans; Run is const and safe to call concurrently, so every
+// serving lane runs the same one.
 class PackedConvLayer {
  public:
   // weights: [M][N][Kd][Kr][Kc] quantized. `mask` (optional) must match
@@ -178,6 +180,10 @@ class PackedConvLayer {
     QActivation output;
     TiledConvStats stats;
   };
+
+  // Input shapes (extent, halo, stride, padding) whose run plan a layer
+  // keeps; a run on another shape replaces the oldest.
+  static constexpr size_t kShapePlans = 4;
 
   // The engine: mirror of TiledConvSim::Run on the padded input with the
   // same PostOps. `input`'s halo must cover `padding`. The output gets
@@ -244,6 +250,30 @@ class PackedConvLayer {
   TiledConvStats ModelStats(std::array<int64_t, 3> stride, int64_t D,
                             int64_t R, int64_t C) const;
 
+  // Everything a run derives from its input layout (extent and halo),
+  // stride and padding alone: the output extent, the task grid, every
+  // K-pair's B offset and the analytic stats. Built on a shape's first
+  // run, immutable after, and shared by every lane and pool worker.
+  struct ShapePlan {
+    std::array<int64_t, 3> extent{}, halo{}, stride{}, padding{};  // key
+    std::array<int64_t, 3> out{};  // D, R, C
+    int64_t pitch = 0;       // GEMM columns per output row
+    int64_t depth_cols = 0;  // GEMM columns per output depth
+    int64_t chunks = 0;      // tasks per output depth
+    std::vector<int64_t> pair_off;  // [taps_.size()]
+    TiledConvStats stats;
+  };
+  ShapePlan MakePlan(const QActivation& input, std::array<int64_t, 3> stride,
+                     std::array<int64_t, 3> padding) const;
+  // The cached plan for this shape, made and cached on a miss; a new
+  // shape replaces the oldest of kShapePlans. The calling thread also
+  // keeps the plan it last used for this layer, so a repeated shape
+  // takes no lock and writes no cache line another lane reads; the
+  // reference stays valid until the thread's next PlanFor.
+  const ShapePlan& PlanFor(const QActivation& input,
+                           std::array<int64_t, 3> stride,
+                           std::array<int64_t, 3> padding) const;
+
   Tiling t_;
   Ports p_;
   int64_t M_ = 0, N_ = 0, Kd_ = 0, Kr_ = 0, Kc_ = 0;
@@ -264,6 +294,11 @@ class PackedConvLayer {
   int64_t sum_mn_ = 0;  // Σ over surviving tiles of tm_n*tn_n (for MACs)
   int64_t surviving_tiles_ = 0;
   int64_t int32_channels_ = 0;
+  const uint64_t id_;  // unique per layer in the process, never reused
+  // The shape plans, in a ring: next_plan_ is the oldest.
+  mutable std::mutex plans_mu_;
+  mutable std::array<std::shared_ptr<const ShapePlan>, kShapePlans> plans_;
+  mutable size_t next_plan_ = 0;
 };
 
 }  // namespace hwp3d::fpga

@@ -37,6 +37,7 @@ struct StallBreakdown {
   int64_t comp = 0;  // cycles bound by the MAC array
   int64_t out = 0;   // cycles bound by the output store / drain
   int64_t total() const { return wgt + in + comp + out; }
+  bool operator==(const StallBreakdown&) const = default;
   void Accumulate(const StallBreakdown& o, int64_t multiplicity = 1) {
     wgt += o.wgt * multiplicity;
     in += o.in * multiplicity;

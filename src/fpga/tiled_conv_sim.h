@@ -46,6 +46,7 @@ struct TiledConvStats {
   // the same accounting as PerfModel (RowCycleBreakdown); stall.total()
   // equals modeled_cycles.
   StallBreakdown stall;
+  bool operator==(const TiledConvStats&) const = default;
 };
 
 struct TiledConvResult {

@@ -1,5 +1,7 @@
 #include "models/tiny_c3d.h"
 
+#include <utility>
+
 namespace hwp3d::models {
 
 TinyC3d::Stage TinyC3d::MakeStage(int64_t in_ch, int64_t out_ch,
@@ -44,24 +46,28 @@ TinyC3d::TinyC3d(TinyC3dConfig cfg, Rng& rng) : cfg_(cfg) {
 }
 
 TensorF TinyC3d::Forward(const TensorF& x, bool train) {
-  TensorF h = x;
-  for (auto& s : stages_) {
-    h = s.conv->Forward(h, train);
-    if (s.bn) h = s.bn->Forward(h, train);
-    h = s.relu->Forward(h, train);
-    if (s.pool) h = s.pool->Forward(h, train);
+  // The clip is read, never kept (conv1 is padded); every activation
+  // after it is handed on by move.
+  TensorF h;
+  for (size_t i = 0; i < stages_.size(); ++i) {
+    Stage& s = stages_[i];
+    h = i == 0 ? s.conv->Forward(x, train)
+               : s.conv->Forward(std::move(h), train);
+    if (s.bn) h = s.bn->Forward(std::move(h), train);
+    h = s.relu->Forward(std::move(h), train);
+    if (s.pool) h = s.pool->Forward(std::move(h), train);
   }
-  h = gap_->Forward(h, train);
-  return fc_->Forward(h, train);
+  h = gap_->Forward(std::move(h), train);
+  return fc_->Forward(std::move(h), train);
 }
 
 TensorF TinyC3d::Backward(const TensorF& dy) {
   TensorF g = gap_->Backward(fc_->Backward(dy));
   for (auto it = stages_.rbegin(); it != stages_.rend(); ++it) {
-    if (it->pool) g = it->pool->Backward(g);
-    g = it->relu->Backward(g);
-    if (it->bn) g = it->bn->Backward(g);
-    g = it->conv->Backward(g);
+    if (it->pool) g = it->pool->Backward(std::move(g));
+    g = it->relu->Backward(std::move(g));
+    if (it->bn) g = it->bn->Backward(std::move(g));
+    g = it->conv->Backward(std::move(g));
   }
   return g;
 }

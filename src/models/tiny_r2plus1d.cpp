@@ -1,5 +1,7 @@
 #include "models/tiny_r2plus1d.h"
 
+#include <utility>
+
 namespace hwp3d::models {
 
 TinyR2Plus1d::TinyR2Plus1d(TinyR2Plus1dConfig cfg, Rng& rng) : cfg_(cfg) {
@@ -35,23 +37,25 @@ TinyR2Plus1d::TinyR2Plus1d(TinyR2Plus1dConfig cfg, Rng& rng) : cfg_(cfg) {
 }
 
 TensorF TinyR2Plus1d::Forward(const TensorF& x, bool train) {
+  // The clip is read, never kept (the stem's spatial conv is padded);
+  // every activation after it is handed on by move.
   TensorF h = stem_->Forward(x, train);
-  h = stem_bn_->Forward(h, train);
-  h = stem_relu_->Forward(h, train);
-  h = stage1_->Forward(h, train);
-  h = stage2_->Forward(h, train);
-  h = gap_->Forward(h, train);
-  return fc_->Forward(h, train);
+  h = stem_bn_->Forward(std::move(h), train);
+  h = stem_relu_->Forward(std::move(h), train);
+  h = stage1_->Forward(std::move(h), train);
+  h = stage2_->Forward(std::move(h), train);
+  h = gap_->Forward(std::move(h), train);
+  return fc_->Forward(std::move(h), train);
 }
 
 TensorF TinyR2Plus1d::Backward(const TensorF& dy) {
   TensorF g = fc_->Backward(dy);
-  g = gap_->Backward(g);
-  g = stage2_->Backward(g);
-  g = stage1_->Backward(g);
-  g = stem_relu_->Backward(g);
-  g = stem_bn_->Backward(g);
-  return stem_->Backward(g);
+  g = gap_->Backward(std::move(g));
+  g = stage2_->Backward(std::move(g));
+  g = stage1_->Backward(std::move(g));
+  g = stem_relu_->Backward(std::move(g));
+  g = stem_bn_->Backward(std::move(g));
+  return stem_->Backward(std::move(g));
 }
 
 void TinyR2Plus1d::CollectParams(std::vector<nn::Param*>& out) {

@@ -1,33 +1,40 @@
 #include "nn/activations.h"
 
+#include <utility>
+
 namespace hwp3d::nn {
 
 TensorF ReLU::Forward(const TensorF& x, bool train) {
-  TensorF y = TensorF::Uninitialized(x.shape());
-  for (int64_t i = 0; i < x.numel(); ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
-  if (train) {
-    cached_shape_ = x.shape();
-    cached_positive_.resize(static_cast<size_t>(x.numel()));
-    for (int64_t i = 0; i < x.numel(); ++i) {
-      cached_positive_[static_cast<size_t>(i)] = x[i] > 0.0f;
-    }
-  }
-  return y;
+  return Forward(TensorF(x), train);
 }
 
-TensorF ReLU::Backward(const TensorF& dy) {
-  HWP_CHECK_MSG(cached_shape_.rank() > 0,
-                name_ << ": Backward before Forward(train=true)");
-  HWP_SHAPE_CHECK_MSG(dy.shape() == cached_shape_,
-                      name_ << ": grad shape mismatch");
-  TensorF dx = TensorF::Uninitialized(cached_shape_);
-  // Load dy unconditionally so the select vectorizes instead of
-  // branching on the sign of x.
-  for (int64_t i = 0; i < dx.numel(); ++i) {
-    const float g = dy[i];
-    dx[i] = cached_positive_[static_cast<size_t>(i)] != 0 ? g : 0.0f;
+TensorF ReLU::Forward(TensorF&& x, bool train) {
+  float* p = x.data();
+  const int64_t n = x.numel();
+  if (train) {
+    cached_positive_ = Tensor<uint8_t>::Uninitialized(x.shape());
+    uint8_t* positive = cached_positive_.data();
+    for (int64_t i = 0; i < n; ++i) positive[i] = p[i] > 0.0f;
   }
-  return dx;
+  for (int64_t i = 0; i < n; ++i) p[i] = p[i] > 0.0f ? p[i] : 0.0f;
+  return std::move(x);
+}
+
+TensorF ReLU::Backward(const TensorF& dy) { return Backward(TensorF(dy)); }
+
+TensorF ReLU::Backward(TensorF&& dy) {
+  // Consumes the forward's mask: freed when this returns.
+  const Tensor<uint8_t> positive = std::exchange(cached_positive_, {});
+  HWP_CHECK_MSG(!positive.empty(), name_ << ": Backward without a Forward("
+                                            "train=true) since the last "
+                                            "Backward");
+  HWP_SHAPE_CHECK_MSG(dy.shape() == positive.shape(),
+                      name_ << ": grad shape mismatch");
+  // A select, not a branch on the sign of x, so the loop vectorizes.
+  float* g = dy.data();
+  const uint8_t* pos = positive.data();
+  for (int64_t i = 0; i < dy.numel(); ++i) g[i] = pos[i] != 0 ? g[i] : 0.0f;
+  return std::move(dy);
 }
 
 }  // namespace hwp3d::nn

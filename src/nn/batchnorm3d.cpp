@@ -1,6 +1,7 @@
 #include "nn/batchnorm3d.h"
 
 #include <cmath>
+#include <utility>
 
 #include "kernels/thread_pool.h"
 
@@ -27,6 +28,18 @@ BatchNorm3d::BatchNorm3d(int64_t channels, std::string name, float eps,
 // is one pool task, its double chains run in order on the participant
 // that claimed it, so the results do not depend on the pool size either.
 TensorF BatchNorm3d::Forward(const TensorF& x, bool train) {
+  TensorF y = Normalize(x, train);
+  if (train) cached_input_ = x;
+  return y;
+}
+
+TensorF BatchNorm3d::Forward(TensorF&& x, bool train) {
+  TensorF y = Normalize(x, train);
+  if (train) cached_input_ = std::move(x);
+  return y;
+}
+
+TensorF BatchNorm3d::Normalize(const TensorF& x, bool train) {
   HWP_SHAPE_CHECK_MSG(x.rank() == 5 && x.dim(1) == channels_,
                       name_ << ": bad input " << x.shape().ToString());
   const int64_t B = x.dim(0), C = channels_;
@@ -74,27 +87,34 @@ TensorF BatchNorm3d::Forward(const TensorF& x, bool train) {
   });
 
   if (train) {
-    cached_input_ = x;
-    batch_mean_ = mean;
-    batch_inv_std_ = inv_std;
+    batch_mean_ = std::move(mean);
+    batch_inv_std_ = std::move(inv_std);
   }
   return y;
 }
 
 TensorF BatchNorm3d::Backward(const TensorF& dy) {
-  const TensorF& x = cached_input_;
-  HWP_CHECK_MSG(!x.empty(), name_ << ": Backward before Forward(train=true)");
+  return Backward(TensorF(dy));
+}
+
+TensorF BatchNorm3d::Backward(TensorF&& dy) {
+  // Consumes the forward's caches: they are freed when this returns.
+  const TensorF x = std::exchange(cached_input_, TensorF());
+  const TensorF batch_mean = std::exchange(batch_mean_, TensorF());
+  const TensorF batch_inv_std = std::exchange(batch_inv_std_, TensorF());
+  HWP_CHECK_MSG(!x.empty(), name_ << ": Backward without a Forward(train="
+                                     "true) since the last Backward");
+  HWP_SHAPE_CHECK_MSG(dy.shape() == x.shape(),
+                      name_ << ": bad grad shape " << dy.shape().ToString());
   const int64_t B = x.dim(0), C = channels_;
   const int64_t plane = x.dim(2) * x.dim(3) * x.dim(4);
   const double n = static_cast<double>(B * plane);
   const float* xp = x.data();
-  const float* dyp = dy.data();
-
-  TensorF dx = TensorF::Uninitialized(x.shape());
-  float* dxp = dx.data();
+  // dx overwrites dy: each element is read, then written, in place.
+  float* dyp = dy.data();
   ThreadPool::Get().For(0, C, [&](int64_t c) {
-    const float mu = batch_mean_[c];
-    const float is = batch_inv_std_[c];
+    const float mu = batch_mean[c];
+    const float is = batch_inv_std[c];
     const float g = gamma_.value[c];
     // Reductions: sum dy, sum dy*xhat.
     double sum_dy = 0.0, sum_dy_xhat = 0.0;
@@ -116,12 +136,12 @@ TensorF BatchNorm3d::Backward(const TensorF& dy) {
       const int64_t off = (b * C + c) * plane;
       for (int64_t i = 0; i < plane; ++i) {
         const float xhat = (xp[off + i] - mu) * is;
-        dxp[off + i] = static_cast<float>(
+        dyp[off + i] = static_cast<float>(
             k * (n * dyp[off + i] - sum_dy - xhat * sum_dy_xhat));
       }
     }
   });
-  return dx;
+  return std::move(dy);
 }
 
 void BatchNorm3d::CollectParams(std::vector<Param*>& out) {

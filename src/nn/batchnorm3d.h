@@ -15,7 +15,11 @@ class BatchNorm3d : public Module {
               float eps = 1e-5f, float momentum = 0.1f);
 
   TensorF Forward(const TensorF& x, bool train) override;
+  // Keeps the x it normalizes (by move) for Backward.
+  TensorF Forward(TensorF&& x, bool train) override;
+  // Writes dx over a copy of dy; the rvalue overload over dy itself.
   TensorF Backward(const TensorF& dy) override;
+  TensorF Backward(TensorF&& dy) override;
   void CollectParams(std::vector<Param*>& out) override;
   void CollectBuffers(std::vector<NamedBuffer>& out) override;
   std::string name() const override { return name_; }
@@ -31,6 +35,10 @@ class BatchNorm3d : public Module {
   void FoldedAffine(TensorF& scale, TensorF& shift) const;
 
  private:
+  // The output; with `train`, also updates the running statistics and
+  // keeps the batch's, which the Forward overloads join with x.
+  TensorF Normalize(const TensorF& x, bool train);
+
   int64_t channels_;
   std::string name_;
   float eps_;
@@ -40,7 +48,8 @@ class BatchNorm3d : public Module {
   TensorF running_mean_;
   TensorF running_var_;
 
-  // Cached for backward.
+  // Kept by Forward(train=true), freed by Backward: its input, and the
+  // batch mean and 1/std it normalized with.
   TensorF cached_input_;
   TensorF batch_mean_;
   TensorF batch_inv_std_;

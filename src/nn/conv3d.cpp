@@ -1,5 +1,7 @@
 #include "nn/conv3d.h"
 
+#include <utility>
+
 #include "kernels/conv3d_gemm.h"
 #include "kernels/engine.h"
 #include "kernels/thread_pool.h"
@@ -57,6 +59,18 @@ Conv3d::Conv3d(Conv3dConfig cfg, Rng& rng, std::string name)
 }
 
 TensorF Conv3d::Forward(const TensorF& x, bool train) {
+  TensorF y = Run(x, train);
+  if (train && BackwardReadsInput()) cached_input_ = x;
+  return y;
+}
+
+TensorF Conv3d::Forward(TensorF&& x, bool train) {
+  TensorF y = Run(x, train);
+  if (train && BackwardReadsInput()) cached_input_ = std::move(x);
+  return y;
+}
+
+TensorF Conv3d::Run(const TensorF& x, bool train) {
   HWP_SHAPE_CHECK_MSG(x.rank() == 5, name_ << ": input must be rank-5, got "
                                            << x.shape().ToString());
   HWP_SHAPE_CHECK_MSG(x.dim(1) == cfg_.in_channels,
@@ -87,16 +101,22 @@ TensorF Conv3d::Forward(const TensorF& x, bool train) {
   }
 
   // What Backward reads: the gemm engine's zero-halo copies of a padded
-  // input (made once, by this forward), else the input itself.
-  bool keep_input = train;
+  // input (made once, by this forward, into storage the training loop
+  // recycles from batch to batch), else the input itself. A cache no
+  // Backward consumed is dropped first.
+  if (train) {
+    cached_engine_ = engine;
+    cached_shape_ = x.shape();
+    cached_input_ = TensorF();
+    cached_halo_ = TensorF();
+  }
   if (engine == kernels::Engine::kGemm) {
     const kernels::Conv3dGeom g = MakeGeom(cfg_, x.shape(), Do, Ho, Wo);
     float* halo = nullptr;
     if (train && g.padded()) {
-      const int64_t n = g.batch * g.halo_sample_size();
-      if (cached_halo_.numel() != n) cached_halo_ = TensorF(Shape{n});
+      cached_halo_ =
+          TensorF::Uninitialized(Shape{g.batch * g.halo_sample_size()});
       halo = cached_halo_.data();
-      keep_input = false;
     }
     kernels::Conv3dForwardGemm(g, x.data(), w.data(),
                                has_bias ? bias.data() : nullptr, y.data(),
@@ -133,18 +153,17 @@ TensorF Conv3d::Forward(const TensorF& x, bool train) {
     });
   }
 
-  if (train) {
-    cached_engine_ = engine;
-    cached_shape_ = x.shape();
-    if (keep_input) cached_input_ = x;
-  }
   return y;
 }
 
 TensorF Conv3d::Backward(const TensorF& dy) {
-  const Shape& in = cached_shape_;
+  // Consumes the forward's caches: they are freed when this returns.
+  const Shape in = std::exchange(cached_shape_, Shape());
+  const TensorF input = std::exchange(cached_input_, TensorF());
+  const TensorF halo = std::exchange(cached_halo_, TensorF());
   HWP_CHECK_MSG(in.rank() == 5,
-                name_ << ": Backward before Forward(train=true)");
+                name_ << ": Backward without a Forward(train=true) since "
+                         "the last Backward");
   const int64_t B = in.dim(0), N = cfg_.in_channels, M = cfg_.out_channels;
   const int64_t Di = in.dim(2), Hi = in.dim(3), Wi = in.dim(4);
   const auto [Kd, Kh, Kw] = cfg_.kernel;
@@ -168,11 +187,10 @@ TensorF Conv3d::Backward(const TensorF& dy) {
 
   if (engine == kernels::Engine::kGemm) {
     const kernels::Conv3dGeom g = MakeGeom(cfg_, in, Do, Ho, Wo);
-    kernels::Conv3dBackwardGemm(
-        g, g.padded() ? cached_halo_.data() : cached_input_.data(), w.data(),
-        dy.data(), dw.data(), dx.data());
+    kernels::Conv3dBackwardGemm(g, g.padded() ? halo.data() : input.data(),
+                                w.data(), dy.data(), dw.data(), dx.data());
   } else {
-    const TensorF& x = cached_input_;
+    const TensorF& x = input;
     // dW: parallel over output channel m — each m owns a disjoint slice of dW.
     ThreadPool::Get().For(0, M, [&](int64_t m) {
       for (int64_t n = 0; n < N; ++n) {

@@ -29,6 +29,9 @@ class Conv3d : public Module {
   Conv3d(Conv3dConfig cfg, Rng& rng, std::string name = "conv3d");
 
   TensorF Forward(const TensorF& x, bool train) override;
+  // Keeps x by move where Backward reads the input itself (no padding,
+  // or the naive engine).
+  TensorF Forward(TensorF&& x, bool train) override;
   TensorF Backward(const TensorF& dy) override;
   void CollectParams(std::vector<Param*>& out) override;
   std::string name() const override { return name_; }
@@ -43,13 +46,24 @@ class Conv3d : public Module {
   }
 
  private:
+  // The output; with `train`, also every cache but the input itself,
+  // which the Forward overloads keep (copied or moved) when
+  // BackwardReadsInput.
+  TensorF Run(const TensorF& x, bool train);
+  // Whether the last Forward(train=true)'s Backward reads its input,
+  // rather than the zero-halo copies.
+  bool BackwardReadsInput() const {
+    return cached_engine_ != kernels::Engine::kGemm ||
+           cfg_.padding == std::array<int64_t, 3>{0, 0, 0};
+  }
+
   Conv3dConfig cfg_;
   std::string name_;
   Param weight_;  // [M][N][Kd][Kr][Kc]
   Param bias_;    // [M]
-  // Cached by Forward(train=true) for Backward: the engine and input
+  // Kept by Forward(train=true), freed by Backward: the engine and input
   // shape, and the input itself, or (gemm engine, padded conv) the
-  // engine's zero-halo copies of it instead.
+  // engine's zero-halo copies of it, made by the forward, instead.
   kernels::Engine cached_engine_ = kernels::Engine::kGemm;
   Shape cached_shape_;
   TensorF cached_input_;

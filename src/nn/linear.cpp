@@ -1,6 +1,7 @@
 #include "nn/linear.h"
 
 #include <cstring>
+#include <utility>
 
 #include "kernels/engine.h"
 #include "kernels/sgemm.h"
@@ -24,6 +25,18 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng,
 }
 
 TensorF Linear::Forward(const TensorF& x, bool train) {
+  TensorF y = Affine(x);
+  if (train) cached_input_ = x;
+  return y;
+}
+
+TensorF Linear::Forward(TensorF&& x, bool train) {
+  TensorF y = Affine(x);
+  if (train) cached_input_ = std::move(x);
+  return y;
+}
+
+TensorF Linear::Affine(const TensorF& x) const {
   HWP_SHAPE_CHECK_MSG(x.rank() == 2 && x.dim(1) == in_features_,
                       name_ << ": bad input " << x.shape().ToString());
   const int64_t B = x.dim(0);
@@ -47,13 +60,14 @@ TensorF Linear::Forward(const TensorF& x, bool train) {
         y(b, o) = static_cast<float>(acc);
       }
   }
-  if (train) cached_input_ = x;
   return y;
 }
 
 TensorF Linear::Backward(const TensorF& dy) {
-  const TensorF& x = cached_input_;
-  HWP_CHECK_MSG(!x.empty(), name_ << ": Backward before Forward(train=true)");
+  // Consumes the forward's input: freed when this returns.
+  const TensorF x = std::exchange(cached_input_, TensorF());
+  HWP_CHECK_MSG(!x.empty(), name_ << ": Backward without a Forward(train="
+                                     "true) since the last Backward");
   const int64_t B = x.dim(0);
   HWP_SHAPE_CHECK_MSG(dy.rank() == 2 && dy.dim(0) == B &&
                           dy.dim(1) == out_features_,

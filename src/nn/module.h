@@ -2,12 +2,20 @@
 //
 // Activations flow as rank-5 tensors [B][C][D][H][W] through the 3D CNN
 // trunk, become [B][C] after global pooling, and [B][num_classes] at the
-// head. Each module caches what it needs in Forward(train=true) so that
-// Backward can be called exactly once afterwards.
+// head.
+//
+// Backward consumes the caches of the last Forward(train=true). Each
+// module keeps what its Backward reads (an input, a zero-halo copy, a
+// sign mask), owns it alone, and frees it in that Backward, so a trained
+// model holds no activations: a second Backward without a fresh
+// Forward(train=true) throws Error. A caller that is done with its input
+// hands it over by move (the rvalue Forward), so a module that keeps or
+// rewrites its input does so without a copy.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/param.h"
@@ -27,14 +35,28 @@ class Module {
  public:
   virtual ~Module() = default;
 
-  // Computes the output. When `train` is false the module must not
-  // mutate training state (e.g. BatchNorm running statistics) and need
-  // not cache activations.
+  // Computes the output. When `train` is true the module keeps what its
+  // Backward reads; when false it must not mutate training state (e.g.
+  // BatchNorm running statistics) and keeps nothing.
   virtual TensorF Forward(const TensorF& x, bool train) = 0;
 
+  // The same for a caller that is done with x: a module that keeps its
+  // input for Backward takes it over, one that can compute in place
+  // writes its output into it. Default: the overload above.
+  virtual TensorF Forward(TensorF&& x, bool train) {
+    return Forward(std::as_const(x), train);
+  }
+
   // Given dL/dy, accumulates parameter gradients and returns dL/dx.
-  // Only valid after a Forward(..., train=true) call.
+  // Consumes (frees) the caches of the last Forward(train=true); without
+  // one since the last Backward it throws Error.
   virtual TensorF Backward(const TensorF& dy) = 0;
+
+  // The same for a caller that is done with dy: a module whose dx has
+  // dy's shape may write it into dy. Default: the overload above.
+  virtual TensorF Backward(TensorF&& dy) {
+    return Backward(std::as_const(dy));
+  }
 
   // Appends pointers to this module's trainable parameters.
   virtual void CollectParams(std::vector<Param*>& out) { (void)out; }
@@ -80,17 +102,21 @@ class Sequential : public Module {
   void Append(std::unique_ptr<Module> m) { children_.push_back(std::move(m)); }
 
   TensorF Forward(const TensorF& x, bool train) override {
-    TensorF cur = x;
-    for (auto& child : children_) cur = child->Forward(cur, train);
-    return cur;
+    if (children_.empty()) return x;
+    return Chain(children_.front()->Forward(x, train), 1, train);
+  }
+
+  TensorF Forward(TensorF&& x, bool train) override {
+    return Chain(std::move(x), 0, train);
   }
 
   TensorF Backward(const TensorF& dy) override {
-    TensorF cur = dy;
-    for (auto it = children_.rbegin(); it != children_.rend(); ++it) {
-      cur = (*it)->Backward(cur);
-    }
-    return cur;
+    if (children_.empty()) return dy;
+    return ChainBack(children_.back()->Backward(dy), children_.size() - 1);
+  }
+
+  TensorF Backward(TensorF&& dy) override {
+    return ChainBack(std::move(dy), children_.size());
   }
 
   void CollectParams(std::vector<Param*>& out) override {
@@ -107,6 +133,20 @@ class Sequential : public Module {
   Module* child(size_t i) { return children_.at(i).get(); }
 
  private:
+  // Runs children [first, end) on x, each handing its output on by move.
+  TensorF Chain(TensorF x, size_t first, bool train) {
+    for (size_t i = first; i < children_.size(); ++i) {
+      x = children_[i]->Forward(std::move(x), train);
+    }
+    return x;
+  }
+
+  // Runs the backward of children [0, end) in reverse order on g.
+  TensorF ChainBack(TensorF g, size_t end) {
+    for (size_t i = end; i-- > 0;) g = children_[i]->Backward(std::move(g));
+    return g;
+  }
+
   std::string name_;
   std::vector<std::unique_ptr<Module>> children_;
 };

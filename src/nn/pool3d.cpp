@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 namespace hwp3d::nn {
 
@@ -24,7 +25,7 @@ TensorF MaxPool3d::Forward(const TensorF& x, bool train) {
                       name_ << ": pooling window larger than input");
 
   TensorF y(Shape{B, C, Do, Ho, Wo});
-  argmax_.assign(static_cast<size_t>(y.numel()), -1);
+  Tensor<int64_t> argmax = Tensor<int64_t>::Uninitialized(y.shape());
   int64_t out_i = 0;
   for (int64_t b = 0; b < B; ++b)
     for (int64_t c = 0; c < C; ++c)
@@ -46,24 +47,27 @@ TensorF MaxPool3d::Forward(const TensorF& x, bool train) {
                   }
                 }
             y[out_i] = best;
-            argmax_[static_cast<size_t>(out_i)] = best_idx;
+            argmax[out_i] = best_idx;
           }
 
   if (train) {
-    cached_input_ = x;
-    out_shape_ = y.shape();
+    in_shape_ = x.shape();
+    argmax_ = std::move(argmax);
   }
   return y;
 }
 
 TensorF MaxPool3d::Backward(const TensorF& dy) {
-  HWP_CHECK_MSG(!cached_input_.empty(),
-                name_ << ": Backward before Forward(train=true)");
-  HWP_SHAPE_CHECK_MSG(dy.shape() == out_shape_, name_ << ": bad grad shape");
-  TensorF dx(cached_input_.shape());
-  for (int64_t i = 0; i < dy.numel(); ++i) {
-    dx[argmax_[static_cast<size_t>(i)]] += dy[i];
-  }
+  // Consumes the forward's caches: freed when this returns.
+  const Shape in_shape = std::exchange(in_shape_, Shape());
+  const Tensor<int64_t> argmax = std::exchange(argmax_, {});
+  HWP_CHECK_MSG(in_shape.rank() == 5,
+                name_ << ": Backward without a Forward(train=true) since "
+                         "the last Backward");
+  HWP_SHAPE_CHECK_MSG(dy.shape() == argmax.shape(),
+                      name_ << ": bad grad shape");
+  TensorF dx(in_shape);
+  for (int64_t i = 0; i < dy.numel(); ++i) dx[argmax[i]] += dy[i];
   return dx;
 }
 
@@ -101,12 +105,14 @@ TensorF AvgPool3d::Forward(const TensorF& x, bool train) {
 }
 
 TensorF AvgPool3d::Backward(const TensorF& dy) {
-  HWP_CHECK_MSG(in_shape_.rank() == 5,
-                name_ << ": Backward before Forward(train=true)");
+  const Shape in_shape = std::exchange(in_shape_, Shape());
+  HWP_CHECK_MSG(in_shape.rank() == 5,
+                name_ << ": Backward without a Forward(train=true) since "
+                         "the last Backward");
   const auto [Kd, Kh, Kw] = cfg_.kernel;
   const auto [Sd, Sh, Sw] = cfg_.stride;
   const float inv = 1.0f / static_cast<float>(Kd * Kh * Kw);
-  TensorF dx(in_shape_);
+  TensorF dx(in_shape);
   const int64_t B = dy.dim(0), C = dy.dim(1);
   const int64_t Do = dy.dim(2), Ho = dy.dim(3), Wo = dy.dim(4);
   for (int64_t b = 0; b < B; ++b)
@@ -141,12 +147,14 @@ TensorF GlobalAvgPool3d::Forward(const TensorF& x, bool train) {
 }
 
 TensorF GlobalAvgPool3d::Backward(const TensorF& dy) {
-  HWP_CHECK_MSG(in_shape_.rank() == 5,
-                name_ << ": Backward before Forward(train=true)");
-  const int64_t B = in_shape_[0], C = in_shape_[1];
-  const int64_t plane = in_shape_[2] * in_shape_[3] * in_shape_[4];
+  const Shape in_shape = std::exchange(in_shape_, Shape());
+  HWP_CHECK_MSG(in_shape.rank() == 5,
+                name_ << ": Backward without a Forward(train=true) since "
+                         "the last Backward");
+  const int64_t B = in_shape[0], C = in_shape[1];
+  const int64_t plane = in_shape[2] * in_shape[3] * in_shape[4];
   const float inv = 1.0f / static_cast<float>(plane);
-  TensorF dx(in_shape_);
+  TensorF dx(in_shape);
   for (int64_t bc = 0; bc < B * C; ++bc) {
     float* dxc = dx.data() + bc * plane;
     std::fill(dxc, dxc + plane, dy[bc] * inv);

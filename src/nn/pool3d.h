@@ -23,10 +23,10 @@ class MaxPool3d : public Module {
  private:
   Pool3dConfig cfg_;
   std::string name_;
-  TensorF cached_input_;
-  // Linear index into the input of the max element per output cell.
-  std::vector<int64_t> argmax_;
-  Shape out_shape_;
+  // Kept by Forward(train=true), freed by Backward: the input shape,
+  // and per output cell the linear index into the input of its max.
+  Shape in_shape_;
+  Tensor<int64_t> argmax_;
 };
 
 class AvgPool3d : public Module {

@@ -1,7 +1,8 @@
 #include "nn/r2plus1d_block.h"
 
+#include <utility>
+
 #include "obs/trace.h"
-#include "tensor/tensor_ops.h"
 
 namespace hwp3d::nn {
 
@@ -50,16 +51,16 @@ Conv2Plus1d::Conv2Plus1d(Conv2Plus1dConfig cfg, Rng& rng, std::string name)
 TensorF Conv2Plus1d::Forward(const TensorF& x, bool train) {
   HWP_TRACE_SCOPE("nn/conv2plus1d_forward");
   TensorF h = spatial_->Forward(x, train);
-  h = bn_mid_->Forward(h, train);
-  h = relu_mid_->Forward(h, train);
-  return temporal_->Forward(h, train);
+  h = bn_mid_->Forward(std::move(h), train);
+  h = relu_mid_->Forward(std::move(h), train);
+  return temporal_->Forward(std::move(h), train);
 }
 
 TensorF Conv2Plus1d::Backward(const TensorF& dy) {
   HWP_TRACE_SCOPE("nn/conv2plus1d_backward");
   TensorF g = temporal_->Backward(dy);
-  g = relu_mid_->Backward(g);
-  g = bn_mid_->Backward(g);
+  g = relu_mid_->Backward(std::move(g));
+  g = bn_mid_->Backward(std::move(g));
   return spatial_->Backward(g);
 }
 
@@ -114,64 +115,85 @@ ResidualBlock::ResidualBlock(ResidualBlockConfig cfg, Rng& rng,
 }
 
 TensorF ResidualBlock::Forward(const TensorF& x, bool train) {
+  return Run(x, train);
+}
+
+TensorF ResidualBlock::Forward(TensorF&& x, bool train) {
+  return Run(std::move(x), train);
+}
+
+template <typename X>
+TensorF ResidualBlock::Run(X&& x, bool train) {
   HWP_TRACE_SCOPE("nn/residual_block_forward");
   TensorF h = conv1_->Forward(x, train);
-  h = bn1_->Forward(h, train);
-  h = relu1_->Forward(h, train);
-  h = conv2_->Forward(h, train);
-  h = bn2_->Forward(h, train);
+  h = bn1_->Forward(std::move(h), train);
+  h = relu1_->Forward(std::move(h), train);
+  h = conv2_->Forward(std::move(h), train);
+  h = bn2_->Forward(std::move(h), train);
 
-  TensorF sc = x;
+  // The shortcut is the last reader of x.
+  TensorF projected;
   if (shortcut_conv_ != nullptr) {
-    sc = shortcut_conv_->Forward(x, train);
-    sc = shortcut_bn_->Forward(sc, train);
+    projected = shortcut_bn_->Forward(
+        shortcut_conv_->Forward(std::forward<X>(x), train), train);
   }
+  const TensorF& sc = shortcut_conv_ != nullptr ? projected : x;
   HWP_SHAPE_CHECK_MSG(h.shape() == sc.shape(),
                       name_ << ": residual shape mismatch "
                             << h.shape().ToString() << " vs "
                             << sc.shape().ToString());
-  TensorF sum = Add(h, sc);
-  // Final ReLU.
-  TensorF y(sum.shape());
-  for (int64_t i = 0; i < sum.numel(); ++i)
-    y[i] = sum[i] > 0.0f ? sum[i] : 0.0f;
+  // The add and the final ReLU, in place.
+  float* p = h.data();
+  const float* s = sc.data();
+  const int64_t n = h.numel();
+  for (int64_t i = 0; i < n; ++i) p[i] += s[i];
   if (train) {
-    cached_shape_ = sum.shape();
-    cached_positive_.resize(static_cast<size_t>(sum.numel()));
-    for (int64_t i = 0; i < sum.numel(); ++i) {
-      cached_positive_[static_cast<size_t>(i)] = sum[i] > 0.0f;
-    }
+    cached_positive_ = Tensor<uint8_t>::Uninitialized(h.shape());
+    uint8_t* positive = cached_positive_.data();
+    for (int64_t i = 0; i < n; ++i) positive[i] = p[i] > 0.0f;
   }
-  return y;
+  for (int64_t i = 0; i < n; ++i) p[i] = p[i] > 0.0f ? p[i] : 0.0f;
+  return h;
 }
 
 TensorF ResidualBlock::Backward(const TensorF& dy) {
+  return Backward(TensorF(dy));
+}
+
+TensorF ResidualBlock::Backward(TensorF&& dy) {
   HWP_TRACE_SCOPE("nn/residual_block_backward");
-  HWP_CHECK_MSG(cached_shape_.rank() > 0,
-                name_ << ": Backward before Forward(train=true)");
-  HWP_SHAPE_CHECK_MSG(dy.shape() == cached_shape_,
+  // Consumes the forward's mask: freed when this returns.
+  const Tensor<uint8_t> positive = std::exchange(cached_positive_, {});
+  HWP_CHECK_MSG(!positive.empty(),
+                name_ << ": Backward without a Forward(train=true) since "
+                         "the last Backward");
+  HWP_SHAPE_CHECK_MSG(dy.shape() == positive.shape(),
                       name_ << ": grad shape mismatch");
-  // Through the final ReLU.
-  TensorF g(dy.shape());
-  for (int64_t i = 0; i < dy.numel(); ++i) {
-    const float gy = dy[i];  // unconditional load: a select, not a branch
-    g[i] = cached_positive_[static_cast<size_t>(i)] != 0 ? gy : 0.0f;
-  }
+  // Through the final ReLU, in place (a select, not a branch).
+  TensorF g = std::move(dy);
+  float* gp = g.data();
+  const uint8_t* pos = positive.data();
+  for (int64_t i = 0; i < g.numel(); ++i) gp[i] = pos[i] != 0 ? gp[i] : 0.0f;
 
-  // Main path.
+  // Main path; g is still the shortcut's.
   TensorF gm = bn2_->Backward(g);
-  gm = conv2_->Backward(gm);
-  gm = relu1_->Backward(gm);
-  gm = bn1_->Backward(gm);
-  gm = conv1_->Backward(gm);
+  gm = conv2_->Backward(std::move(gm));
+  gm = relu1_->Backward(std::move(gm));
+  gm = bn1_->Backward(std::move(gm));
+  gm = conv1_->Backward(std::move(gm));
 
-  // Shortcut path.
-  TensorF gs = g;
+  // Shortcut path, added into the main path's dx.
+  TensorF projected;
   if (shortcut_conv_ != nullptr) {
-    gs = shortcut_bn_->Backward(gs);
-    gs = shortcut_conv_->Backward(gs);
+    projected = shortcut_conv_->Backward(shortcut_bn_->Backward(std::move(g)));
   }
-  return Add(gm, gs);
+  const TensorF& gs = shortcut_conv_ != nullptr ? projected : g;
+  HWP_SHAPE_CHECK_MSG(gm.shape() == gs.shape(),
+                      name_ << ": residual grad shape mismatch");
+  float* p = gm.data();
+  const float* s = gs.data();
+  for (int64_t i = 0; i < gm.numel(); ++i) p[i] += s[i];
+  return gm;
 }
 
 void ResidualBlock::CollectParams(std::vector<Param*>& out) {

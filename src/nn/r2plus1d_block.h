@@ -81,7 +81,12 @@ class ResidualBlock : public Module {
                 std::string name = "resblock");
 
   TensorF Forward(const TensorF& x, bool train) override;
+  // Hands x on by move to the projection shortcut, whose 1x1x1 conv
+  // keeps it for Backward.
+  TensorF Forward(TensorF&& x, bool train) override;
+  // The rvalue overload gates dy through the final ReLU in place.
   TensorF Backward(const TensorF& dy) override;
+  TensorF Backward(TensorF&& dy) override;
   void CollectParams(std::vector<Param*>& out) override;
   void CollectBuffers(std::vector<NamedBuffer>& out) override;
   std::string name() const override { return name_; }
@@ -96,6 +101,10 @@ class ResidualBlock : public Module {
   const ResidualBlockConfig& config() const { return cfg_; }
 
  private:
+  // Both Forward overloads: X is const TensorF& or TensorF.
+  template <typename X>
+  TensorF Run(X&& x, bool train);
+
   ResidualBlockConfig cfg_;
   std::string name_;
   std::unique_ptr<Conv2Plus1d> conv1_;
@@ -106,10 +115,9 @@ class ResidualBlock : public Module {
   std::unique_ptr<Conv3d> shortcut_conv_;  // null => identity shortcut
   std::unique_ptr<BatchNorm3d> shortcut_bn_;
 
-  // Cached for backward of the final add + ReLU: sum > 0, one byte per
-  // element.
-  Shape cached_shape_;
-  std::vector<uint8_t> cached_positive_;
+  // Kept by Forward(train=true) for the backward of the final add +
+  // ReLU, freed by Backward: sum > 0, one byte per element.
+  Tensor<uint8_t> cached_positive_;
 };
 
 }  // namespace hwp3d::nn

@@ -17,6 +17,19 @@ void FreeAll(const Blocks& blocks) {
   }
 }
 
+// Live tensor bytes and their high-water mark: relaxed, a count and a
+// running max that nothing synchronizes on.
+std::atomic<size_t> g_live{0};
+std::atomic<size_t> g_peak{0};
+
+void AddLive(size_t bytes) {
+  const size_t now = g_live.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  size_t peak = g_peak.load(std::memory_order_relaxed);
+  while (now > peak && !g_peak.compare_exchange_weak(
+                           peak, now, std::memory_order_relaxed)) {
+  }
+}
+
 struct Recycler {
   std::mutex mu;
   int scopes = 0;  // guarded by mu; `active` mirrors scopes > 0
@@ -37,6 +50,7 @@ Recycler& Get() {
 namespace detail {
 
 void* AllocateStorage(size_t bytes) {
+  AddLive(bytes);
   Recycler& r = Get();
   if (bytes >= kRecycleMinBytes && r.active.load(std::memory_order_relaxed)) {
     std::lock_guard<std::mutex> lk(r.mu);
@@ -52,6 +66,7 @@ void* AllocateStorage(size_t bytes) {
 }
 
 void FreeStorage(void* p, size_t bytes) {
+  g_live.fetch_sub(bytes, std::memory_order_relaxed);
   Recycler& r = Get();
   if (bytes >= kRecycleMinBytes && r.active.load(std::memory_order_relaxed)) {
     std::lock_guard<std::mutex> lk(r.mu);
@@ -90,6 +105,17 @@ size_t RecycledStorageBytes() {
   Recycler& r = Get();
   std::lock_guard<std::mutex> lk(r.mu);
   return r.kept_bytes;
+}
+
+size_t LiveStorageBytes() { return g_live.load(std::memory_order_relaxed); }
+
+size_t PeakLiveStorageBytes() {
+  return g_peak.load(std::memory_order_relaxed);
+}
+
+void ResetPeakLiveStorageBytes() {
+  g_peak.store(g_live.load(std::memory_order_relaxed),
+               std::memory_order_relaxed);
 }
 
 }  // namespace hwp3d

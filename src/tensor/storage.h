@@ -54,6 +54,15 @@ class StorageRecycleScope {
 // Bytes kept for reuse right now (0 outside every scope).
 size_t RecycledStorageBytes();
 
+// Bytes of tensor storage allocated and not yet freed, process-wide;
+// blocks kept for reuse are freed storage and do not count.
+size_t LiveStorageBytes();
+
+// The highest LiveStorageBytes since the last ResetPeakLiveStorageBytes,
+// which sets it to the bytes live now.
+size_t PeakLiveStorageBytes();
+void ResetPeakLiveStorageBytes();
+
 template <typename T>
 struct StorageAllocator {
   using value_type = T;

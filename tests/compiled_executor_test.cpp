@@ -21,6 +21,7 @@
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
 #include "obs/metrics.h"
+#include "tensor/init.h"
 #include "testing/qtensor.h"
 
 namespace hwp3d {
@@ -410,6 +411,72 @@ TEST_F(CompiledExecutorModelTest, SharedModelMatchesSerialUnderConcurrency) {
       EXPECT_EQ(gs.blocks_loaded, ws.blocks_loaded);
       EXPECT_EQ(gs.blocks_skipped, ws.blocks_skipped);
       EXPECT_EQ(gs.macs_executed, ws.macs_executed);
+    }
+  }
+}
+
+// exec.runs, macs_executed, blocks_loaded, blocks_skipped and
+// modeled_cycles, summed over every layer label.
+std::array<int64_t, 5> ExecTotals() {
+  const obs::MetricsRegistry& reg = obs::MetricsRegistry::Get();
+  return {reg.CounterTotal("exec.runs"), reg.CounterTotal("exec.macs_executed"),
+          reg.CounterTotal("exec.blocks_loaded"),
+          reg.CounterTotal("exec.blocks_skipped"),
+          reg.CounterTotal("exec.modeled_cycles")};
+}
+
+// Each PackedConvLayer caches a plan (pair offsets, stats) per input
+// shape and keeps a few. A model that alternates two clip shapes, then
+// cycles through more shapes than it keeps, must give every clip the
+// logits, stats and exec.* counter increments of a freshly compiled
+// model (whose caches are cold) running that clip alone.
+TEST_F(CompiledExecutorModelTest, CachedShapePlansMatchColdRuns) {
+  CompiledModelOptions dense;
+  dense.tiling = fpga::Tiling{4, 4, 2, 5, 5};
+  CompiledModelOptions pruned = dense;
+  pruned.masks = PruneMasks(0.5, {4, 4});
+  std::vector<TensorF> clips = {MakeClip(1)};  // 6x10x10
+  Rng rng(5);
+  for (const Shape& shape :
+       {Shape{1, 4, 12, 8}, Shape{1, 6, 12, 12}, Shape{1, 8, 8, 8},
+        Shape{1, 5, 9, 11}, Shape{1, 6, 10, 14}}) {
+    clips.emplace_back(shape);
+    FillUniform(clips.back(), rng, -1.0f, 1.0f);
+  }
+  ASSERT_GT(clips.size(), PackedConvLayer::kShapePlans);
+  // One shape repeated, two alternating, then every shape twice over.
+  std::vector<size_t> order = {0, 0, 1, 0, 1, 0, 1, 1};
+  for (int round = 0; round < 2; ++round) {
+    for (size_t c = 0; c < clips.size(); ++c) order.push_back(c);
+  }
+
+  for (const CompiledModelOptions& opts : {dense, pruned}) {
+    SCOPED_TRACE(opts.masks.empty() ? "dense" : "50% pruned");
+    auto warm = CompiledTinyR2Plus1d::Compile(*model_, opts);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    for (size_t i = 0; i < order.size(); ++i) {
+      const TensorF& clip = clips[order[i]];
+      SCOPED_TRACE(::testing::Message() << "call " << i << ", clip "
+                                        << clip.shape().ToString());
+      auto cold = CompiledTinyR2Plus1d::Compile(*model_, opts);
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      CompiledRunStats want_stats, got_stats;
+      const std::array<int64_t, 5> t0 = ExecTotals();
+      const TensorF want = cold->Infer(clip, &want_stats);
+      const std::array<int64_t, 5> t1 = ExecTotals();
+      const TensorF got = warm->Infer(clip, &got_stats);
+      const std::array<int64_t, 5> t2 = ExecTotals();
+      ASSERT_EQ(got.numel(), want.numel());
+      for (int64_t k = 0; k < want.numel(); ++k) {
+        EXPECT_EQ(got[k], want[k]) << "logit " << k;
+      }
+      EXPECT_EQ(got_stats.modeled_cycles, want_stats.modeled_cycles);
+      EXPECT_EQ(got_stats.blocks_loaded, want_stats.blocks_loaded);
+      EXPECT_EQ(got_stats.blocks_skipped, want_stats.blocks_skipped);
+      EXPECT_EQ(got_stats.macs_executed, want_stats.macs_executed);
+      for (size_t k = 0; k < t0.size(); ++k) {
+        EXPECT_EQ(t2[k] - t1[k], t1[k] - t0[k]) << "exec counter " << k;
+      }
     }
   }
 }

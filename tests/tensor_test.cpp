@@ -192,5 +192,29 @@ TEST(TensorStorageTest, RecyclesLargeBlocksOnlyInsideAScope) {
   EXPECT_EQ(RecycledStorageBytes(), 0u);
 }
 
+TEST(TensorStorageTest, LiveBytesCountLiveStorageNotKeptBlocks) {
+  const int64_t big = static_cast<int64_t>(kRecycleMinBytes / sizeof(float));
+  const size_t base = LiveStorageBytes();
+  ResetPeakLiveStorageBytes();
+  EXPECT_EQ(PeakLiveStorageBytes(), base);
+  {
+    const StorageRecycleScope scope;
+    {
+      TensorF a(Shape{big});
+      TensorF small(Shape{16});
+      EXPECT_EQ(LiveStorageBytes(), base + kRecycleMinBytes + 64);
+    }
+    // The freed big block is kept for reuse, but no longer live.
+    EXPECT_EQ(RecycledStorageBytes(), kRecycleMinBytes);
+    EXPECT_EQ(LiveStorageBytes(), base);
+    TensorF b(Shape{big});
+    EXPECT_EQ(LiveStorageBytes(), base + kRecycleMinBytes);
+  }
+  EXPECT_EQ(LiveStorageBytes(), base);
+  EXPECT_EQ(PeakLiveStorageBytes(), base + kRecycleMinBytes + 64);
+  ResetPeakLiveStorageBytes();
+  EXPECT_EQ(PeakLiveStorageBytes(), base);
+}
+
 }  // namespace
 }  // namespace hwp3d

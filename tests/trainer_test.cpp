@@ -159,6 +159,28 @@ TEST(TrainerPoolInvarianceTest, OneEpochSameBitsAtPoolSizes1And4) {
   ExpectSameBytes(one, pool);
 }
 
+// FNV-1a over the raw bytes of v.
+uint64_t Checksum(const std::vector<float>& v) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+  for (size_t i = 0; i < v.size() * sizeof(float); ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The weights and BN statistics one epoch trains, pinned to the value
+// recorded before Backward began releasing the caches Forward keeps for
+// it (and BatchNorm3d kept its input by move, ReLU rewrote its input in
+// place): who owns a cache and when it is freed must not change a bit.
+// Pool size 1 (SerialScope) and the ctest pool of four.
+TEST(TrainerPoolInvarianceTest, OneEpochMatchesRecordedChecksum) {
+  constexpr uint64_t kRecorded = 0xdbee596d3abb1a70ull;
+  EXPECT_EQ(Checksum(PruneModelAfterOneEpoch(/*serial=*/true)), kRecorded);
+  EXPECT_EQ(Checksum(PruneModelAfterOneEpoch(/*serial=*/false)), kRecorded);
+}
+
 // The dispatched SGEMM micro-kernel must train the same weights as the
 // portable one.
 TEST(TrainerPoolInvarianceTest, OneEpochSameBitsWithPortableMicroKernel) {
