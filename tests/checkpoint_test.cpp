@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "models/tiny_c3d.h"
 #include "models/tiny_r2plus1d.h"
 #include "nn/batchnorm3d.h"
 #include "nn/checkpoint.h"
@@ -176,6 +180,191 @@ TEST(CheckpointTest, InjectedIoFaultsSurfaceAsUnavailable) {
   EXPECT_EQ(s.code(), StatusCode::kUnavailable);
   EXPECT_TRUE(nn::LoadCheckpoint(path, model).ok());
   FaultInjector::Get().Reset();
+}
+
+// Every param and buffer name of the models, in Params() / Buffers()
+// order, as recorded before the models were composed as nn::Sequential
+// chains. A checkpoint matches them by name and position, so a change
+// here breaks every saved model.
+const std::vector<std::string> kR2Plus1dParams = {
+    "stem.spatial.weight",
+    "stem.bn_mid.gamma",
+    "stem.bn_mid.beta",
+    "stem.temporal.weight",
+    "stem_bn.gamma",
+    "stem_bn.beta",
+    "stage1.conv1.spatial.weight",
+    "stage1.conv1.bn_mid.gamma",
+    "stage1.conv1.bn_mid.beta",
+    "stage1.conv1.temporal.weight",
+    "stage1.bn1.gamma",
+    "stage1.bn1.beta",
+    "stage1.conv2.spatial.weight",
+    "stage1.conv2.bn_mid.gamma",
+    "stage1.conv2.bn_mid.beta",
+    "stage1.conv2.temporal.weight",
+    "stage1.bn2.gamma",
+    "stage1.bn2.beta",
+    "stage1.shortcut.weight",
+    "stage1.shortcut_bn.gamma",
+    "stage1.shortcut_bn.beta",
+    "stage2.conv1.spatial.weight",
+    "stage2.conv1.bn_mid.gamma",
+    "stage2.conv1.bn_mid.beta",
+    "stage2.conv1.temporal.weight",
+    "stage2.bn1.gamma",
+    "stage2.bn1.beta",
+    "stage2.conv2.spatial.weight",
+    "stage2.conv2.bn_mid.gamma",
+    "stage2.conv2.bn_mid.beta",
+    "stage2.conv2.temporal.weight",
+    "stage2.bn2.gamma",
+    "stage2.bn2.beta",
+    "stage2.shortcut.weight",
+    "stage2.shortcut_bn.gamma",
+    "stage2.shortcut_bn.beta",
+    "fc.weight",
+    "fc.bias",
+};
+const std::vector<std::string> kR2Plus1dBuffers = {
+    "stem.bn_mid.running_mean",
+    "stem.bn_mid.running_var",
+    "stem_bn.running_mean",
+    "stem_bn.running_var",
+    "stage1.conv1.bn_mid.running_mean",
+    "stage1.conv1.bn_mid.running_var",
+    "stage1.bn1.running_mean",
+    "stage1.bn1.running_var",
+    "stage1.conv2.bn_mid.running_mean",
+    "stage1.conv2.bn_mid.running_var",
+    "stage1.bn2.running_mean",
+    "stage1.bn2.running_var",
+    "stage1.shortcut_bn.running_mean",
+    "stage1.shortcut_bn.running_var",
+    "stage2.conv1.bn_mid.running_mean",
+    "stage2.conv1.bn_mid.running_var",
+    "stage2.bn1.running_mean",
+    "stage2.bn1.running_var",
+    "stage2.conv2.bn_mid.running_mean",
+    "stage2.conv2.bn_mid.running_var",
+    "stage2.bn2.running_mean",
+    "stage2.bn2.running_var",
+    "stage2.shortcut_bn.running_mean",
+    "stage2.shortcut_bn.running_var",
+};
+const std::vector<std::string> kC3dParams = {
+    "c3d_conv1.weight",
+    "c3d_conv1_bn.gamma",
+    "c3d_conv1_bn.beta",
+    "c3d_conv2.weight",
+    "c3d_conv2_bn.gamma",
+    "c3d_conv2_bn.beta",
+    "c3d_conv3.weight",
+    "c3d_conv3_bn.gamma",
+    "c3d_conv3_bn.beta",
+    "c3d_fc.weight",
+    "c3d_fc.bias",
+};
+const std::vector<std::string> kC3dBuffers = {
+    "c3d_conv1_bn.running_mean",
+    "c3d_conv1_bn.running_var",
+    "c3d_conv2_bn.running_mean",
+    "c3d_conv2_bn.running_var",
+    "c3d_conv3_bn.running_mean",
+    "c3d_conv3_bn.running_var",
+};
+const std::vector<std::string> kC3dNoBnParams = {
+    "c3d_conv1.weight",
+    "c3d_conv1.bias",
+    "c3d_conv2.weight",
+    "c3d_conv2.bias",
+    "c3d_conv3.weight",
+    "c3d_conv3.bias",
+    "c3d_fc.weight",
+    "c3d_fc.bias",
+};
+
+std::vector<std::string> ParamNames(nn::Module& model) {
+  std::vector<std::string> out;
+  for (nn::Param* p : model.Params()) out.push_back(p->name);
+  return out;
+}
+
+std::vector<std::string> BufferNames(nn::Module& model) {
+  std::vector<std::string> out;
+  for (const nn::NamedBuffer& b : model.Buffers()) out.push_back(b.name);
+  return out;
+}
+
+TEST(CheckpointTest, TinyR2Plus1dNamesAndOrderArePinned) {
+  Rng rng(1);
+  models::TinyR2Plus1d model({}, rng);
+  EXPECT_EQ(ParamNames(model), kR2Plus1dParams);
+  EXPECT_EQ(BufferNames(model), kR2Plus1dBuffers);
+}
+
+TEST(CheckpointTest, TinyC3dNamesAndOrderArePinned) {
+  Rng rng(1);
+  models::TinyC3d model({}, rng);
+  EXPECT_EQ(ParamNames(model), kC3dParams);
+  EXPECT_EQ(BufferNames(model), kC3dBuffers);
+
+  models::TinyC3dConfig no_bn;
+  no_bn.batch_norm = false;
+  models::TinyC3d plain(no_bn, rng);
+  EXPECT_EQ(ParamNames(plain), kC3dNoBnParams);
+  EXPECT_TRUE(BufferNames(plain).empty());
+}
+
+// tests/data holds one checkpoint per model, each saved after one
+// training epoch by an earlier build (R(2+1)D 2/4/4 and C3D 4/6/8
+// channels, 4 classes). Loading one into a model of the current build
+// must restore it bit for bit: eval logits of a fixed batch of two
+// 6x10x10 clips equal the logits the saving build computed.
+void ExpectLogits(nn::Module& model, const std::vector<float>& recorded) {
+  Rng rng(5);
+  TensorF x(Shape{2, 1, 6, 10, 10});
+  FillUniform(x, rng, -1.0f, 1.0f);
+  const TensorF y = model.Forward(x, /*train=*/false);
+  ASSERT_EQ(y.numel(), static_cast<int64_t>(recorded.size()));
+  for (size_t i = 0; i < recorded.size(); ++i) {
+    const float got = y[static_cast<int64_t>(i)];
+    EXPECT_EQ(std::memcmp(&got, &recorded[i], sizeof(float)), 0)
+        << "logit " << i << ": " << std::hexfloat << got << " vs "
+        << recorded[i];
+  }
+}
+
+TEST(CheckpointTest, LoadsTinyR2Plus1dSavedByEarlierBuild) {
+  models::TinyR2Plus1dConfig cfg;
+  cfg.num_classes = 4;
+  cfg.stem_channels = 2;
+  cfg.stage1_channels = 4;
+  cfg.stage2_channels = 4;
+  Rng rng(31);
+  models::TinyR2Plus1d model(cfg, rng);
+  const Status s = nn::LoadCheckpoint(
+      std::string(HWP_TEST_DATA_DIR) + "/tiny_r2plus1d.ckpt", model);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ExpectLogits(model, {-0x1.4fd8e4p-4f, 0x1.9eb0c2p-3f, -0x1.b5a9dcp+0f,
+                       0x1.40c716p+1f, 0x1.b9c8e8p-7f, 0x1.836a68p-3f,
+                       -0x1.8c97dp+0f, 0x1.31c31ap+1f});
+}
+
+TEST(CheckpointTest, LoadsTinyC3dSavedByEarlierBuild) {
+  models::TinyC3dConfig cfg;
+  cfg.num_classes = 4;
+  cfg.conv1_channels = 4;
+  cfg.conv2_channels = 6;
+  cfg.conv3_channels = 8;
+  Rng rng(32);
+  models::TinyC3d model(cfg, rng);
+  const Status s = nn::LoadCheckpoint(
+      std::string(HWP_TEST_DATA_DIR) + "/tiny_c3d.ckpt", model);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ExpectLogits(model, {0x1.c3e69cp+0f, 0x1.3c32cp+0f, 0x1.6946acp-4f,
+                       0x1.2a0842p+0f, 0x1.b9be78p+0f, 0x1.39a478p+0f,
+                       0x1.edd1ep-4f, 0x1.72c70ap+0f});
 }
 
 }  // namespace

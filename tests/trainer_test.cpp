@@ -7,6 +7,7 @@
 #include "data/synthetic_video.h"
 #include "kernels/sgemm.h"
 #include "kernels/thread_pool.h"
+#include "models/tiny_c3d.h"
 #include "models/tiny_r2plus1d.h"
 #include "nn/linear.h"
 #include "nn/trainer.h"
@@ -103,11 +104,13 @@ TEST(TrainerTest, EmptyBatchesGiveZeroStats) {
   EXPECT_DOUBLE_EQ(stats.accuracy, 0.0);
 }
 
-// Every parameter and BN running statistic of the benchmark prune job's
-// model (TinyR2Plus1d, 4/8/8 channels, 6x10x10 clips, batch 8) after one
-// training epoch, as raw floats. `serial` runs the epoch as a one-thread
-// pool would, every parallel loop inline and in order.
-std::vector<float> PruneModelAfterOneEpoch(bool serial) {
+// Every parameter and BN running statistic of a `Model` built from
+// `mcfg` after one training epoch on the benchmark prune job's data
+// (5 classes, 6x10x10 clips, batch 8), as raw floats. `serial` runs the
+// epoch as a one-thread pool would, every parallel loop inline and in
+// order.
+template <typename Model, typename Config>
+std::vector<float> AfterOneEpoch(Config mcfg, bool serial) {
   data::SyntheticVideoConfig dcfg;
   dcfg.num_classes = 5;
   dcfg.frames = 6;
@@ -116,12 +119,8 @@ std::vector<float> PruneModelAfterOneEpoch(bool serial) {
   const data::SyntheticVideoDataset dataset(dcfg);
   Rng rng(91);
   const std::vector<nn::Batch> train = dataset.MakeBatches(64, 8, rng);
-  models::TinyR2Plus1dConfig mcfg;
   mcfg.num_classes = dcfg.num_classes;
-  mcfg.stem_channels = 4;
-  mcfg.stage1_channels = 8;
-  mcfg.stage2_channels = 8;
-  models::TinyR2Plus1d model(mcfg, rng);
+  Model model(mcfg, rng);
   nn::Sgd opt(model.Params(), {.lr = 0.05f, .momentum = 0.9f,
                                .weight_decay = 0.0f});
   {
@@ -137,6 +136,20 @@ std::vector<float> PruneModelAfterOneEpoch(bool serial) {
     out.insert(out.end(), b.tensor->vec().begin(), b.tensor->vec().end());
   }
   return out;
+}
+
+// The benchmark prune job's model: TinyR2Plus1d, 4/8/8 channels.
+std::vector<float> PruneModelAfterOneEpoch(bool serial) {
+  models::TinyR2Plus1dConfig mcfg;
+  mcfg.stem_channels = 4;
+  mcfg.stage1_channels = 8;
+  mcfg.stage2_channels = 8;
+  return AfterOneEpoch<models::TinyR2Plus1d>(mcfg, serial);
+}
+
+// TinyC3d at its default 8/16/32 channels with BatchNorm.
+std::vector<float> C3dAfterOneEpoch(bool serial) {
+  return AfterOneEpoch<models::TinyC3d>(models::TinyC3dConfig{}, serial);
 }
 
 void ExpectSameBytes(const std::vector<float>& a, const std::vector<float>& b) {
@@ -179,6 +192,14 @@ TEST(TrainerPoolInvarianceTest, OneEpochMatchesRecordedChecksum) {
   constexpr uint64_t kRecorded = 0xdbee596d3abb1a70ull;
   EXPECT_EQ(Checksum(PruneModelAfterOneEpoch(/*serial=*/true)), kRecorded);
   EXPECT_EQ(Checksum(PruneModelAfterOneEpoch(/*serial=*/false)), kRecorded);
+}
+
+// The same pin for one TinyC3d epoch, recorded before the C3D model was
+// composed as an nn::Sequential chain.
+TEST(TrainerPoolInvarianceTest, C3dOneEpochMatchesRecordedChecksum) {
+  constexpr uint64_t kRecorded = 0xdfb82e5f9e2aff78ull;
+  EXPECT_EQ(Checksum(C3dAfterOneEpoch(/*serial=*/true)), kRecorded);
+  EXPECT_EQ(Checksum(C3dAfterOneEpoch(/*serial=*/false)), kRecorded);
 }
 
 // The dispatched SGEMM micro-kernel must train the same weights as the
