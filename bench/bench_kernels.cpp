@@ -21,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/projection.h"
@@ -264,14 +265,44 @@ double BestOfMs(Fn&& fn, double budget_ms, int min_reps) {
   return best_ms;
 }
 
-// Best-of-reps wall time of one training step under `engine` on one
-// thread, in ms (at least 5 reps and 0.3 s). The engines spread over a
-// pool differently, so their ratio, which bench_check.py guards, is
-// taken on one thread to keep it independent of the host's core count.
-double TimeTrainStepMs(TrainStepSetup& setup, kernels::Engine engine) {
-  EngineOverride eo(engine);
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t h = v.size() / 2;
+  return v.size() % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+}
+
+struct TrainStepResult {
+  double naive_ms = 0.0;  // median step
+  double gemm_ms = 0.0;   // median step
+  double speedup = 0.0;   // median of the per-pair naive/gemm ratios
+};
+
+// One training step under each engine on one thread, timed in pairs: a
+// naive step, then a gemm step, until 2 s have accumulated (at least 11
+// pairs, at most 200). A slow stretch of the host then lands in a pair
+// or two, which the median of the per-pair ratios drops, instead of on
+// one engine's whole window. The engines spread over a pool differently,
+// so their ratio, which bench_check.py guards, is taken on one thread to
+// keep it independent of the host's core count.
+TrainStepResult TimeTrainStep(TrainStepSetup& setup) {
   ThreadPool::SerialScope one_thread;
-  return BestOfMs([&] { setup.Step(); }, 1000.0, 5);
+  const auto step_ms = [&](kernels::Engine engine) {
+    EngineOverride eo(engine);
+    const double t0 = obs::NowUs();
+    setup.Step();
+    return (obs::NowUs() - t0) / 1000.0;
+  };
+  step_ms(kernels::Engine::kNaive);
+  step_ms(kernels::Engine::kGemm);
+  std::vector<double> naive, gemm, ratio;
+  double total_ms = 0.0;
+  while (ratio.size() < 200 && (ratio.size() < 11 || total_ms < 2000.0)) {
+    naive.push_back(step_ms(kernels::Engine::kNaive));
+    gemm.push_back(step_ms(kernels::Engine::kGemm));
+    ratio.push_back(naive.back() / gemm.back());
+    total_ms += naive.back() + gemm.back();
+  }
+  return {Median(naive), Median(gemm), Median(ratio)};
 }
 
 struct MicroKernelResult {
@@ -445,9 +476,7 @@ void RunEngineComparison(const std::string& json_path) {
   Rng rng(21);
   TrainStepSetup setup(rng);
 
-  const double naive_ms = TimeTrainStepMs(setup, kernels::Engine::kNaive);
-  const double gemm_ms = TimeTrainStepMs(setup, kernels::Engine::kGemm);
-  const double speedup = naive_ms / gemm_ms;
+  const TrainStepResult step = TimeTrainStep(setup);
 
   // Conv forward throughput (same shape as BM_Conv3dForwardGemm), with
   // the gemm pack/compute split read as counter deltas around the runs.
@@ -493,9 +522,12 @@ void RunEngineComparison(const std::string& json_path) {
 
   std::printf("\n-- engine comparison (tiny R(2+1)D residual block) --\n");
   std::printf("threads:              %d\n", ThreadPool::Get().threads());
-  std::printf("train step naive:     %.2f ms (1 thread)\n", naive_ms);
-  std::printf("train step gemm:      %.2f ms (1 thread)\n", gemm_ms);
-  std::printf("speedup:              %.2fx\n", speedup);
+  std::printf("train step naive:     %.2f ms (1 thread, median)\n",
+              step.naive_ms);
+  std::printf("train step gemm:      %.2f ms (1 thread, median)\n",
+              step.gemm_ms);
+  std::printf("speedup:              %.2fx (median of paired steps)\n",
+              step.speedup);
   std::printf("conv forward (gemm):  %.2f GFLOP/s\n", conv_gflops);
   std::printf("gemm pack/compute:    %.0f%% / %.0f%%\n", 100.0 * pack_frac,
               100.0 * (1.0 - pack_frac));
@@ -534,9 +566,9 @@ void RunEngineComparison(const std::string& json_path) {
       << "  \"train_step\": {\n"
       << "    \"config\": \"R(2+1)D residual block 8->16 ch, stride 2, "
          "input [2,8,4,16,16], 1 thread\",\n"
-      << "    \"naive_ms\": " << naive_ms << ",\n"
-      << "    \"gemm_ms\": " << gemm_ms << ",\n"
-      << "    \"speedup\": " << speedup << "\n"
+      << "    \"naive_ms\": " << step.naive_ms << ",\n"
+      << "    \"gemm_ms\": " << step.gemm_ms << ",\n"
+      << "    \"speedup\": " << step.speedup << "\n"
       << "  },\n"
       << "  \"conv3d_forward\": {\n"
       << "    \"config\": \"8->8 ch, 3x3x3, pad 1, input [1,8,8,16,16]\",\n"

@@ -27,10 +27,12 @@ done
 # the caches its Forward(train=true) kept (conv halo copies, BN inputs,
 # ReLU masks), so the training tests (conv3d, r2plus1d_block, trainer,
 # train_memory) also run here: ASan catches any read of a released
-# cache.
+# cache. The models are nn::Sequential chains that hand activations on
+# by move, so the C3D chain (tiny_c3d) and the checkpoint pins of both
+# models (checkpoint) run here too.
 echo "==> thread-pool + training-cache stress (sanitize)"
 ctest --preset sanitize \
-  -R 'thread_pool|conv_engine_parity|nn_layers|conv3d|trainer|r2plus1d_block|train_memory' \
+  -R 'thread_pool|conv_engine_parity|nn_layers|conv3d|trainer|r2plus1d_block|train_memory|tiny_c3d|checkpoint' \
   --repeat until-fail:3
 
 # The int16 conv kernels on every ISA the CPU supports: UBSan traps any

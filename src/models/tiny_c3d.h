@@ -7,7 +7,6 @@
 // parameter budget on motion classification) is reproducible.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -29,38 +28,23 @@ struct TinyC3dConfig {
   bool batch_norm = true;  // classic C3D has none; on by default for parity
 };
 
-class TinyC3d : public nn::Module {
+// Three stages of 3x3x3 conv -> [BN] -> ReLU -> [max pool], then global
+// average pool -> FC, as one chain.
+class TinyC3d : public nn::Sequential {
  public:
   TinyC3d(TinyC3dConfig cfg, Rng& rng);
 
-  TensorF Forward(const TensorF& x, bool train) override;
-  TensorF Backward(const TensorF& dy) override;
-  void CollectParams(std::vector<nn::Param*>& out) override;
-  void CollectBuffers(std::vector<nn::NamedBuffer>& out) override;
-  std::string name() const override { return "tiny_c3d"; }
-
   // All conv layers (for pruning experiments on C3D, which the paper
   // notes its scheme also supports).
-  std::vector<nn::Conv3d*> Convs();
+  std::vector<nn::Conv3d*> Convs() { return convs_; }
 
   int64_t TotalParams();
 
   const TinyC3dConfig& config() const { return cfg_; }
 
  private:
-  struct Stage {
-    std::unique_ptr<nn::Conv3d> conv;
-    std::unique_ptr<nn::BatchNorm3d> bn;  // null when batch_norm == false
-    std::unique_ptr<nn::ReLU> relu;
-    std::unique_ptr<nn::MaxPool3d> pool;  // null for the last stage
-  };
-  Stage MakeStage(int64_t in_ch, int64_t out_ch, bool pool_spatial_only,
-                  bool with_pool, const std::string& name, Rng& rng);
-
   TinyC3dConfig cfg_;
-  std::vector<Stage> stages_;
-  std::unique_ptr<nn::GlobalAvgPool3d> gap_;
-  std::unique_ptr<nn::Linear> fc_;
+  std::vector<nn::Conv3d*> convs_;
 };
 
 }  // namespace hwp3d::models

@@ -11,6 +11,11 @@
 // Forward(train=true) throws Error. A caller that is done with its input
 // hands it over by move (the rvalue Forward), so a module that keeps or
 // rewrites its input does so without a copy.
+//
+// Networks are composed one way: as a Sequential chain, which passes
+// every activation and gradient on by move. The (2+1)D conv and the
+// models derive from it and only append their children; a residual
+// block holds two chains (main path, shortcut) and adds the join.
 #pragma once
 
 #include <memory>
@@ -84,7 +89,8 @@ class Module {
   }
 };
 
-// Runs children in order; Backward in reverse order.
+// Runs children in order; Backward in reverse order. Params and buffers
+// are collected in child order, which is the order checkpoints store.
 class Sequential : public Module {
  public:
   explicit Sequential(std::string name = "sequential")

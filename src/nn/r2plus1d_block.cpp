@@ -17,9 +17,9 @@ int64_t R2Plus1dMidChannels(int64_t in_channels, int64_t out_channels,
 }
 
 Conv2Plus1d::Conv2Plus1d(Conv2Plus1dConfig cfg, Rng& rng, std::string name)
-    : name_(std::move(name)) {
+    : Sequential(std::move(name)) {
   HWP_CHECK_MSG(cfg.in_channels > 0 && cfg.out_channels > 0,
-                name_ << ": channels must be positive");
+                this->name() << ": channels must be positive");
   mid_channels_ =
       cfg.mid_channels > 0
           ? cfg.mid_channels
@@ -33,10 +33,10 @@ Conv2Plus1d::Conv2Plus1d(Conv2Plus1dConfig cfg, Rng& rng, std::string name)
   sp.stride = {1, cfg.spatial_stride, cfg.spatial_stride};
   sp.padding = {0, cfg.spatial_kernel / 2, cfg.spatial_kernel / 2};
   sp.bias = false;  // followed by BN
-  spatial_ = std::make_unique<Conv3d>(sp, rng, name_ + ".spatial");
+  spatial_ = Emplace<Conv3d>(sp, rng, this->name() + ".spatial");
 
-  bn_mid_ = std::make_unique<BatchNorm3d>(mid_channels_, name_ + ".bn_mid");
-  relu_mid_ = std::make_unique<ReLU>(name_ + ".relu_mid");
+  bn_mid_ = Emplace<BatchNorm3d>(mid_channels_, this->name() + ".bn_mid");
+  Emplace<ReLU>(this->name() + ".relu_mid");
 
   Conv3dConfig tp;
   tp.in_channels = mid_channels_;
@@ -45,35 +45,7 @@ Conv2Plus1d::Conv2Plus1d(Conv2Plus1dConfig cfg, Rng& rng, std::string name)
   tp.stride = {cfg.temporal_stride, 1, 1};
   tp.padding = {cfg.temporal_kernel / 2, 0, 0};
   tp.bias = false;
-  temporal_ = std::make_unique<Conv3d>(tp, rng, name_ + ".temporal");
-}
-
-TensorF Conv2Plus1d::Forward(const TensorF& x, bool train) {
-  HWP_TRACE_SCOPE("nn/conv2plus1d_forward");
-  TensorF h = spatial_->Forward(x, train);
-  h = bn_mid_->Forward(std::move(h), train);
-  h = relu_mid_->Forward(std::move(h), train);
-  return temporal_->Forward(std::move(h), train);
-}
-
-TensorF Conv2Plus1d::Backward(const TensorF& dy) {
-  HWP_TRACE_SCOPE("nn/conv2plus1d_backward");
-  TensorF g = temporal_->Backward(dy);
-  g = relu_mid_->Backward(std::move(g));
-  g = bn_mid_->Backward(std::move(g));
-  return spatial_->Backward(g);
-}
-
-void Conv2Plus1d::CollectParams(std::vector<Param*>& out) {
-  spatial_->CollectParams(out);
-  bn_mid_->CollectParams(out);
-  temporal_->CollectParams(out);
-}
-
-void Conv2Plus1d::CollectBuffers(std::vector<NamedBuffer>& out) {
-  spatial_->CollectBuffers(out);
-  bn_mid_->CollectBuffers(out);
-  temporal_->CollectBuffers(out);
+  temporal_ = Emplace<Conv3d>(tp, rng, this->name() + ".temporal");
 }
 
 ResidualBlock::ResidualBlock(ResidualBlockConfig cfg, Rng& rng,
@@ -86,16 +58,16 @@ ResidualBlock::ResidualBlock(ResidualBlockConfig cfg, Rng& rng,
   c1.temporal_kernel = cfg.temporal_kernel;
   c1.spatial_stride = cfg.spatial_stride;
   c1.temporal_stride = cfg.temporal_stride;
-  conv1_ = std::make_unique<Conv2Plus1d>(c1, rng, name_ + ".conv1");
-  bn1_ = std::make_unique<BatchNorm3d>(cfg.out_channels, name_ + ".bn1");
-  relu1_ = std::make_unique<ReLU>(name_ + ".relu1");
+  conv1_ = main_.Emplace<Conv2Plus1d>(c1, rng, name_ + ".conv1");
+  bn1_ = main_.Emplace<BatchNorm3d>(cfg.out_channels, name_ + ".bn1");
+  main_.Emplace<ReLU>(name_ + ".relu1");
 
   Conv2Plus1dConfig c2 = c1;
   c2.in_channels = cfg.out_channels;
   c2.spatial_stride = 1;
   c2.temporal_stride = 1;
-  conv2_ = std::make_unique<Conv2Plus1d>(c2, rng, name_ + ".conv2");
-  bn2_ = std::make_unique<BatchNorm3d>(cfg.out_channels, name_ + ".bn2");
+  conv2_ = main_.Emplace<Conv2Plus1d>(c2, rng, name_ + ".conv2");
+  bn2_ = main_.Emplace<BatchNorm3d>(cfg.out_channels, name_ + ".bn2");
 
   const bool needs_projection = cfg.in_channels != cfg.out_channels ||
                                 cfg.spatial_stride != 1 ||
@@ -108,43 +80,36 @@ ResidualBlock::ResidualBlock(ResidualBlockConfig cfg, Rng& rng,
     sc.stride = {cfg.temporal_stride, cfg.spatial_stride, cfg.spatial_stride};
     sc.padding = {0, 0, 0};
     sc.bias = false;
-    shortcut_conv_ = std::make_unique<Conv3d>(sc, rng, name_ + ".shortcut");
-    shortcut_bn_ =
-        std::make_unique<BatchNorm3d>(cfg.out_channels, name_ + ".shortcut_bn");
+    shortcut_conv_ = shortcut_.Emplace<Conv3d>(sc, rng, name_ + ".shortcut");
+    shortcut_bn_ = shortcut_.Emplace<BatchNorm3d>(cfg.out_channels,
+                                                  name_ + ".shortcut_bn");
   }
 }
 
 TensorF ResidualBlock::Forward(const TensorF& x, bool train) {
-  return Run(x, train);
+  HWP_TRACE_SCOPE("nn/residual_block_forward");
+  TensorF h = main_.Forward(x, train);
+  if (!has_projection()) return Join(std::move(h), x, train);
+  const TensorF projected = shortcut_.Forward(x, train);
+  return Join(std::move(h), projected, train);
 }
 
 TensorF ResidualBlock::Forward(TensorF&& x, bool train) {
-  return Run(std::move(x), train);
+  HWP_TRACE_SCOPE("nn/residual_block_forward");
+  TensorF h = main_.Forward(std::as_const(x), train);
+  if (!has_projection()) return Join(std::move(h), x, train);
+  // The shortcut is the last reader of x.
+  const TensorF projected = shortcut_.Forward(std::move(x), train);
+  return Join(std::move(h), projected, train);
 }
 
-template <typename X>
-TensorF ResidualBlock::Run(X&& x, bool train) {
-  HWP_TRACE_SCOPE("nn/residual_block_forward");
-  TensorF h = conv1_->Forward(x, train);
-  h = bn1_->Forward(std::move(h), train);
-  h = relu1_->Forward(std::move(h), train);
-  h = conv2_->Forward(std::move(h), train);
-  h = bn2_->Forward(std::move(h), train);
-
-  // The shortcut is the last reader of x.
-  TensorF projected;
-  if (shortcut_conv_ != nullptr) {
-    projected = shortcut_bn_->Forward(
-        shortcut_conv_->Forward(std::forward<X>(x), train), train);
-  }
-  const TensorF& sc = shortcut_conv_ != nullptr ? projected : x;
-  HWP_SHAPE_CHECK_MSG(h.shape() == sc.shape(),
+TensorF ResidualBlock::Join(TensorF h, const TensorF& shortcut, bool train) {
+  HWP_SHAPE_CHECK_MSG(h.shape() == shortcut.shape(),
                       name_ << ": residual shape mismatch "
                             << h.shape().ToString() << " vs "
-                            << sc.shape().ToString());
-  // The add and the final ReLU, in place.
+                            << shortcut.shape().ToString());
   float* p = h.data();
-  const float* s = sc.data();
+  const float* s = shortcut.data();
   const int64_t n = h.numel();
   for (int64_t i = 0; i < n; ++i) p[i] += s[i];
   if (train) {
@@ -175,47 +140,17 @@ TensorF ResidualBlock::Backward(TensorF&& dy) {
   const uint8_t* pos = positive.data();
   for (int64_t i = 0; i < g.numel(); ++i) gp[i] = pos[i] != 0 ? gp[i] : 0.0f;
 
-  // Main path; g is still the shortcut's.
-  TensorF gm = bn2_->Backward(g);
-  gm = conv2_->Backward(std::move(gm));
-  gm = relu1_->Backward(std::move(gm));
-  gm = bn1_->Backward(std::move(gm));
-  gm = conv1_->Backward(std::move(gm));
-
+  // Main path first; g is still the shortcut's.
+  TensorF dx = main_.Backward(std::as_const(g));
   // Shortcut path, added into the main path's dx.
-  TensorF projected;
-  if (shortcut_conv_ != nullptr) {
-    projected = shortcut_conv_->Backward(shortcut_bn_->Backward(std::move(g)));
-  }
-  const TensorF& gs = shortcut_conv_ != nullptr ? projected : g;
-  HWP_SHAPE_CHECK_MSG(gm.shape() == gs.shape(),
+  const TensorF gs =
+      has_projection() ? shortcut_.Backward(std::move(g)) : std::move(g);
+  HWP_SHAPE_CHECK_MSG(dx.shape() == gs.shape(),
                       name_ << ": residual grad shape mismatch");
-  float* p = gm.data();
+  float* p = dx.data();
   const float* s = gs.data();
-  for (int64_t i = 0; i < gm.numel(); ++i) p[i] += s[i];
-  return gm;
-}
-
-void ResidualBlock::CollectParams(std::vector<Param*>& out) {
-  conv1_->CollectParams(out);
-  bn1_->CollectParams(out);
-  conv2_->CollectParams(out);
-  bn2_->CollectParams(out);
-  if (shortcut_conv_ != nullptr) {
-    shortcut_conv_->CollectParams(out);
-    shortcut_bn_->CollectParams(out);
-  }
-}
-
-void ResidualBlock::CollectBuffers(std::vector<NamedBuffer>& out) {
-  conv1_->CollectBuffers(out);
-  bn1_->CollectBuffers(out);
-  conv2_->CollectBuffers(out);
-  bn2_->CollectBuffers(out);
-  if (shortcut_conv_ != nullptr) {
-    shortcut_conv_->CollectBuffers(out);
-    shortcut_bn_->CollectBuffers(out);
-  }
+  for (int64_t i = 0; i < dx.numel(); ++i) p[i] += s[i];
+  return dx;
 }
 
 }  // namespace hwp3d::nn

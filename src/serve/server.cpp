@@ -163,13 +163,8 @@ std::future<StatusOr<InferenceResult>> InferenceServer::SubmitAsync(
     TensorF clip, int64_t deadline_us) {
   auto& m = ServeMetrics::Get();
   if (FaultInjector::Get().Trip(kFaultQueueAdmit)) {
-    m.faults_injected.Add(1);
-    m.rejected.Add(1);
-    {
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      ++totals_.faults_injected;
-      ++totals_.rejected;
-    }
+    Count({{m.faults_injected, &ServerStats::faults_injected},
+           {m.rejected, &ServerStats::rejected}});
     std::promise<StatusOr<InferenceResult>> failed;
     failed.set_value(UnavailableError(
         StrFormat("injected fault: %s", kFaultQueueAdmit)));
@@ -186,23 +181,15 @@ std::future<StatusOr<InferenceResult>> InferenceServer::SubmitAsync(
 
   Status admitted = queue_.Push(std::move(req));
   if (!admitted.ok()) {
-    m.rejected.Add(1);
-    {
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      ++totals_.rejected;
-    }
+    Count({{m.rejected, &ServerStats::rejected}});
     // The request object (with its promise) died with the failed Push;
     // report through a fresh promise for a uniform future-based path.
     std::promise<StatusOr<InferenceResult>> failed;
     failed.set_value(std::move(admitted));
     return failed.get_future();
   }
-  m.accepted.Add(1);
   m.queue_depth.Set(static_cast<double>(queue_.size()));
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    ++totals_.accepted;
-  }
+  Count({{m.accepted, &ServerStats::accepted}});
   return future;
 }
 
@@ -244,6 +231,12 @@ void InferenceServer::LaneLoop(int lane) {
   }
 }
 
+void InferenceServer::Count(std::initializer_list<StatBump> bumps) {
+  for (const StatBump& b : bumps) b.counter.Add(b.n);
+  std::lock_guard<std::mutex> lk(stats_mu_);
+  for (const StatBump& b : bumps) totals_.*b.field += b.n;
+}
+
 void InferenceServer::NoteQuarantine(int replica) {
   auto& m = ServeMetrics::Get();
   m.replicas_quarantined.Add(1);
@@ -282,11 +275,7 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
           "(mid-batch check)",
           now_us - req.deadline_us, req.deadline_us - req.enqueue_us));
       if (pending.Claim()) {
-        m.deadline_exceeded.Add(1);
-        {
-          std::lock_guard<std::mutex> lk(stats_mu_);
-          ++totals_.deadline_exceeded;
-        }
+        Count({{m.deadline_exceeded, &ServerStats::deadline_exceeded}});
         req.promise.set_value(std::move(expired));
       }
       return DeadlineExceededError("expired mid-batch");
@@ -300,11 +289,7 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
     if (!wedge.empty()) {
       // Simulated wedged replica: stall, then continue normally. The
       // watchdog (when armed) kills the batch out from under us.
-      m.faults_injected.Add(1);
-      {
-        std::lock_guard<std::mutex> lk(stats_mu_);
-        ++totals_.faults_injected;
-      }
+      Count({{m.faults_injected, &ServerStats::faults_injected}});
       SleepUs(inj.delay_us(wedge));
       if (cancelled.load(std::memory_order_acquire)) {
         return CancelledError("batch cancelled by watchdog");
@@ -356,11 +341,7 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
       return Status::Ok();
     }
     // Injected transient failure.
-    m.faults_injected.Add(1);
-    {
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      ++totals_.faults_injected;
-    }
+    Count({{m.faults_injected, &ServerStats::faults_injected}});
     transient = UnavailableError(StrFormat(
         "injected fault: %s (replica %d, attempt %d)", kFaultReplicaInfer,
         replica, attempt));
@@ -368,11 +349,7 @@ Status InferenceServer::RunOne(Pending& pending, int replica,
     const std::optional<int64_t> backoff =
         retry_.NextBackoffUs(attempt, obs::NowUs(), req.deadline_us);
     if (!backoff) return transient;  // caller may rescue or fail truthfully
-    m.retries.Add(1);
-    {
-      std::lock_guard<std::mutex> lk(stats_mu_);
-      ++totals_.retries;
-    }
+    Count({{m.retries, &ServerStats::retries}});
     SleepUs(*backoff);
   }
 }
@@ -392,11 +369,7 @@ void InferenceServer::RunBatch(int lane, std::vector<Request>& batch) {
   for (Pending& p : owned) {
     if (p.req.deadline_us > 0.0 && start_us > p.req.deadline_us) {
       if (p.Claim()) {
-        m.deadline_exceeded.Add(1);
-        {
-          std::lock_guard<std::mutex> lk(stats_mu_);
-          ++totals_.deadline_exceeded;
-        }
+        Count({{m.deadline_exceeded, &ServerStats::deadline_exceeded}});
         p.req.promise.set_value(DeadlineExceededError(StrFormat(
             "request queued for %.0f us, past its %.0f us deadline",
             start_us - p.req.enqueue_us,
@@ -410,12 +383,8 @@ void InferenceServer::RunBatch(int lane, std::vector<Request>& batch) {
 
   // Record batch-level stats up front: promises below must only resolve
   // after every counter a waiter could observe through Stats() is final.
-  m.batches.Add(1);
   m.batch_size.Observe(static_cast<double>(live.size()));
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    ++totals_.batches;
-  }
+  Count({{m.batches, &ServerStats::batches}});
 
   std::atomic<bool> cancelled{false};
   if (config_.watchdog_timeout_us > 0) {
@@ -493,13 +462,8 @@ void InferenceServer::WatchdogLoop() {
         if (p->Claim()) claimed.push_back(p);
       }
       const int64_t killed = static_cast<int64_t>(claimed.size());
-      m.watchdog_fired.Add(1);
-      m.deadline_exceeded.Add(killed);
-      {
-        std::lock_guard<std::mutex> slk(stats_mu_);
-        ++totals_.watchdog_fired;
-        totals_.deadline_exceeded += killed;
-      }
+      Count({{m.watchdog_fired, &ServerStats::watchdog_fired},
+             {m.deadline_exceeded, &ServerStats::deadline_exceeded, killed}});
       for (Pending* p : claimed) {
         p->req.promise.set_value(DeadlineExceededError(StrFormat(
             "watchdog: batch stuck for more than %lld us; request failed "

@@ -62,6 +62,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <future>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -74,6 +75,10 @@
 #include "serve/latency_reservoir.h"
 #include "serve/replica_health.h"
 #include "serve/request_queue.h"
+
+namespace hwp3d::obs {
+class Counter;
+}
 
 namespace hwp3d::serve {
 
@@ -199,6 +204,17 @@ class InferenceServer {
                 int batch_size, const std::atomic<bool>& cancelled);
   void WatchdogLoop();
   void NoteQuarantine(int replica);
+
+  // One serve event's count: n added to a process-wide serve counter and
+  // to the matching field of totals_.
+  struct StatBump {
+    obs::Counter& counter;
+    int64_t ServerStats::*field;
+    int64_t n = 1;
+  };
+  // Applies every bump; the fields of totals_ change under one hold of
+  // stats_mu_, so Stats() sees them change together.
+  void Count(std::initializer_list<StatBump> bumps);
 
   ServerConfig config_;
   RetryPolicy retry_;
