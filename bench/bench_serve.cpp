@@ -104,7 +104,7 @@ double Median(std::vector<double> v) {
 // lane always finds work. Returns false when a request was lost or
 // resolved untruthfully (anything but OK or, with faults on, a
 // transient kUnavailable).
-bool RunLanes(const fpga::CompiledTinyR2Plus1d& model,
+bool RunLanes(const fpga::CompiledModel& model,
               const std::vector<TensorF>& clips, int replicas, int max_batch,
               int requests, bool faults_on, Row& row) {
   const int window = 2 * replicas * max_batch;
@@ -218,9 +218,9 @@ int main(int argc, char** argv) {
   fpga::CompiledModelOptions copts;
   copts.tiling = fpga::Tiling{4, 4, 2, 5, 5};
   copts.executor = fpga::ExecMode::kSimulate;
-  auto sim_model = fpga::CompiledTinyR2Plus1d::Compile(model, copts);
+  auto sim_model = fpga::CompiledModel::Compile(model, copts);
   copts.executor = fpga::ExecMode::kFast;
-  auto fast_model = fpga::CompiledTinyR2Plus1d::Compile(model, copts);
+  auto fast_model = fpga::CompiledModel::Compile(model, copts);
   // 90% block-pruned compile: keep every 10th block of each prunable
   // conv's (Tm, Tn) grid. The weights are untouched (this measures the
   // packed stream shrinking, not accuracy); real flows get the masks
@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
     }
     copts.masks.push_back(std::move(m));
   }
-  auto pruned_model = fpga::CompiledTinyR2Plus1d::Compile(model, copts);
+  auto pruned_model = fpga::CompiledModel::Compile(model, copts);
   if (!sim_model.ok() || !fast_model.ok() || !pruned_model.ok()) {
     std::fprintf(stderr, "%s\n", (!sim_model.ok() ? sim_model
                                   : !fast_model.ok() ? fast_model
@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
                                      .c_str());
     return 1;
   }
-  const fpga::CompiledTinyR2Plus1d& compiled = *fast_model;
+  const fpga::CompiledModel& compiled = *fast_model;
 
   std::vector<TensorF> clips;
   for (int i = 0; i < num_clips; ++i) {
@@ -268,7 +268,7 @@ int main(int argc, char** argv) {
   std::vector<double> sim_us, fast_us, pruned_us;
   {
     ThreadPool::SerialScope serial;
-    const auto time_us = [](const fpga::CompiledTinyR2Plus1d& m,
+    const auto time_us = [](const fpga::CompiledModel& m,
                             const TensorF& clip, std::vector<double>& out) {
       const double t0 = obs::NowUs();
       (void)m.Infer(clip);

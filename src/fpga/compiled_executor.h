@@ -155,6 +155,18 @@ class QActivation {
   std::unique_ptr<std::vector<int16_t>, detail::RecycleActivation> data_;
 };
 
+// The D×R×C extent of a max pool over `window` with `stride` (no
+// padding) on a D×R×C input; throws ShapeError when it is empty.
+std::array<int64_t, 3> PoolExtent(std::array<int64_t, 3> input,
+                                  std::array<int64_t, 3> window,
+                                  std::array<int64_t, 3> stride);
+
+// Max pool of `x` in Q7.8, bitwise MaxPool3dFixed on its dense form; the
+// output gets halo `out_halo`. Only its interior is read.
+QActivation MaxPool(const QActivation& x, std::array<int64_t, 3> window,
+                    std::array<int64_t, 3> stride,
+                    std::array<int64_t, 3> out_halo);
+
 // One conv layer's weights packed for fast execution (see file
 // comment). Immutable after construction but for a small cache of
 // per-shape plans; Run is const and safe to call concurrently, so every
@@ -196,14 +208,6 @@ class PackedConvLayer {
              std::array<int64_t, 3> padding, const PostOps& post,
              const QActivation* shortcut, std::array<int64_t, 3> out_halo,
              ThreadPool* pool = nullptr) const;
-
-  // Layer-level entry on dense tensors: `input` is the unpadded
-  // [N][D][R][C] activation and post.shortcut a [M][D][R][C] tensor.
-  // Converts to and from the layout around the engine above; bitwise
-  // identical output and identical stats.
-  TiledConvResult Run(const TensorQ& input, std::array<int64_t, 3> stride,
-                      std::array<int64_t, 3> padding, const PostOps& post,
-                      ThreadPool* pool = nullptr) const;
 
   // The D×R×C output extent of a run on a D×R×C input with `stride` and
   // `padding`; throws ShapeError when it is empty.

@@ -4,6 +4,12 @@
 
 #include "common/error.h"
 #include "common/strings.h"
+#include "nn/activations.h"
+#include "nn/batchnorm3d.h"
+#include "nn/conv3d.h"
+#include "nn/linear.h"
+#include "nn/pool3d.h"
+#include "nn/r2plus1d_block.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -11,17 +17,67 @@ namespace hwp3d::fpga {
 
 namespace {
 
-// Quantizes a folded BN (or identity) into Q7.8 post-op parameters.
-PostOps FoldBn(nn::BatchNorm3d* bn, bool relu) {
+template <typename T>
+T* As(nn::Module* m) {
+  return dynamic_cast<T*>(m);
+}
+
+// The leaf modules of `m` in execution order: nested Sequentials are
+// flattened (they only chain their children).
+void Flatten(nn::Module& m, std::vector<nn::Module*>& out) {
+  if (auto* seq = As<nn::Sequential>(&m)) {
+    for (size_t i = 0; i < seq->size(); ++i) Flatten(*seq->child(i), out);
+  } else {
+    out.push_back(&m);
+  }
+}
+
+std::vector<nn::Module*> Leaves(nn::Module& m) {
+  std::vector<nn::Module*> out;
+  Flatten(m, out);
+  return out;
+}
+
+// Why a module that reached the trunk's walk does not lower there.
+Status Unsupported(nn::Module* m) {
+  const char* why =
+      As<nn::BatchNorm3d>(m) != nullptr
+          ? "a BatchNorm3d folds only into the Conv3d right before it"
+      : As<nn::ReLU>(m) != nullptr
+          ? "a ReLU folds only into the Conv3d (and its BatchNorm3d) "
+            "right before it"
+      : As<nn::Linear>(m) != nullptr || As<nn::GlobalAvgPool3d>(m) != nullptr
+          ? "GlobalAvgPool3d + Linear lower only as the model's last two "
+            "modules (the host head)"
+          : "the accelerator runs Conv3d [+ BatchNorm3d] [+ ReLU], "
+            "MaxPool3d and ResidualBlock";
+  return InvalidArgumentError(
+      StrFormat("cannot lower '%s': %s", m->name().c_str(), why));
+}
+
+// A conv's post-processing unit: its BN (if any) folded into a
+// per-channel affine, its bias into the shift (scale 1 without a BN),
+// quantized to Q7.8; then the ReLU.
+PostOps FoldPost(nn::Conv3d& conv, nn::BatchNorm3d* bn, bool relu) {
   PostOps post;
   post.relu = relu;
+  const nn::Param* bias = conv.bias();
+  if (bn == nullptr && bias == nullptr) return post;
+  TensorF scale, shift;
   if (bn != nullptr) {
-    TensorF scale, shift;
     bn->FoldedAffine(scale, shift);
-    post.has_affine = true;
-    post.scale = Quantize(scale);
-    post.shift = Quantize(shift);
+  } else {
+    scale = TensorF(bias->value.shape(), 1.0f);
+    shift = TensorF(bias->value.shape());
   }
+  if (bias != nullptr) {
+    for (int64_t m = 0; m < shift.numel(); ++m) {
+      shift[m] += scale[m] * bias->value[m];
+    }
+  }
+  post.has_affine = true;
+  post.scale = Quantize(scale);
+  post.shift = Quantize(shift);
   return post;
 }
 
@@ -67,14 +123,18 @@ TensorF GlobalAvgPool(const QActivation& x) {
 
 }  // namespace
 
-StatusOr<CompiledTinyR2Plus1d> CompiledTinyR2Plus1d::Compile(
-    models::TinyR2Plus1d& model, CompiledModelOptions options) {
-  const auto prunable = model.PrunableConvs();
+struct CompiledModel::Walk {
+  const std::vector<nn::Conv3d*>& prunable;
+  std::vector<bool> met;  // [prunable.size()]
+};
+
+StatusOr<CompiledModel> CompiledModel::Compile(
+    nn::Sequential& model, const std::vector<nn::Conv3d*>& prunable,
+    CompiledModelOptions options) {
   if (!options.masks.empty() && options.masks.size() != prunable.size()) {
     return InvalidArgumentError(StrFormat(
         "mask count %zu does not match the %zu prunable convs of '%s'; "
-        "pass one mask per PrunableConvs() entry or none for dense "
-        "execution",
+        "pass one mask per prunable conv or none for dense execution",
         options.masks.size(), prunable.size(), model.name().c_str()));
   }
   for (size_t i = 0; i < options.masks.size(); ++i) {
@@ -93,80 +153,66 @@ StatusOr<CompiledTinyR2Plus1d> CompiledTinyR2Plus1d::Compile(
           (long long)options.tiling.Tn));
     }
   }
+  CompiledModel compiled(std::move(options));
   try {
-    return CompiledTinyR2Plus1d(model, std::move(options));
+    const Status lowered = compiled.Lower(model, prunable);
+    if (!lowered.ok()) return lowered;
   } catch (const Error& e) {
-    // Anything the pre-validation above missed is a library bug, but
-    // surface it as a Status rather than tearing the server down.
+    // Anything the checks above and the walk's missed is a library bug,
+    // but surface it as a Status rather than tearing the server down.
     return InternalError(StrFormat("model compilation failed: %s", e.what()));
   }
+  return compiled;
 }
 
-CompiledTinyR2Plus1d::Op CompiledTinyR2Plus1d::MakeOp(
-    nn::Conv3d& conv, nn::BatchNorm3d* bn, bool relu,
-    const core::BlockMask* mask) const {
-  Op op;
-  op.name = conv.name();
-  op.weights = Quantize(conv.weight().value);
-  op.stride = conv.config().stride;
-  op.padding = conv.config().padding;
-  op.post = FoldBn(bn, relu);
-  if (mask != nullptr) op.mask = *mask;
-  // Packed whatever the executor: MacsFor reads the plan's MACs off it.
-  op.packed = std::make_shared<PackedConvLayer>(
-      op.weights, options_.tiling, options_.ports,
-      op.mask.has_value() ? &*op.mask : nullptr, op.name);
-  auto& reg = obs::MetricsRegistry::Get();
-  reg.GetGauge("exec.int32_exact_frac", {{"layer", op.name}})
-      .Set(op.packed->int32_exact_frac());
-  reg.GetGauge("exec.direct_frac", {{"layer", op.name}})
-      .Set(PackedConvLayer::ReadsInPlace(op.stride) ? 1.0 : 0.0);
-  return op;
-}
+CompiledModel::CompiledModel(CompiledModelOptions options)
+    : options_(std::move(options)), sim_(options_.tiling, options_.ports) {}
 
-CompiledTinyR2Plus1d::CompiledTinyR2Plus1d(models::TinyR2Plus1d& model,
-                                           CompiledModelOptions options)
-    : options_(std::move(options)),
-      sim_(options_.tiling, options_.ports) {
-  // The topology. Every conv's BN (and ReLU) folds into its
-  // post-processing unit; a residual block's conv2 temporal op applies
-  // bn2, adds the shortcut and applies the final ReLU there. Prunable
-  // convs take their masks in PrunableConvs() order: [c1.spatial,
-  // c1.temporal, c2.spatial, c2.temporal] per stage.
-  const auto add = [&](nn::Conv3d& conv, nn::BatchNorm3d* bn, bool relu,
-                       int input, const core::BlockMask* mask = nullptr,
-                       std::optional<int> shortcut = {}) {
-    ops_.push_back(MakeOp(conv, bn, relu, mask));
-    ops_.back().input = input;
-    ops_.back().shortcut = shortcut;
-    return static_cast<int>(ops_.size()) - 1;
-  };
-  size_t prunable = 0;
-  const auto next_mask = [&]() -> const core::BlockMask* {
-    const size_t i = prunable++;
-    return options_.masks.empty() ? nullptr : &options_.masks[i];
-  };
-  nn::Conv2Plus1d& stem = model.stem();
-  int x = add(stem.spatial(), &stem.bn_mid(), true, -1);
-  x = add(stem.temporal(), &model.stem_bn(), true, x);
-  for (nn::ResidualBlock* rb : {&model.stage1(), &model.stage2()}) {
-    const int shortcut =
-        rb->has_projection()
-            ? add(*rb->shortcut_conv(), rb->shortcut_bn(), false, x)
-            : x;
-    int h = add(rb->conv1().spatial(), &rb->conv1().bn_mid(), true, x,
-                next_mask());
-    h = add(rb->conv1().temporal(), &rb->bn1(), true, h, next_mask());
-    h = add(rb->conv2().spatial(), &rb->conv2().bn_mid(), true, h,
-            next_mask());
-    x = add(rb->conv2().temporal(), &rb->bn2(), true, h, next_mask(),
-            shortcut);
+Status CompiledModel::Lower(nn::Sequential& model,
+                            const std::vector<nn::Conv3d*>& prunable) {
+  std::vector<nn::Module*> trunk = Leaves(model);
+  const size_t n = trunk.size();
+  nn::Linear* fc = n >= 2 ? As<nn::Linear>(trunk[n - 1]) : nullptr;
+  if (fc == nullptr || As<nn::GlobalAvgPool3d>(trunk[n - 2]) == nullptr) {
+    return InvalidArgumentError(StrFormat(
+        "cannot lower '%s': it must end in GlobalAvgPool3d + Linear, the "
+        "host head, but ends in '%s'",
+        model.name().c_str(), n == 0 ? "" : trunk.back()->name().c_str()));
+  }
+  trunk.resize(n - 2);
+
+  Walk walk{prunable, std::vector<bool>(prunable.size(), false)};
+  const StatusOr<int> out = LowerChain(trunk, -1, walk);
+  if (!out.ok()) return out.status();
+  if (ops_.empty()) {
+    return InvalidArgumentError(StrFormat(
+        "cannot lower '%s': it has no conv for the accelerator to run",
+        model.name().c_str()));
+  }
+  HWP_CHECK_MSG(*out == static_cast<int>(ops_.size()) - 1,
+                "the trunk's output is not its last op's");
+  for (size_t i = 0; i < prunable.size(); ++i) {
+    if (!walk.met[i]) {
+      return InvalidArgumentError(StrFormat(
+          "prunable conv '%s' is not in '%s'; its mask would apply to "
+          "nothing",
+          prunable[i]->name().c_str(), model.name().c_str()));
+    }
+  }
+  fc_weight_ = fc->weight().value;
+  fc_bias_ = fc->bias().value;
+  if (fc_weight_.dim(1) != ops_.back().channels) {
+    return InvalidArgumentError(StrFormat(
+        "cannot lower '%s': it takes %lld features, the trunk ends in %lld "
+        "channels",
+        fc->name().c_str(), (long long)fc_weight_.dim(1),
+        (long long)ops_.back().channels));
   }
 
   // Walking the plan backwards, each activation's first reader seen is
   // its last, which frees it. Its halo is the widest padding among the
-  // ops that convolve it (a shortcut is read interior only, and the
-  // pooled output not at all).
+  // ops that convolve it (a shortcut is read interior only, as are a
+  // pool's input and the pooled output).
   std::vector<bool> read(ops_.size() + 1, false);  // [0] is the clip
   const auto last_read = [&](int activation) {
     const size_t a = static_cast<size_t>(activation + 1);
@@ -182,15 +228,127 @@ CompiledTinyR2Plus1d::CompiledTinyR2Plus1d(models::TinyR2Plus1d& model,
     op.frees_input = last_read(op.input);
     if (op.shortcut.has_value()) op.frees_shortcut = last_read(*op.shortcut);
   }
-
-  fc_weight_ = model.fc().weight().value;
-  fc_bias_ = model.fc().bias().value;
+  return Status::Ok();
 }
 
-QActivation CompiledTinyR2Plus1d::RunOp(const Op& op, const QActivation& x,
-                                        const QActivation* shortcut,
-                                        CompiledRunStats* stats) const {
-  if (options_.executor == ExecMode::kFast) {
+StatusOr<int> CompiledModel::LowerChain(const std::vector<nn::Module*>& chain,
+                                        int x, Walk& walk) {
+  for (size_t i = 0; i < chain.size(); ++i) {
+    const auto next = [&]() -> nn::Module* {
+      return i + 1 < chain.size() ? chain[i + 1] : nullptr;
+    };
+    StatusOr<int> y = x;
+    if (auto* conv = As<nn::Conv3d>(chain[i])) {
+      auto* bn = As<nn::BatchNorm3d>(next());
+      if (bn != nullptr) ++i;
+      const bool relu = As<nn::ReLU>(next()) != nullptr;
+      if (relu) ++i;
+      y = AddConv(*conv, bn, relu, x, walk);
+    } else if (auto* pool = As<nn::MaxPool3d>(chain[i])) {
+      y = AddPool(*pool, x);
+    } else if (auto* block = As<nn::ResidualBlock>(chain[i])) {
+      y = LowerBlock(*block, x, walk);
+    } else {
+      return Unsupported(chain[i]);
+    }
+    if (!y.ok()) return y;
+    x = *y;
+  }
+  return x;
+}
+
+StatusOr<int> CompiledModel::LowerBlock(nn::ResidualBlock& block, int x,
+                                        Walk& walk) {
+  // The shortcut first, then the main chain: the order the ops run in.
+  const StatusOr<int> shortcut = LowerChain(Leaves(block.shortcut()), x, walk);
+  if (!shortcut.ok()) return shortcut;
+  const int first = static_cast<int>(ops_.size());
+  const StatusOr<int> y = LowerChain(Leaves(block.main()), x, walk);
+  if (!y.ok()) return y;
+  // A join op of its own (a nested block's) already has its ReLU.
+  Op* join = *y >= first ? &ops_[static_cast<size_t>(*y)] : nullptr;
+  if (join == nullptr || join->pool_window.has_value() || join->post.relu) {
+    return InvalidArgumentError(StrFormat(
+        "cannot lower '%s': its main chain must end in a Conv3d "
+        "[+ BatchNorm3d] without a ReLU, whose post-processing takes the "
+        "block's add and final ReLU",
+        block.name().c_str()));
+  }
+  join->shortcut = *shortcut;
+  join->post.relu = true;
+  return y;
+}
+
+StatusOr<int> CompiledModel::AddConv(nn::Conv3d& conv, nn::BatchNorm3d* bn,
+                                     bool relu, int x, Walk& walk) {
+  const nn::Conv3dConfig& cfg = conv.config();
+  if (ops_.empty()) in_channels_ = cfg.in_channels;
+  if (cfg.in_channels != Channels(x)) {
+    return InvalidArgumentError(StrFormat(
+        "cannot lower '%s': it takes %lld channels, its input has %lld",
+        conv.name().c_str(), (long long)cfg.in_channels,
+        (long long)Channels(x)));
+  }
+  Op op;
+  op.name = conv.name();
+  op.weights = Quantize(conv.weight().value);
+  op.stride = cfg.stride;
+  op.padding = cfg.padding;
+  op.channels = cfg.out_channels;
+  op.post = FoldPost(conv, bn, relu);
+  op.input = x;
+  const auto it =
+      std::find(walk.prunable.begin(), walk.prunable.end(), &conv);
+  if (it != walk.prunable.end()) {
+    const size_t i = static_cast<size_t>(it - walk.prunable.begin());
+    walk.met[i] = true;
+    if (!options_.masks.empty()) op.mask = options_.masks[i];
+  }
+  // Packed whatever the executor: MacsFor reads the plan's MACs off it.
+  op.packed = std::make_shared<PackedConvLayer>(
+      op.weights, options_.tiling, options_.ports,
+      op.mask.has_value() ? &*op.mask : nullptr, op.name);
+  auto& reg = obs::MetricsRegistry::Get();
+  reg.GetGauge("exec.int32_exact_frac", {{"layer", op.name}})
+      .Set(op.packed->int32_exact_frac());
+  reg.GetGauge("exec.direct_frac", {{"layer", op.name}})
+      .Set(PackedConvLayer::ReadsInPlace(op.stride) ? 1.0 : 0.0);
+  ops_.push_back(std::move(op));
+  return static_cast<int>(ops_.size()) - 1;
+}
+
+StatusOr<int> CompiledModel::AddPool(nn::MaxPool3d& pool, int x) {
+  if (ops_.empty()) {
+    return InvalidArgumentError(StrFormat(
+        "cannot lower '%s': the first op must be a Conv3d, which fixes "
+        "the clip's channels",
+        pool.name().c_str()));
+  }
+  Op op;
+  op.name = pool.name();
+  op.pool_window = pool.config().kernel;
+  op.stride = pool.config().stride;
+  op.channels = Channels(x);
+  op.input = x;
+  ops_.push_back(std::move(op));
+  return static_cast<int>(ops_.size()) - 1;
+}
+
+QActivation CompiledModel::RunOp(const Op& op, const QActivation& x,
+                                 const QActivation* shortcut,
+                                 CompiledRunStats* stats) const {
+  const bool fast = options_.executor == ExecMode::kFast;
+  if (op.pool_window.has_value()) {
+    // The Q7.8 max on either executor; the simulator's on a dense copy.
+    // A pool adds no MACs and no modeled cycles.
+    obs::TraceScope span(fast ? "exec/pool" : "sim/pool");
+    if (span.active()) span.SetName((fast ? "exec/" : "sim/") + op.name);
+    if (fast) return MaxPool(x, *op.pool_window, op.stride, op.out_halo);
+    return QActivation::FromTensor(
+        MaxPool3dFixed(x.ToTensor(), *op.pool_window, op.stride),
+        op.out_halo);
+  }
+  if (fast) {
     PackedConvLayer::Result r = op.packed->Run(x, op.stride, op.padding,
                                                op.post, shortcut, op.out_halo);
     AddStats(r.stats, stats);
@@ -211,8 +369,8 @@ QActivation CompiledTinyR2Plus1d::RunOp(const Op& op, const QActivation& x,
   return QActivation::FromTensor(r.output, op.out_halo);
 }
 
-TensorF CompiledTinyR2Plus1d::Infer(const TensorF& clip,
-                                    CompiledRunStats* stats) const {
+TensorF CompiledModel::Infer(const TensorF& clip,
+                             CompiledRunStats* stats) const {
   HWP_TRACE_SCOPE("compiled/Infer");
   HWP_SHAPE_CHECK_MSG(clip.rank() == 4,
                       "Infer expects a [C][D][H][W] clip, got "
@@ -246,29 +404,32 @@ TensorF CompiledTinyR2Plus1d::Infer(const TensorF& clip,
   return logits;
 }
 
-int64_t CompiledTinyR2Plus1d::MacsFor(const Shape& clip) const {
+int64_t CompiledModel::MacsFor(const Shape& clip) const {
   HWP_SHAPE_CHECK_MSG(clip.rank() == 4, "expects a [C][D][H][W] clip, got "
                                             << clip.ToString());
-  // The first op convolves the clip; the lowering matches every other
-  // op's input channels to its producer.
-  HWP_SHAPE_CHECK_MSG(clip[0] == ops_.front().weights.dim(1),
-                      "input channel mismatch: " << clip[0] << " vs "
-                          << ops_.front().weights.dim(1));
+  // The lowering matched every op's input channels to its producer.
+  HWP_SHAPE_CHECK_MSG(clip[0] == in_channels_, "input channel mismatch: "
+                                                   << clip[0] << " vs "
+                                                   << in_channels_);
   const std::array<int64_t, 3> clip_extent = {clip[1], clip[2], clip[3]};
   std::vector<std::array<int64_t, 3>> extents(ops_.size());
   int64_t macs = 0;
   for (size_t i = 0; i < ops_.size(); ++i) {
     const Op& op = ops_[i];
-    extents[i] = op.packed->OutputExtent(
-        op.input < 0 ? clip_extent : extents[static_cast<size_t>(op.input)],
-        op.stride, op.padding);
+    const std::array<int64_t, 3>& in =
+        op.input < 0 ? clip_extent : extents[static_cast<size_t>(op.input)];
+    if (op.pool_window.has_value()) {
+      extents[i] = PoolExtent(in, *op.pool_window, op.stride);
+      continue;
+    }
+    extents[i] = op.packed->OutputExtent(in, op.stride, op.padding);
     macs += op.packed->Macs(extents[i]);
   }
   return macs;
 }
 
-int CompiledTinyR2Plus1d::Classify(const TensorF& clip,
-                                   CompiledRunStats* stats) const {
+int CompiledModel::Classify(const TensorF& clip,
+                            CompiledRunStats* stats) const {
   const TensorF logits = Infer(clip, stats);
   int best = 0;
   for (int64_t k = 1; k < logits.numel(); ++k) {

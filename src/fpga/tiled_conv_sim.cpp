@@ -13,9 +13,10 @@ namespace hwp3d::fpga {
 
 namespace {
 
-// Output extent of a valid convolution.
+// Output extent of a valid convolution (0 when the window does not fit:
+// integer division truncates (in - k) / s toward zero).
 int64_t OutExtent(int64_t in, int64_t k, int64_t s) {
-  return (in - k) / s + 1;
+  return in < k ? 0 : (in - k) / s + 1;
 }
 
 }  // namespace

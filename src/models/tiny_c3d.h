@@ -34,9 +34,9 @@ class TinyC3d : public nn::Sequential {
  public:
   TinyC3d(TinyC3dConfig cfg, Rng& rng);
 
-  // All conv layers (for pruning experiments on C3D, which the paper
-  // notes its scheme also supports).
-  std::vector<nn::Conv3d*> Convs() { return convs_; }
+  // Convolutions targeted by pruning: all of them (the paper notes its
+  // scheme also supports C3D).
+  std::vector<nn::Conv3d*> PrunableConvs() { return convs_; }
 
   int64_t TotalParams();
 

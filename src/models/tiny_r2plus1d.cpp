@@ -13,7 +13,7 @@ TinyR2Plus1d::TinyR2Plus1d(TinyR2Plus1dConfig cfg, Rng& rng)
   // degenerates for single-channel input.
   stem.mid_channels = cfg.stem_channels;
   stem_ = Emplace<nn::Conv2Plus1d>(stem, rng, "stem");
-  stem_bn_ = Emplace<nn::BatchNorm3d>(cfg.stem_channels, "stem_bn");
+  Emplace<nn::BatchNorm3d>(cfg.stem_channels, "stem_bn");
   Emplace<nn::ReLU>("stem_relu");
 
   nn::ResidualBlockConfig s1;
@@ -31,7 +31,7 @@ TinyR2Plus1d::TinyR2Plus1d(TinyR2Plus1dConfig cfg, Rng& rng)
   stage2_ = Emplace<nn::ResidualBlock>(s2, rng, "stage2");
 
   Emplace<nn::GlobalAvgPool3d>("gap");
-  fc_ = Emplace<nn::Linear>(cfg.stage2_channels, cfg.num_classes, rng, "fc");
+  Emplace<nn::Linear>(cfg.stage2_channels, cfg.num_classes, rng, "fc");
 }
 
 std::vector<nn::Conv3d*> TinyR2Plus1d::PrunableConvs() {

@@ -38,23 +38,17 @@ class TinyR2Plus1d : public nn::Sequential {
   // analogue of the paper pruning conv2_x/conv3_x but not the stem.
   std::vector<nn::Conv3d*> PrunableConvs();
 
-  // Structural access for mapping the trained model onto the FPGA
-  // accelerator simulator (BN folding, residual wiring).
   nn::Conv2Plus1d& stem() { return *stem_; }
-  nn::BatchNorm3d& stem_bn() { return *stem_bn_; }
   nn::ResidualBlock& stage1() { return *stage1_; }
   nn::ResidualBlock& stage2() { return *stage2_; }
-  nn::Linear& fc() { return *fc_; }
 
   const TinyR2Plus1dConfig& config() const { return cfg_; }
 
  private:
   TinyR2Plus1dConfig cfg_;
   nn::Conv2Plus1d* stem_ = nullptr;
-  nn::BatchNorm3d* stem_bn_ = nullptr;
   nn::ResidualBlock* stage1_ = nullptr;
   nn::ResidualBlock* stage2_ = nullptr;
-  nn::Linear* fc_ = nullptr;
 };
 
 }  // namespace hwp3d::models

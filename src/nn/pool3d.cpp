@@ -7,7 +7,10 @@
 namespace hwp3d::nn {
 
 namespace {
-int64_t PoolOut(int64_t in, int64_t k, int64_t s) { return (in - k) / s + 1; }
+// 0 when the window does not fit (the division truncates toward zero).
+int64_t PoolOut(int64_t in, int64_t k, int64_t s) {
+  return in < k ? 0 : (in - k) / s + 1;
+}
 }  // namespace
 
 MaxPool3d::MaxPool3d(Pool3dConfig cfg, std::string name)

@@ -20,6 +20,8 @@ class MaxPool3d : public Module {
   TensorF Backward(const TensorF& dy) override;
   std::string name() const override { return name_; }
 
+  const Pool3dConfig& config() const { return cfg_; }
+
  private:
   Pool3dConfig cfg_;
   std::string name_;

@@ -35,7 +35,7 @@ Conv2Plus1d::Conv2Plus1d(Conv2Plus1dConfig cfg, Rng& rng, std::string name)
   sp.bias = false;  // followed by BN
   spatial_ = Emplace<Conv3d>(sp, rng, this->name() + ".spatial");
 
-  bn_mid_ = Emplace<BatchNorm3d>(mid_channels_, this->name() + ".bn_mid");
+  Emplace<BatchNorm3d>(mid_channels_, this->name() + ".bn_mid");
   Emplace<ReLU>(this->name() + ".relu_mid");
 
   Conv3dConfig tp;
@@ -59,7 +59,7 @@ ResidualBlock::ResidualBlock(ResidualBlockConfig cfg, Rng& rng,
   c1.spatial_stride = cfg.spatial_stride;
   c1.temporal_stride = cfg.temporal_stride;
   conv1_ = main_.Emplace<Conv2Plus1d>(c1, rng, name_ + ".conv1");
-  bn1_ = main_.Emplace<BatchNorm3d>(cfg.out_channels, name_ + ".bn1");
+  main_.Emplace<BatchNorm3d>(cfg.out_channels, name_ + ".bn1");
   main_.Emplace<ReLU>(name_ + ".relu1");
 
   Conv2Plus1dConfig c2 = c1;
@@ -67,7 +67,7 @@ ResidualBlock::ResidualBlock(ResidualBlockConfig cfg, Rng& rng,
   c2.spatial_stride = 1;
   c2.temporal_stride = 1;
   conv2_ = main_.Emplace<Conv2Plus1d>(c2, rng, name_ + ".conv2");
-  bn2_ = main_.Emplace<BatchNorm3d>(cfg.out_channels, name_ + ".bn2");
+  main_.Emplace<BatchNorm3d>(cfg.out_channels, name_ + ".bn2");
 
   const bool needs_projection = cfg.in_channels != cfg.out_channels ||
                                 cfg.spatial_stride != 1 ||
@@ -81,8 +81,7 @@ ResidualBlock::ResidualBlock(ResidualBlockConfig cfg, Rng& rng,
     sc.padding = {0, 0, 0};
     sc.bias = false;
     shortcut_conv_ = shortcut_.Emplace<Conv3d>(sc, rng, name_ + ".shortcut");
-    shortcut_bn_ = shortcut_.Emplace<BatchNorm3d>(cfg.out_channels,
-                                                  name_ + ".shortcut_bn");
+    shortcut_.Emplace<BatchNorm3d>(cfg.out_channels, name_ + ".shortcut_bn");
   }
 }
 

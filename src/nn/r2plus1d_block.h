@@ -40,13 +40,11 @@ class Conv2Plus1d : public Sequential {
 
   Conv3d& spatial() { return *spatial_; }
   Conv3d& temporal() { return *temporal_; }
-  BatchNorm3d& bn_mid() { return *bn_mid_; }
   int64_t mid_channels() const { return mid_channels_; }
 
  private:
   int64_t mid_channels_ = 0;
   Conv3d* spatial_ = nullptr;
-  BatchNorm3d* bn_mid_ = nullptr;
   Conv3d* temporal_ = nullptr;
 };
 
@@ -90,12 +88,12 @@ class ResidualBlock : public Module {
   std::string name() const override { return name_; }
 
   bool has_projection() const { return shortcut_conv_ != nullptr; }
+  // The two chains the block joins: y = ReLU(main(x) + shortcut(x)).
+  Sequential& main() { return main_; }
+  Sequential& shortcut() { return shortcut_; }
   Conv2Plus1d& conv1() { return *conv1_; }
   Conv2Plus1d& conv2() { return *conv2_; }
-  BatchNorm3d& bn1() { return *bn1_; }
-  BatchNorm3d& bn2() { return *bn2_; }
   Conv3d* shortcut_conv() { return shortcut_conv_; }
-  BatchNorm3d* shortcut_bn() { return shortcut_bn_; }
   const ResidualBlockConfig& config() const { return cfg_; }
 
  private:
@@ -107,11 +105,8 @@ class ResidualBlock : public Module {
   Sequential main_;      // conv1, bn1, relu1, conv2, bn2
   Sequential shortcut_;  // empty => identity, else projection conv, bn
   Conv2Plus1d* conv1_ = nullptr;
-  BatchNorm3d* bn1_ = nullptr;
   Conv2Plus1d* conv2_ = nullptr;
-  BatchNorm3d* bn2_ = nullptr;
   Conv3d* shortcut_conv_ = nullptr;
-  BatchNorm3d* shortcut_bn_ = nullptr;
 
   // Kept by Forward(train=true) for the backward of the final add +
   // ReLU, freed by Backward: sum > 0, one byte per element.

@@ -209,8 +209,8 @@ InferenceSession::Builder::Build() {
   copts.tiling = tiling_;
   copts.ports = ports_;
   copts.masks = session->masks_;
-  StatusOr<fpga::CompiledTinyR2Plus1d> compiled =
-      fpga::CompiledTinyR2Plus1d::Compile(model, std::move(copts));
+  StatusOr<fpga::CompiledModel> compiled =
+      fpga::CompiledModel::Compile(model, std::move(copts));
   if (!compiled.ok()) return compiled.status();
 
   // 4. Serve.

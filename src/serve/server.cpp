@@ -126,7 +126,7 @@ double PercentileUs(std::vector<double> latencies_us, double q) {
   return latencies_us[lo] * (1.0 - frac) + latencies_us[hi] * frac;
 }
 
-InferenceServer::InferenceServer(const fpga::CompiledTinyR2Plus1d& model,
+InferenceServer::InferenceServer(const fpga::CompiledModel& model,
                                  ServerConfig config)
     : config_(CheckedConfig(config)),
       retry_(config_.retry),

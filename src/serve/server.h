@@ -20,7 +20,7 @@
 // costs more than it splits.
 // A replica is a lane index with its own health record and fault
 // points, not a copy of the model: every lane calls Infer on the
-// server's one immutable CompiledTinyR2Plus1d (const and safe to call
+// server's one immutable CompiledModel (const and safe to call
 // concurrently), so predictions are bitwise identical for any replica
 // count — which is what makes quarantine a safe degradation.
 //
@@ -106,7 +106,7 @@ Status ValidateServerConfig(const ServerConfig& config);
 // error, not a deployment.
 inline constexpr int kMaxReplicas = 256;
 
-// A lone lane runs a clip of fewer MACs (CompiledTinyR2Plus1d::MacsFor,
+// A lone lane runs a clip of fewer MACs (CompiledModel::MacsFor,
 // worked out from the plan before the clip runs) inline instead of over
 // the pool, from its first request. Measured on a 4-vCPU
 // AVX-512 host with the fast executor, one Infer on the pool vs inline:
@@ -143,7 +143,7 @@ class InferenceServer {
  public:
   // Copies `model` once; every replica lane runs that copy. Throws
   // hwp3d::Error when ValidateServerConfig(config) fails.
-  InferenceServer(const fpga::CompiledTinyR2Plus1d& model,
+  InferenceServer(const fpga::CompiledModel& model,
                   ServerConfig config);
   ~InferenceServer();  // graceful drain
 
@@ -218,7 +218,7 @@ class InferenceServer {
 
   ServerConfig config_;
   RetryPolicy retry_;
-  const fpga::CompiledTinyR2Plus1d model_;
+  const fpga::CompiledModel model_;
   std::vector<FaultPoints> replica_fault_points_;  // indexed by replica
   ReplicaHealth health_;
   RequestQueue queue_;

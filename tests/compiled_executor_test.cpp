@@ -2,9 +2,10 @@
 // ExecMode::kFast must be bitwise identical to the TiledConvSim oracle
 // — logits, every output element, and every CompiledRunStats field —
 // across dense, 50%- and 90%-pruned masks, non-divisible channel and
-// tiling grids, and any thread count — and one compiled model shared by
-// concurrent callers, as the serving lanes share it, must give every
-// caller the serial result.
+// tiling grids, and any thread count, on both compiled models (R(2+1)D
+// and C3D, whose max pools and conv biases lower too) — and one
+// compiled model shared by concurrent callers, as the serving lanes
+// share it, must give every caller the serial result.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -17,11 +18,13 @@
 #include "fpga/model_compiler.h"
 #include "kernels/scratch.h"
 #include "kernels/thread_pool.h"
+#include "models/tiny_c3d.h"
 #include "models/tiny_r2plus1d.h"
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
 #include "obs/metrics.h"
 #include "tensor/init.h"
+#include "testing/dense_run.h"
 #include "testing/qtensor.h"
 
 namespace hwp3d {
@@ -29,7 +32,7 @@ namespace {
 
 using fpga::CompiledModelOptions;
 using fpga::CompiledRunStats;
-using fpga::CompiledTinyR2Plus1d;
+using fpga::CompiledModel;
 using fpga::ExecMode;
 using fpga::PackedConvLayer;
 using fpga::PostOps;
@@ -38,6 +41,7 @@ using fpga::TiledConvSim;
 using testing::ExpectBitwiseEqual;
 using testing::RandomMask;
 using testing::RandomQ;
+using testing::RunDense;
 
 void ExpectStatsEqual(const fpga::TiledConvStats& sim,
                       const fpga::TiledConvStats& fast) {
@@ -95,7 +99,8 @@ void CheckLayerParity(const LayerCase& lc, uint64_t seed) {
 
   const PackedConvLayer packed(weights, lc.tiling, ports,
                                masked ? &mask : nullptr);
-  const TiledConvResult got = packed.Run(input, lc.stride, {0, 0, 0}, post);
+  const TiledConvResult got =
+      RunDense(packed, input, lc.stride, {0, 0, 0}, post);
 
   ExpectBitwiseEqual(want.output, got.output);
   ExpectStatsEqual(want.stats, got.stats);
@@ -156,7 +161,7 @@ TEST(PackedConvLayerTest, MatchesSimWithFullyPrunedRows) {
   const TiledConvSim sim(tiling, ports);
   const auto want = sim.Run(weights, input, {1, 1, 1}, &mask, post);
   const PackedConvLayer packed(weights, tiling, ports, &mask);
-  const auto got = packed.Run(input, {1, 1, 1}, {0, 0, 0}, post);
+  const auto got = RunDense(packed, input, {1, 1, 1}, {0, 0, 0}, post);
   ExpectBitwiseEqual(want.output, got.output);
   ExpectStatsEqual(want.stats, got.stats);
 }
@@ -177,15 +182,39 @@ TEST(PackedConvLayerTest, ThreadCountInvariance) {
 
   ThreadPool serial(1);
   const auto want =
-      packed.Run(input, {1, 1, 1}, {0, 0, 0}, post, &serial);
+      RunDense(packed, input, {1, 1, 1}, {0, 0, 0}, post, &serial);
   for (int threads = 2; threads <= 8; ++threads) {
     ThreadPool pool(threads);
     const auto got =
-        packed.Run(input, {1, 1, 1}, {0, 0, 0}, post, &pool);
+        RunDense(packed, input, {1, 1, 1}, {0, 0, 0}, post, &pool);
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     ExpectBitwiseEqual(want.output, got.output);
     ExpectStatsEqual(want.stats, got.stats);
   }
+}
+
+TEST(QActivationTest, MaxPoolMatchesFixedReference) {
+  // Odd and even channel counts, input and output halos of their own,
+  // and windows wider than their strides.
+  Rng rng(9);
+  struct PoolCase {
+    std::array<int64_t, 3> window, stride;
+  };
+  for (int64_t channels : {3, 4}) {
+    const TensorQ x = RandomQ(Shape{channels, 5, 7, 6}, rng);
+    for (const PoolCase& pc : {PoolCase{{1, 2, 2}, {1, 2, 2}},
+                               PoolCase{{2, 2, 2}, {2, 2, 2}},
+                               PoolCase{{3, 2, 1}, {1, 2, 1}}}) {
+      const TensorQ want = fpga::MaxPool3dFixed(x, pc.window, pc.stride);
+      const fpga::QActivation got =
+          fpga::MaxPool(fpga::QActivation::FromTensor(x, {1, 1, 1}),
+                        pc.window, pc.stride, {0, 1, 2});
+      ExpectBitwiseEqual(want, got.ToTensor());
+      EXPECT_EQ(fpga::PoolExtent({5, 7, 6}, pc.window, pc.stride),
+                got.extent());
+    }
+  }
+  EXPECT_THROW(fpga::PoolExtent({1, 4, 4}, {2, 2, 2}, {2, 2, 2}), ShapeError);
 }
 
 TEST(PackedConvLayerTest, FastRunUsesAccountedScratch) {
@@ -194,7 +223,7 @@ TEST(PackedConvLayerTest, FastRunUsesAccountedScratch) {
   const TensorQ weights = RandomQ(Shape{8, 8, 3, 3, 3}, rng);
   const TensorQ input = RandomQ(Shape{8, 6, 8, 8}, rng);
   const PackedConvLayer packed(weights, tiling, fpga::Ports{}, nullptr);
-  (void)packed.Run(input, {1, 1, 1}, {0, 0, 0}, PostOps{});
+  (void)RunDense(packed, input, {1, 1, 1}, {0, 0, 0}, PostOps{});
   EXPECT_GT(kernels::ScratchBytesInUse(), 0);
 }
 
@@ -234,12 +263,33 @@ class CompiledExecutorModelTest : public ::testing::Test {
     return dataset_->MakeSample(static_cast<int>(seed) % 4, rng).clip;
   }
 
+  // A C3D of 4/6/8 channels, trained one epoch like model_.
+  std::unique_ptr<models::TinyC3d> TrainC3d(bool batch_norm) {
+    models::TinyC3dConfig cfg;
+    cfg.num_classes = 4;
+    cfg.conv1_channels = 4;
+    cfg.conv2_channels = 6;
+    cfg.conv3_channels = 8;
+    cfg.batch_norm = batch_norm;
+    auto c3d = std::make_unique<models::TinyC3d>(cfg, rng_);
+    auto batches = dataset_->MakeBatches(8, 8, rng_);
+    nn::Sgd opt(c3d->Params(),
+                {.lr = 0.02f, .momentum = 0.9f, .weight_decay = 0.0f});
+    nn::TrainEpoch(*c3d, opt, batches, {});
+    return c3d;
+  }
+
   // Hard-prunes with the real pruner at `eta` block sparsity under
   // `block` and returns the masks.
   std::vector<core::BlockMask> PruneMasks(double eta,
                                           core::BlockConfig block) {
+    return PruneMasks(*model_, eta, block);
+  }
+  template <typename Model>
+  std::vector<core::BlockMask> PruneMasks(Model& model, double eta,
+                                          core::BlockConfig block) {
     std::vector<core::PruneLayerSpec> specs;
-    for (nn::Conv3d* c : model_->PrunableConvs()) {
+    for (nn::Conv3d* c : model.PrunableConvs()) {
       specs.push_back({&c->weight(), block, eta, c->name()});
     }
     core::AdmmPruner pruner(specs, core::AdmmConfig{});
@@ -249,12 +299,16 @@ class CompiledExecutorModelTest : public ::testing::Test {
   }
 
   void CheckModelParity(const CompiledModelOptions& base) {
+    CheckModelParity(*model_, base);
+  }
+  template <typename Model>
+  void CheckModelParity(Model& model, const CompiledModelOptions& base) {
     CompiledModelOptions sim_opts = base;
     sim_opts.executor = ExecMode::kSimulate;
     CompiledModelOptions fast_opts = base;
     fast_opts.executor = ExecMode::kFast;
-    auto sim = CompiledTinyR2Plus1d::Compile(*model_, sim_opts);
-    auto fast = CompiledTinyR2Plus1d::Compile(*model_, fast_opts);
+    auto sim = CompiledModel::Compile(model, sim_opts);
+    auto fast = CompiledModel::Compile(model, fast_opts);
     ASSERT_TRUE(sim.ok()) << sim.status().ToString();
     ASSERT_TRUE(fast.ok()) << fast.status().ToString();
     EXPECT_EQ(sim->executor(), ExecMode::kSimulate);
@@ -331,7 +385,7 @@ TEST_F(CompiledExecutorModelTest, ExportsInt32ExactFractionPerLayer) {
   // Compiling sets one gauge per conv: the trained weights pass the
   // int32 proof in every channel of the 12 convs (stem pair, two
   // residual stages of two pairs and a projection each).
-  auto compiled = CompiledTinyR2Plus1d::Compile(*model_, {});
+  auto compiled = CompiledModel::Compile(*model_, {});
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   int layers = 0;
   for (const obs::MetricSnapshot& m : obs::MetricsRegistry::Get().Snapshot()) {
@@ -348,7 +402,7 @@ TEST_F(CompiledExecutorModelTest, ExportsDirectFractionPerLayer) {
   // place; the second stage's column-strided spatial conv and projection
   // shortcut gather a panel. Its temporal conv (depth stride 2) is
   // direct.
-  auto compiled = CompiledTinyR2Plus1d::Compile(*model_, {});
+  auto compiled = CompiledModel::Compile(*model_, {});
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   int layers = 0;
   for (const obs::MetricSnapshot& m : obs::MetricsRegistry::Get().Snapshot()) {
@@ -365,15 +419,25 @@ TEST_F(CompiledExecutorModelTest, ExportsDirectFractionPerLayer) {
 }
 
 TEST_F(CompiledExecutorModelTest, SharedModelMatchesSerialUnderConcurrency) {
+  // R(2+1)D dense and 90% pruned, and a C3D, whose pool ops run
+  // concurrently too.
   CompiledModelOptions dense;
   dense.tiling = fpga::Tiling{4, 4, 2, 5, 5};
   CompiledModelOptions pruned = dense;
   pruned.masks = PruneMasks(0.9, {4, 4});
-  for (const CompiledModelOptions& opts : {dense, pruned}) {
-    SCOPED_TRACE(opts.masks.empty() ? "dense" : "90% pruned");
-    auto compiled = CompiledTinyR2Plus1d::Compile(*model_, opts);
+  const std::unique_ptr<models::TinyC3d> c3d = TrainC3d(true);
+  struct Input {
+    const char* name;
+    StatusOr<CompiledModel> compiled;
+  };
+  for (Input& input : std::vector<Input>{
+           {"dense", CompiledModel::Compile(*model_, dense)},
+           {"90% pruned", CompiledModel::Compile(*model_, pruned)},
+           {"C3D", CompiledModel::Compile(*c3d, dense)}}) {
+    SCOPED_TRACE(input.name);
+    auto& compiled = input.compiled;
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    const CompiledTinyR2Plus1d& shared = *compiled;
+    const CompiledModel& shared = *compiled;
     ASSERT_EQ(shared.executor(), ExecMode::kFast);
 
     constexpr int kClips = 4;
@@ -452,13 +516,13 @@ TEST_F(CompiledExecutorModelTest, CachedShapePlansMatchColdRuns) {
 
   for (const CompiledModelOptions& opts : {dense, pruned}) {
     SCOPED_TRACE(opts.masks.empty() ? "dense" : "50% pruned");
-    auto warm = CompiledTinyR2Plus1d::Compile(*model_, opts);
+    auto warm = CompiledModel::Compile(*model_, opts);
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();
     for (size_t i = 0; i < order.size(); ++i) {
       const TensorF& clip = clips[order[i]];
       SCOPED_TRACE(::testing::Message() << "call " << i << ", clip "
                                         << clip.shape().ToString());
-      auto cold = CompiledTinyR2Plus1d::Compile(*model_, opts);
+      auto cold = CompiledModel::Compile(*model_, opts);
       ASSERT_TRUE(cold.ok()) << cold.status().ToString();
       CompiledRunStats want_stats, got_stats;
       const std::array<int64_t, 5> t0 = ExecTotals();
@@ -476,6 +540,58 @@ TEST_F(CompiledExecutorModelTest, CachedShapePlansMatchColdRuns) {
       EXPECT_EQ(got_stats.macs_executed, want_stats.macs_executed);
       for (size_t k = 0; k < t0.size(); ++k) {
         EXPECT_EQ(t2[k] - t1[k], t1[k] - t0[k]) << "exec counter " << k;
+      }
+    }
+  }
+}
+
+// C3D lowers each conv with its BN (or, without one, its bias) folded
+// into the post-processing unit, and each max pool into a pool op.
+TEST_F(CompiledExecutorModelTest, C3dParity) {
+  for (bool batch_norm : {true, false}) {
+    SCOPED_TRACE(batch_norm ? "with BN" : "without BN");
+    const std::unique_ptr<models::TinyC3d> c3d = TrainC3d(batch_norm);
+    CompiledModelOptions opts;
+    opts.tiling = fpga::Tiling{4, 4, 2, 5, 5};
+    {
+      SCOPED_TRACE("dense");
+      CheckModelParity(*c3d, opts);
+    }
+    opts.masks = PruneMasks(*c3d, 0.5, {4, 4});
+    SCOPED_TRACE("50% pruned");
+    CheckModelParity(*c3d, opts);
+  }
+}
+
+TEST_F(CompiledExecutorModelTest, C3dCompilationTracksFloatModel) {
+  for (bool batch_norm : {true, false}) {
+    SCOPED_TRACE(batch_norm ? "with BN" : "without BN");
+    const std::unique_ptr<models::TinyC3d> c3d = TrainC3d(batch_norm);
+    // One epoch leaves the conv biases near their zero init; make them
+    // large enough that dropping one would show.
+    Rng rng(17);
+    for (nn::Conv3d* c : c3d->PrunableConvs()) {
+      if (c->bias() != nullptr) FillUniform(c->bias()->value, rng, 0.2f, 0.4f);
+    }
+    CompiledModelOptions opts;
+    opts.tiling = fpga::Tiling{4, 4, 2, 5, 5};
+    for (bool pruned : {false, true}) {
+      SCOPED_TRACE(pruned ? "50% pruned" : "dense");
+      // Hard-pruned weights: the float model with them is the reference.
+      if (pruned) opts.masks = PruneMasks(*c3d, 0.5, {4, 4});
+      auto compiled = CompiledModel::Compile(*c3d, opts);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      for (uint64_t seed = 0; seed < 3; ++seed) {
+        const TensorF clip = MakeClip(seed);
+        const TensorF accel = compiled->Infer(clip);
+        const TensorF want = c3d->Forward(
+            clip.Reshaped(Shape{1, clip.dim(0), clip.dim(1), clip.dim(2),
+                               clip.dim(3)}),
+            false);
+        ASSERT_EQ(accel.numel(), want.numel());
+        for (int64_t k = 0; k < accel.numel(); ++k) {
+          EXPECT_NEAR(accel[k], want[k], 0.15f) << "logit " << k;
+        }
       }
     }
   }

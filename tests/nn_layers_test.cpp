@@ -287,6 +287,17 @@ TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(dx(0, 0, 0, 0, 0), 0.0f);
 }
 
+TEST(MaxPoolTest, RejectsWindowLargerThanInputAtAnyStride) {
+  // (1 - 2) / 2 + 1 would be one output row, read past the input.
+  for (int64_t stride : {1, 2}) {
+    nn::MaxPool3d max_pool(nn::Pool3dConfig{{2, 2, 2}, {stride, 2, 2}});
+    nn::AvgPool3d avg_pool(nn::Pool3dConfig{{2, 2, 2}, {stride, 2, 2}});
+    const TensorF x(Shape{1, 1, 1, 4, 4});
+    EXPECT_THROW(max_pool.Forward(x, false), ShapeError);
+    EXPECT_THROW(avg_pool.Forward(x, false), ShapeError);
+  }
+}
+
 TEST(AvgPoolTest, AveragesWindow) {
   nn::AvgPool3d pool(nn::Pool3dConfig{{2, 2, 2}, {2, 2, 2}});
   TensorF x(Shape{1, 1, 2, 2, 2}, 1.0f);

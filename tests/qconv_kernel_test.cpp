@@ -18,6 +18,7 @@
 #include "fpga/compiled_executor.h"
 #include "fpga/tiled_conv_sim.h"
 #include "kernels/qgemm_tile.h"
+#include "testing/dense_run.h"
 #include "testing/qtensor.h"
 
 namespace hwp3d {
@@ -30,6 +31,7 @@ using kernels::QIsa;
 using testing::ExpectBitwiseEqual;
 using testing::RandomMask;
 using testing::RandomQ;
+using testing::RunDense;
 
 std::vector<QIsa> SupportedIsas() {
   std::vector<QIsa> isas;
@@ -305,7 +307,7 @@ void CheckParity(const LayerCase& lc, uint64_t seed,
     for (QIsa isa : SupportedIsas()) {
       SCOPED_TRACE(kernels::QIsaName(isa));
       IsaOverride use(isa);
-      const auto got = packed.Run(input, lc.stride, lc.padding, post);
+      const auto got = RunDense(packed, input, lc.stride, lc.padding, post);
       ExpectBitwiseEqual(want.output, got.output);
       EXPECT_EQ(want.stats.macs_executed, got.stats.macs_executed);
       EXPECT_EQ(want.stats.modeled_cycles, got.stats.modeled_cycles);

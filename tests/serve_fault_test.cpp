@@ -177,9 +177,9 @@ class ServeFaultTest : public ::testing::Test {
 
     fpga::CompiledModelOptions copts;
     copts.tiling = fpga::Tiling{4, 4, 2, 5, 5};
-    auto compiled = fpga::CompiledTinyR2Plus1d::Compile(*model_, copts);
+    auto compiled = fpga::CompiledModel::Compile(*model_, copts);
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    compiled_ = std::make_unique<fpga::CompiledTinyR2Plus1d>(
+    compiled_ = std::make_unique<fpga::CompiledModel>(
         std::move(compiled).value());
   }
   void TearDown() override {
@@ -204,7 +204,7 @@ class ServeFaultTest : public ::testing::Test {
   Rng rng_{11};
   std::unique_ptr<models::TinyR2Plus1d> model_;
   std::unique_ptr<data::SyntheticVideoDataset> dataset_;
-  std::unique_ptr<fpga::CompiledTinyR2Plus1d> compiled_;
+  std::unique_ptr<fpga::CompiledModel> compiled_;
 };
 
 TEST_F(ServeFaultTest, TransientFailureRetriesToSuccess) {

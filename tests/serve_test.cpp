@@ -158,9 +158,9 @@ class ServeTest : public ::testing::Test {
 
     fpga::CompiledModelOptions copts;
     copts.tiling = fpga::Tiling{4, 4, 2, 5, 5};
-    auto compiled = fpga::CompiledTinyR2Plus1d::Compile(*model_, copts);
+    auto compiled = fpga::CompiledModel::Compile(*model_, copts);
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    compiled_ = std::make_unique<fpga::CompiledTinyR2Plus1d>(
+    compiled_ = std::make_unique<fpga::CompiledModel>(
         std::move(compiled).value());
   }
   void TearDown() override {
@@ -176,7 +176,7 @@ class ServeTest : public ::testing::Test {
   Rng rng_{11};
   std::unique_ptr<models::TinyR2Plus1d> model_;
   std::unique_ptr<data::SyntheticVideoDataset> dataset_;
-  std::unique_ptr<fpga::CompiledTinyR2Plus1d> compiled_;
+  std::unique_ptr<fpga::CompiledModel> compiled_;
 };
 
 TEST_F(ServeTest, BacklogIsPulledAsOneBatch) {
@@ -273,7 +273,7 @@ TEST_F(ServeTest, LoneLaneRunsSmallClipsInlineAndFansOutLargeOnes) {
   models::TinyR2Plus1d dense(models::TinyR2Plus1dConfig{}, rng_);
   fpga::CompiledModelOptions copts;
   copts.tiling = fpga::Tiling{4, 4, 2, 4, 4};
-  auto compiled = fpga::CompiledTinyR2Plus1d::Compile(dense, copts);
+  auto compiled = fpga::CompiledModel::Compile(dense, copts);
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   serve::InferenceServer server(compiled.value(), cfg);
   TensorF clip(Shape{1, 8, 16, 16});

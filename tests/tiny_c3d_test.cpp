@@ -32,7 +32,7 @@ TEST(TinyC3dTest, ForwardShape) {
 TEST(TinyC3dTest, AllKernelsAre3x3x3) {
   Rng rng(1);
   models::TinyC3d model(SmallCfg(), rng);
-  for (nn::Conv3d* c : model.Convs()) {
+  for (nn::Conv3d* c : model.PrunableConvs()) {
     EXPECT_EQ(c->weight().value.dim(2), 3);
     EXPECT_EQ(c->weight().value.dim(3), 3);
     EXPECT_EQ(c->weight().value.dim(4), 3);
