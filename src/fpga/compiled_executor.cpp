@@ -19,11 +19,6 @@ namespace hwp3d::fpga {
 
 namespace {
 
-// 0 when the window does not fit (the division truncates toward zero).
-int64_t OutExtent(int64_t in, int64_t k, int64_t s) {
-  return in < k ? 0 : (in - k) / s + 1;
-}
-
 int64_t RoundUp(int64_t a, int64_t b) { return CeilDiv(a, b) * b; }
 
 // GEMM columns per task: a task runs every output-channel block on this
@@ -206,54 +201,6 @@ TensorQ QActivation::ToTensor() const {
   return t;
 }
 
-std::array<int64_t, 3> PoolExtent(std::array<int64_t, 3> input,
-                                  std::array<int64_t, 3> window,
-                                  std::array<int64_t, 3> stride) {
-  const std::array<int64_t, 3> out = {
-      OutExtent(input[0], window[0], stride[0]),
-      OutExtent(input[1], window[1], stride[1]),
-      OutExtent(input[2], window[2], stride[2])};
-  HWP_SHAPE_CHECK_MSG(out[0] > 0 && out[1] > 0 && out[2] > 0,
-                      "pooling window larger than the input");
-  return out;
-}
-
-QActivation MaxPool(const QActivation& x, std::array<int64_t, 3> window,
-                    std::array<int64_t, 3> stride,
-                    std::array<int64_t, 3> out_halo) {
-  const auto [D, R, C] = PoolExtent(x.extent(), window, stride);
-  const auto [Kd, Kr, Kc] = window;
-  const auto [Sd, Sr, Sc] = stride;
-  QActivation out(x.channels(), {D, R, C}, out_halo);
-  // Both halves of a channel pair at once; an odd count's missing
-  // channel is zero in, so it stays zero out.
-  for (int64_t q = 0; q < x.pairs(); ++q) {
-    const int16_t* in = x.data() + 2 * q * x.plane();
-    int16_t* dst_plane = out.data() + 2 * q * out.plane();
-    for (int64_t d = 0; d < D; ++d) {
-      for (int64_t r = 0; r < R; ++r) {
-        int16_t* dst = dst_plane + 2 * out.Interior(d, r, 0);
-        for (int64_t c = 0; c < C; ++c) {
-          int16_t best[2] = {Fixed16::kRawMin, Fixed16::kRawMin};
-          for (int64_t kd = 0; kd < Kd; ++kd) {
-            for (int64_t kr = 0; kr < Kr; ++kr) {
-              const int16_t* src =
-                  in + 2 * x.Interior(d * Sd + kd, r * Sr + kr, c * Sc);
-              for (int64_t kc = 0; kc < Kc; ++kc) {
-                best[0] = std::max(best[0], src[2 * kc]);
-                best[1] = std::max(best[1], src[2 * kc + 1]);
-              }
-            }
-          }
-          dst[2 * c] = best[0];
-          dst[2 * c + 1] = best[1];
-        }
-      }
-    }
-  }
-  return out;
-}
-
 PackedConvLayer::PackedConvLayer(const TensorQ& weights, const Tiling& tiling,
                                  const Ports& ports,
                                  const core::BlockMask* mask,
@@ -373,9 +320,9 @@ std::array<int64_t, 3> PackedConvLayer::OutputExtent(
     std::array<int64_t, 3> input, std::array<int64_t, 3> stride,
     std::array<int64_t, 3> padding) const {
   const std::array<int64_t, 3> out = {
-      OutExtent(input[0] + 2 * padding[0], Kd_, stride[0]),
-      OutExtent(input[1] + 2 * padding[1], Kr_, stride[1]),
-      OutExtent(input[2] + 2 * padding[2], Kc_, stride[2])};
+      WindowExtent(input[0] + 2 * padding[0], Kd_, stride[0]),
+      WindowExtent(input[1] + 2 * padding[1], Kr_, stride[1]),
+      WindowExtent(input[2] + 2 * padding[2], Kc_, stride[2])};
   HWP_SHAPE_CHECK_MSG(out[0] > 0 && out[1] > 0 && out[2] > 0, "empty output");
   return out;
 }

@@ -155,18 +155,6 @@ class QActivation {
   std::unique_ptr<std::vector<int16_t>, detail::RecycleActivation> data_;
 };
 
-// The D×R×C extent of a max pool over `window` with `stride` (no
-// padding) on a D×R×C input; throws ShapeError when it is empty.
-std::array<int64_t, 3> PoolExtent(std::array<int64_t, 3> input,
-                                  std::array<int64_t, 3> window,
-                                  std::array<int64_t, 3> stride);
-
-// Max pool of `x` in Q7.8, bitwise MaxPool3dFixed on its dense form; the
-// output gets halo `out_halo`. Only its interior is read.
-QActivation MaxPool(const QActivation& x, std::array<int64_t, 3> window,
-                    std::array<int64_t, 3> stride,
-                    std::array<int64_t, 3> out_halo);
-
 // One conv layer's weights packed for fast execution (see file
 // comment). Immutable after construction but for a small cache of
 // per-shape plans; Run is const and safe to call concurrently, so every

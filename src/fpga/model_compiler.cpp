@@ -17,15 +17,10 @@ namespace hwp3d::fpga {
 
 namespace {
 
-template <typename T>
-T* As(nn::Module* m) {
-  return dynamic_cast<T*>(m);
-}
-
 // The leaf modules of `m` in execution order: nested Sequentials are
 // flattened (they only chain their children).
 void Flatten(nn::Module& m, std::vector<nn::Module*>& out) {
-  if (auto* seq = As<nn::Sequential>(&m)) {
+  if (auto* seq = dynamic_cast<nn::Sequential*>(&m)) {
     for (size_t i = 0; i < seq->size(); ++i) Flatten(*seq->child(i), out);
   } else {
     out.push_back(&m);
@@ -41,12 +36,13 @@ std::vector<nn::Module*> Leaves(nn::Module& m) {
 // Why a module that reached the trunk's walk does not lower there.
 Status Unsupported(nn::Module* m) {
   const char* why =
-      As<nn::BatchNorm3d>(m) != nullptr
+      dynamic_cast<nn::BatchNorm3d*>(m) != nullptr
           ? "a BatchNorm3d folds only into the Conv3d right before it"
-      : As<nn::ReLU>(m) != nullptr
+      : dynamic_cast<nn::ReLU*>(m) != nullptr
           ? "a ReLU folds only into the Conv3d (and its BatchNorm3d) "
             "right before it"
-      : As<nn::Linear>(m) != nullptr || As<nn::GlobalAvgPool3d>(m) != nullptr
+      : dynamic_cast<nn::Linear*>(m) != nullptr ||
+              dynamic_cast<nn::GlobalAvgPool3d*>(m) != nullptr
           ? "GlobalAvgPool3d + Linear lower only as the model's last two "
             "modules (the host head)"
           : "the accelerator runs Conv3d [+ BatchNorm3d] [+ ReLU], "
@@ -172,8 +168,9 @@ Status CompiledModel::Lower(nn::Sequential& model,
                             const std::vector<nn::Conv3d*>& prunable) {
   std::vector<nn::Module*> trunk = Leaves(model);
   const size_t n = trunk.size();
-  nn::Linear* fc = n >= 2 ? As<nn::Linear>(trunk[n - 1]) : nullptr;
-  if (fc == nullptr || As<nn::GlobalAvgPool3d>(trunk[n - 2]) == nullptr) {
+  auto* fc = n >= 2 ? dynamic_cast<nn::Linear*>(trunk[n - 1]) : nullptr;
+  if (fc == nullptr ||
+      dynamic_cast<nn::GlobalAvgPool3d*>(trunk[n - 2]) == nullptr) {
     return InvalidArgumentError(StrFormat(
         "cannot lower '%s': it must end in GlobalAvgPool3d + Linear, the "
         "host head, but ends in '%s'",
@@ -238,15 +235,15 @@ StatusOr<int> CompiledModel::LowerChain(const std::vector<nn::Module*>& chain,
       return i + 1 < chain.size() ? chain[i + 1] : nullptr;
     };
     StatusOr<int> y = x;
-    if (auto* conv = As<nn::Conv3d>(chain[i])) {
-      auto* bn = As<nn::BatchNorm3d>(next());
+    if (auto* conv = dynamic_cast<nn::Conv3d*>(chain[i])) {
+      auto* bn = dynamic_cast<nn::BatchNorm3d*>(next());
       if (bn != nullptr) ++i;
-      const bool relu = As<nn::ReLU>(next()) != nullptr;
+      const bool relu = dynamic_cast<nn::ReLU*>(next()) != nullptr;
       if (relu) ++i;
       y = AddConv(*conv, bn, relu, x, walk);
-    } else if (auto* pool = As<nn::MaxPool3d>(chain[i])) {
+    } else if (auto* pool = dynamic_cast<nn::MaxPool3d*>(chain[i])) {
       y = AddPool(*pool, x);
-    } else if (auto* block = As<nn::ResidualBlock>(chain[i])) {
+    } else if (auto* block = dynamic_cast<nn::ResidualBlock*>(chain[i])) {
       y = LowerBlock(*block, x, walk);
     } else {
       return Unsupported(chain[i]);
@@ -288,6 +285,13 @@ StatusOr<int> CompiledModel::AddConv(nn::Conv3d& conv, nn::BatchNorm3d* bn,
         "cannot lower '%s': it takes %lld channels, its input has %lld",
         conv.name().c_str(), (long long)cfg.in_channels,
         (long long)Channels(x)));
+  }
+  if (bn != nullptr && bn->channels() != cfg.out_channels) {
+    return InvalidArgumentError(StrFormat(
+        "cannot lower '%s': it normalizes %lld channels, the conv '%s' "
+        "before it has %lld",
+        bn->name().c_str(), (long long)bn->channels(), conv.name().c_str(),
+        (long long)cfg.out_channels));
   }
   Op op;
   op.name = conv.name();
@@ -339,11 +343,10 @@ QActivation CompiledModel::RunOp(const Op& op, const QActivation& x,
                                  CompiledRunStats* stats) const {
   const bool fast = options_.executor == ExecMode::kFast;
   if (op.pool_window.has_value()) {
-    // The Q7.8 max on either executor; the simulator's on a dense copy.
-    // A pool adds no MACs and no modeled cycles.
+    // The Q7.8 max on a dense copy, on either executor. A pool adds no
+    // MACs and no modeled cycles.
     obs::TraceScope span(fast ? "exec/pool" : "sim/pool");
     if (span.active()) span.SetName((fast ? "exec/" : "sim/") + op.name);
-    if (fast) return MaxPool(x, *op.pool_window, op.stride, op.out_halo);
     return QActivation::FromTensor(
         MaxPool3dFixed(x.ToTensor(), *op.pool_window, op.stride),
         op.out_halo);

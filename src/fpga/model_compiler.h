@@ -10,16 +10,18 @@
 //    main() chain. The block's add and final ReLU join the
 //    post-processing of the main chain's last op, which must be a conv
 //    op without a ReLU of its own.
-//  * MaxPool3d: a pool op on the Q7.8 activation. Max commutes with the
-//    monotonic quantization, so pooling after it is exact.
+//  * MaxPool3d: a pool op, MaxPool3dFixed on the Q7.8 activation on
+//    either executor. Max commutes with the monotonic quantization, so
+//    pooling after it is exact.
 //  * The chain's last two modules, GlobalAvgPool3d + Linear: the host
 //    head.
 //
 // Any other module, or these in another order (a BatchNorm3d or ReLU
-// with no conv before it, a head that is not last, no head at all, a
-// pool before the first conv), makes Compile return kInvalidArgument
-// naming the module. The block-enable masks of a pruned model attach to
-// their convs, so the engine actually skips pruned tiles.
+// with no conv before it, a BatchNorm3d wider or narrower than its
+// conv, a head that is not last, no head at all, a pool before the
+// first conv), makes Compile return kInvalidArgument naming the module.
+// The block-enable masks of a pruned model attach to their convs, so
+// the engine actually skips pruned tiles.
 //
 // This is the software counterpart of the paper's deployment flow:
 // ADMM-pruned network -> 16-bit fixed-point accelerator with

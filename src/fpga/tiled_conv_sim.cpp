@@ -11,16 +11,6 @@
 
 namespace hwp3d::fpga {
 
-namespace {
-
-// Output extent of a valid convolution (0 when the window does not fit:
-// integer division truncates (in - k) / s toward zero).
-int64_t OutExtent(int64_t in, int64_t k, int64_t s) {
-  return in < k ? 0 : (in - k) / s + 1;
-}
-
-}  // namespace
-
 TiledConvResult TiledConvSim::Run(const TensorQ& weights, const TensorQ& input,
                                   std::array<int64_t, 3> stride,
                                   const core::BlockMask* mask,
@@ -38,9 +28,9 @@ TiledConvResult TiledConvSim::Run(const TensorQ& weights, const TensorQ& input,
   HWP_SHAPE_CHECK_MSG(input.dim(0) == N, "input channel mismatch: "
                                              << input.dim(0) << " vs " << N);
   const int64_t Di = input.dim(1), Ri = input.dim(2), Ci = input.dim(3);
-  const int64_t D = OutExtent(Di, Kd, Sd);
-  const int64_t R = OutExtent(Ri, Kr, Sr);
-  const int64_t C = OutExtent(Ci, Kc, Sc);
+  const int64_t D = WindowExtent(Di, Kd, Sd);
+  const int64_t R = WindowExtent(Ri, Kr, Sr);
+  const int64_t C = WindowExtent(Ci, Kc, Sc);
   HWP_SHAPE_CHECK_MSG(D > 0 && R > 0 && C > 0, "empty output");
 
   const int64_t blocks_m = CeilDiv(M, t_.Tm);
@@ -225,9 +215,9 @@ TensorQ ReferenceConv3dFixed(const TensorQ& weights, const TensorQ& input,
   const int64_t M = weights.dim(0), N = weights.dim(1);
   const int64_t Kd = weights.dim(2), Kr = weights.dim(3), Kc = weights.dim(4);
   const auto [Sd, Sr, Sc] = stride;
-  const int64_t D = OutExtent(input.dim(1), Kd, Sd);
-  const int64_t R = OutExtent(input.dim(2), Kr, Sr);
-  const int64_t C = OutExtent(input.dim(3), Kc, Sc);
+  const int64_t D = WindowExtent(input.dim(1), Kd, Sd);
+  const int64_t R = WindowExtent(input.dim(2), Kr, Sr);
+  const int64_t C = WindowExtent(input.dim(3), Kc, Sc);
   TensorQ out(Shape{M, D, R, C});
   for (int64_t m = 0; m < M; ++m)
     for (int64_t d = 0; d < D; ++d)
@@ -259,15 +249,26 @@ TensorQ PadInput(const TensorQ& input, std::array<int64_t, 3> pad) {
   return out;
 }
 
+std::array<int64_t, 3> PoolExtent(std::array<int64_t, 3> input,
+                                  std::array<int64_t, 3> kernel,
+                                  std::array<int64_t, 3> stride) {
+  const std::array<int64_t, 3> out = {
+      WindowExtent(input[0], kernel[0], stride[0]),
+      WindowExtent(input[1], kernel[1], stride[1]),
+      WindowExtent(input[2], kernel[2], stride[2])};
+  HWP_SHAPE_CHECK_MSG(out[0] > 0 && out[1] > 0 && out[2] > 0,
+                      "pooling window larger than the input");
+  return out;
+}
+
 TensorQ MaxPool3dFixed(const TensorQ& input, std::array<int64_t, 3> kernel,
                        std::array<int64_t, 3> stride) {
   HWP_SHAPE_CHECK_MSG(input.rank() == 4, "MaxPool3dFixed expects [N][D][R][C]");
   const auto [Kd, Kr, Kc] = kernel;
   const auto [Sd, Sr, Sc] = stride;
   const int64_t N = input.dim(0);
-  const int64_t D = OutExtent(input.dim(1), Kd, Sd);
-  const int64_t R = OutExtent(input.dim(2), Kr, Sr);
-  const int64_t C = OutExtent(input.dim(3), Kc, Sc);
+  const auto [D, R, C] =
+      PoolExtent({input.dim(1), input.dim(2), input.dim(3)}, kernel, stride);
   TensorQ out(Shape{N, D, R, C});
   for (int64_t n = 0; n < N; ++n)
     for (int64_t d = 0; d < D; ++d)

@@ -81,6 +81,11 @@ TensorQ ReferenceConv3dFixed(const TensorQ& weights, const TensorQ& input,
 
 // Host-side helpers used when mapping whole networks onto the engine.
 TensorQ PadInput(const TensorQ& input, std::array<int64_t, 3> pad);
+// The D×R×C extent of a max pool over `kernel` with `stride` (no
+// padding) on a D×R×C input; throws ShapeError when it is empty.
+std::array<int64_t, 3> PoolExtent(std::array<int64_t, 3> input,
+                                  std::array<int64_t, 3> kernel,
+                                  std::array<int64_t, 3> stride);
 TensorQ MaxPool3dFixed(const TensorQ& input, std::array<int64_t, 3> kernel,
                        std::array<int64_t, 3> stride);
 

@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "kernels/engine.h"
 #include "nn/module.h"
+#include "tensor/shape.h"
 
 namespace hwp3d::nn {
 
@@ -42,7 +43,7 @@ class Conv3d : public Module {
 
   // Output spatial extents for a given input extent along one axis.
   static int64_t OutExtent(int64_t in, int64_t k, int64_t s, int64_t p) {
-    return (in + 2 * p - k) / s + 1;
+    return WindowExtent(in + 2 * p, k, s);
   }
 
  private:

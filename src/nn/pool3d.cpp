@@ -4,14 +4,9 @@
 #include <limits>
 #include <utility>
 
-namespace hwp3d::nn {
+#include "tensor/shape.h"
 
-namespace {
-// 0 when the window does not fit (the division truncates toward zero).
-int64_t PoolOut(int64_t in, int64_t k, int64_t s) {
-  return in < k ? 0 : (in - k) / s + 1;
-}
-}  // namespace
+namespace hwp3d::nn {
 
 MaxPool3d::MaxPool3d(Pool3dConfig cfg, std::string name)
     : cfg_(cfg), name_(std::move(name)) {}
@@ -22,8 +17,9 @@ TensorF MaxPool3d::Forward(const TensorF& x, bool train) {
   const int64_t Di = x.dim(2), Hi = x.dim(3), Wi = x.dim(4);
   const auto [Kd, Kh, Kw] = cfg_.kernel;
   const auto [Sd, Sh, Sw] = cfg_.stride;
-  const int64_t Do = PoolOut(Di, Kd, Sd), Ho = PoolOut(Hi, Kh, Sh),
-                Wo = PoolOut(Wi, Kw, Sw);
+  const int64_t Do = WindowExtent(Di, Kd, Sd);
+  const int64_t Ho = WindowExtent(Hi, Kh, Sh);
+  const int64_t Wo = WindowExtent(Wi, Kw, Sw);
   HWP_SHAPE_CHECK_MSG(Do > 0 && Ho > 0 && Wo > 0,
                       name_ << ": pooling window larger than input");
 
@@ -83,8 +79,9 @@ TensorF AvgPool3d::Forward(const TensorF& x, bool train) {
   const int64_t Di = x.dim(2), Hi = x.dim(3), Wi = x.dim(4);
   const auto [Kd, Kh, Kw] = cfg_.kernel;
   const auto [Sd, Sh, Sw] = cfg_.stride;
-  const int64_t Do = PoolOut(Di, Kd, Sd), Ho = PoolOut(Hi, Kh, Sh),
-                Wo = PoolOut(Wi, Kw, Sw);
+  const int64_t Do = WindowExtent(Di, Kd, Sd);
+  const int64_t Ho = WindowExtent(Hi, Kh, Sh);
+  const int64_t Wo = WindowExtent(Wi, Kw, Sw);
   HWP_SHAPE_CHECK_MSG(Do > 0 && Ho > 0 && Wo > 0,
                       name_ << ": pooling window larger than input");
   const float inv = 1.0f / static_cast<float>(Kd * Kh * Kw);

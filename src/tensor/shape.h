@@ -57,4 +57,11 @@ class Shape {
 // Ceiling division used throughout tiling/blocking math: CeilDiv(7,2)==4.
 constexpr int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
+// Positions of a window of `k` sliding by `s` over `in` values (a valid
+// conv or pool along one axis): 0 when the window does not fit, where
+// (in - k) / s + 1 would truncate toward zero and give 1.
+constexpr int64_t WindowExtent(int64_t in, int64_t k, int64_t s) {
+  return in < k ? 0 : (in - k) / s + 1;
+}
+
 }  // namespace hwp3d

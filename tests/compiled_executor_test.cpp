@@ -193,30 +193,6 @@ TEST(PackedConvLayerTest, ThreadCountInvariance) {
   }
 }
 
-TEST(QActivationTest, MaxPoolMatchesFixedReference) {
-  // Odd and even channel counts, input and output halos of their own,
-  // and windows wider than their strides.
-  Rng rng(9);
-  struct PoolCase {
-    std::array<int64_t, 3> window, stride;
-  };
-  for (int64_t channels : {3, 4}) {
-    const TensorQ x = RandomQ(Shape{channels, 5, 7, 6}, rng);
-    for (const PoolCase& pc : {PoolCase{{1, 2, 2}, {1, 2, 2}},
-                               PoolCase{{2, 2, 2}, {2, 2, 2}},
-                               PoolCase{{3, 2, 1}, {1, 2, 1}}}) {
-      const TensorQ want = fpga::MaxPool3dFixed(x, pc.window, pc.stride);
-      const fpga::QActivation got =
-          fpga::MaxPool(fpga::QActivation::FromTensor(x, {1, 1, 1}),
-                        pc.window, pc.stride, {0, 1, 2});
-      ExpectBitwiseEqual(want, got.ToTensor());
-      EXPECT_EQ(fpga::PoolExtent({5, 7, 6}, pc.window, pc.stride),
-                got.extent());
-    }
-  }
-  EXPECT_THROW(fpga::PoolExtent({1, 4, 4}, {2, 2, 2}, {2, 2, 2}), ShapeError);
-}
-
 TEST(PackedConvLayerTest, FastRunUsesAccountedScratch) {
   Rng rng(3);
   const fpga::Tiling tiling{4, 4, 2, 3, 3};

@@ -324,8 +324,9 @@ class ChainBuilder {
     channels_ = 4;
     return *this;
   }
-  ChainBuilder& Bn(const std::string& name) {
-    chain_.Emplace<nn::BatchNorm3d>(channels_, name);
+  ChainBuilder& Bn(const std::string& name) { return Bn(name, channels_); }
+  ChainBuilder& Bn(const std::string& name, int64_t channels) {
+    chain_.Emplace<nn::BatchNorm3d>(channels, name);
     return *this;
   }
   ChainBuilder& Relu(const std::string& name) {
@@ -416,6 +417,12 @@ TEST_F(ModelCompilerTest, RejectsUnsupportedChain) {
     SCOPED_TRACE("BatchNorm3d first");
     ChainBuilder b;
     b.Bn("bn").Conv("c1").Gap("gap").Fc("fc");
+    ExpectRejected(b.CompileStatus(), "bn");
+  }
+  for (int64_t width : {3, 5}) {
+    SCOPED_TRACE("BatchNorm3d of another width than its conv (with a bias)");
+    ChainBuilder b;
+    b.Conv("c1").Bn("bn", width).Relu("r1").Gap("gap").Fc("fc");
     ExpectRejected(b.CompileStatus(), "bn");
   }
   {

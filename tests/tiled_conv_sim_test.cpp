@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "common/rng.h"
 #include "core/projection.h"
 #include "fpga/tiled_conv_sim.h"
@@ -181,6 +183,11 @@ TEST(TiledConvSimTest, MaxPoolFixed) {
   const TensorQ y = fpga::MaxPool3dFixed(x, {2, 2, 2}, {2, 2, 2});
   EXPECT_EQ(y.numel(), 1);
   EXPECT_FLOAT_EQ(y[0].ToFloat(), 3.0f);
+  // A window that does not fit its input pools nothing.
+  EXPECT_EQ(fpga::PoolExtent({5, 7, 6}, {3, 2, 1}, {1, 2, 1}),
+            (std::array<int64_t, 3>{3, 3, 6}));
+  EXPECT_THROW(fpga::PoolExtent({1, 4, 4}, {2, 2, 2}, {2, 2, 2}), ShapeError);
+  EXPECT_THROW(fpga::MaxPool3dFixed(x, {3, 2, 2}, {2, 2, 2}), ShapeError);
 }
 
 TEST(TiledConvSimTest, RejectsMismatchedShapes) {
