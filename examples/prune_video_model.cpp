@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
   cfg.retrain_epochs = 10;
   cfg.admm_lr = 0.02f;
   cfg.retrain_lr = 0.02f;
-  cfg.admm_label_smoothing = 0.1f;
   cfg.on_epoch = [](int epoch, const char* phase,
                     const nn::EpochStats& stats) {
     std::printf("  [%s] epoch %2d  loss %.3f  acc %.0f%%\n", phase, epoch,

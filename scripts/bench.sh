@@ -3,9 +3,7 @@
 # writing machine-readable summaries (BENCH_kernels.json,
 # BENCH_serve.json) in the repo root.
 #
-# Usage: scripts/bench.sh [-j N] [--native] [--check] [extra bench_kernels args...]
-#   --native  build with the release-native preset (-O3 -march=native;
-#             binaries are tuned to THIS machine's ISA — don't ship them)
+# Usage: scripts/bench.sh [-j N] [--check] [extra bench_kernels args...]
 #   --check   after the run, compare the fresh summaries against the
 #             committed baselines in bench/baselines/ and exit non-zero
 #             on a >15% regression of a guarded ratio metric or any
@@ -15,19 +13,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
-PRESET="release"
-BUILD_DIR="build"
 CHECK=0
 while [[ $# -gt 0 ]]; do
   case "$1" in
     -j)
       JOBS="$2"
       shift 2
-      ;;
-    --native)
-      PRESET="release-native"
-      BUILD_DIR="build-native"
-      shift
       ;;
     --check)
       CHECK=1
@@ -39,16 +30,16 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
-echo "==> configure (${PRESET})"
-cmake --preset "${PRESET}"
+echo "==> configure (release)"
+cmake --preset release
 echo "==> build bench_kernels + bench_serve"
-cmake --build --preset "${PRESET}" -j "${JOBS}" --target bench_kernels bench_serve
+cmake --build --preset release -j "${JOBS}" --target bench_kernels bench_serve
 
 echo "==> run bench_kernels"
-"./${BUILD_DIR}/bench/bench_kernels" --json-out=BENCH_kernels.json "$@"
+"./build/bench/bench_kernels" --json-out=BENCH_kernels.json "$@"
 
 echo "==> run bench_serve"
-"./${BUILD_DIR}/bench/bench_serve" --threads "${JOBS}" --json-out=BENCH_serve.json
+"./build/bench/bench_serve" --threads "${JOBS}" --json-out=BENCH_serve.json
 
 echo "==> wrote BENCH_kernels.json BENCH_serve.json"
 

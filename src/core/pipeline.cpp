@@ -7,6 +7,16 @@
 
 namespace hwp3d::core {
 
+namespace {
+
+// SGD for both phases.
+constexpr float kMomentum = 0.9f;
+constexpr float kWeightDecay = 0.0f;
+// "Bag of tricks" during ADMM; retraining uses none.
+constexpr float kAdmmLabelSmoothing = 0.1f;
+
+}  // namespace
+
 PipelineResult RunAdmmPipeline(nn::Module& model, AdmmPruner& pruner,
                                const std::vector<nn::Batch>& train,
                                const std::vector<nn::Batch>& test,
@@ -18,12 +28,12 @@ PipelineResult RunAdmmPipeline(nn::Module& model, AdmmPruner& pruner,
   // --- ADMM training rounds (W-step epochs with periodic Z/V updates) ---
   nn::SgdConfig opt_cfg;
   opt_cfg.lr = cfg.admm_lr;
-  opt_cfg.momentum = cfg.momentum;
-  opt_cfg.weight_decay = cfg.weight_decay;
+  opt_cfg.momentum = kMomentum;
+  opt_cfg.weight_decay = kWeightDecay;
   nn::Sgd admm_opt(model.Params(), opt_cfg);
 
   nn::TrainOptions admm_opts;
-  admm_opts.label_smoothing = cfg.admm_label_smoothing;
+  admm_opts.label_smoothing = kAdmmLabelSmoothing;
   admm_opts.post_backward = [&pruner]() { pruner.AddProximalGradients(); };
 
   int global_epoch = 0;
@@ -39,21 +49,20 @@ PipelineResult RunAdmmPipeline(nn::Module& model, AdmmPruner& pruner,
       result.admm_final_train_acc = stats.accuracy;
       reg.GetCounter("pipeline.epochs", {{"phase", "admm"}}).Add(1);
       if (cfg.on_epoch) cfg.on_epoch(global_epoch, "admm", stats);
-      if ((e + 1) % cfg.epochs_between_updates == 0) {
-        const AdmmResiduals res = pruner.UpdateAuxiliaries();
-        result.residual_history.push_back(res);
-        reg.GetCounter("admm.updates").Add(1);
-        reg.GetHistogram("admm.primal_residual").Observe(res.primal);
-        reg.GetHistogram("admm.dual_residual").Observe(res.dual);
-        obs::Tracer::Get().Counter("admm.primal_residual", res.primal);
-        obs::Tracer::Get().Counter("admm.dual_residual", res.dual);
-        HWP_LOG(Debug) << "  epoch " << global_epoch << " loss="
-                       << stats.mean_loss << " acc=" << stats.accuracy
-                       << " primal=" << res.primal << " dual=" << res.dual;
-        if (res.converged) {
-          reg.GetCounter("admm.converged_early").Add(1);
-          break;
-        }
+      // epoch_admm = 1: the Z/V update follows every W-step epoch.
+      const AdmmResiduals res = pruner.UpdateAuxiliaries();
+      result.residual_history.push_back(res);
+      reg.GetCounter("admm.updates").Add(1);
+      reg.GetHistogram("admm.primal_residual").Observe(res.primal);
+      reg.GetHistogram("admm.dual_residual").Observe(res.dual);
+      obs::Tracer::Get().Counter("admm.primal_residual", res.primal);
+      obs::Tracer::Get().Counter("admm.dual_residual", res.dual);
+      HWP_LOG(Debug) << "  epoch " << global_epoch << " loss="
+                     << stats.mean_loss << " acc=" << stats.accuracy
+                     << " primal=" << res.primal << " dual=" << res.dual;
+      if (res.converged) {
+        reg.GetCounter("admm.converged_early").Add(1);
+        break;
       }
     }
   }

@@ -18,15 +18,11 @@ namespace hwp3d::core {
 
 struct PipelineConfig {
   AdmmConfig admm;
-  int epochs_per_round = 4;       // epoch_rho in Algorithm 1
-  int epochs_between_updates = 1; // epoch_admm: Z/V update cadence
+  int epochs_per_round = 4;  // epoch_rho in Algorithm 1
   int retrain_epochs = 8;
   float admm_lr = 5e-4f;
   float retrain_lr = 5e-4f;
-  float momentum = 0.9f;
-  float weight_decay = 0.0f;
-  float admm_label_smoothing = 0.1f;  // "bag of tricks" during ADMM
-  int retrain_warmup_epochs = 2;      // warmup + cosine during retraining
+  int retrain_warmup_epochs = 2;  // warmup + cosine during retraining
   // Optional per-epoch observer (epoch index, phase, train stats).
   std::function<void(int, const char*, const nn::EpochStats&)> on_epoch;
 };

@@ -53,7 +53,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -156,9 +155,8 @@ class QActivation {
 };
 
 // One conv layer's weights packed for fast execution (see file
-// comment). Immutable after construction but for a small cache of
-// per-shape plans; Run is const and safe to call concurrently, so every
-// serving lane runs the same one.
+// comment). Immutable after construction: Run is const and safe to call
+// concurrently, so every serving lane runs the same one.
 class PackedConvLayer {
  public:
   // weights: [M][N][Kd][Kr][Kc] quantized. `mask` (optional) must match
@@ -176,38 +174,43 @@ class PackedConvLayer {
     return stride[1] == 1 && stride[2] == 1;
   }
 
-  struct Result {
-    QActivation output;
+  // Everything a run derives from its input layout (extent and halo),
+  // stride and padding alone: the output extent, the task grid, every
+  // K-pair's B offset and the analytic stats. Made once per clip shape
+  // by the compiled model's plan, immutable, and shared by every lane
+  // and pool worker.
+  struct ShapePlan {
+    std::array<int64_t, 3> extent{}, halo{}, stride{}, padding{};  // input
+    std::array<int64_t, 3> out{};  // D, R, C
+    int64_t pitch = 0;       // GEMM columns per output row
+    int64_t depth_cols = 0;  // GEMM columns per output depth
+    int64_t chunks = 0;      // tasks per output depth
+    std::vector<int64_t> pair_off;  // [taps_.size()]
+    // Timing split from compute: PerfModel::RunCycles + the mask's
+    // block counts, not a walk of the loop nest.
     TiledConvStats stats;
+    bool operator==(const ShapePlan&) const = default;
   };
 
-  // Input shapes (extent, halo, stride, padding) whose run plan a layer
-  // keeps; a run on another shape replaces the oldest.
-  static constexpr size_t kShapePlans = 4;
+  // The plan of a run on a D×R×C input `extent` with `halo`, `stride`
+  // and `padding`. Throws ShapeError when the output is empty or the
+  // halo does not cover the padding.
+  ShapePlan MakePlan(std::array<int64_t, 3> extent,
+                     std::array<int64_t, 3> halo, std::array<int64_t, 3> stride,
+                     std::array<int64_t, 3> padding) const;
 
   // The engine: mirror of TiledConvSim::Run on the padded input with the
-  // same PostOps. `input`'s halo must cover `padding`. The output gets
-  // halo `out_halo`; `shortcut` (optional, in its own layout, with the
+  // same PostOps; the run's stats are plan.stats. `plan` must be this
+  // layer's plan for `input`'s extent and halo. The output gets halo
+  // `out_halo`; `shortcut` (optional, in its own layout, with the
   // output's channels and extent) replaces post.shortcut, which must be
   // null. `pool` overrides the process-wide ThreadPool (tests use
   // standalone pools to prove thread-count invariance); null uses
   // ThreadPool::Get.
-  Result Run(const QActivation& input, std::array<int64_t, 3> stride,
-             std::array<int64_t, 3> padding, const PostOps& post,
-             const QActivation* shortcut, std::array<int64_t, 3> out_halo,
-             ThreadPool* pool = nullptr) const;
-
-  // The D×R×C output extent of a run on a D×R×C input with `stride` and
-  // `padding`; throws ShapeError when it is empty.
-  std::array<int64_t, 3> OutputExtent(std::array<int64_t, 3> input,
-                                      std::array<int64_t, 3> stride,
-                                      std::array<int64_t, 3> padding) const;
-
-  // MACs of one run on a D×R×C output, counted as the simulator counts
-  // them: one per (enabled block element, kernel element, output element).
-  int64_t Macs(std::array<int64_t, 3> output) const {
-    return sum_mn_ * Kd_ * Kr_ * Kc_ * output[0] * output[1] * output[2];
-  }
+  QActivation Run(const QActivation& input, const ShapePlan& plan,
+                  const PostOps& post, const QActivation* shortcut,
+                  std::array<int64_t, 3> out_halo,
+                  ThreadPool* pool = nullptr) const;
 
   int64_t surviving_tiles() const { return surviving_tiles_; }
   int64_t total_tiles() const { return blocks_m_ * blocks_n_; }
@@ -238,34 +241,6 @@ class PackedConvLayer {
   // Input channels of input-channel block bn (partial at the edge).
   int64_t TnCount(int64_t bn) const { return std::min(t_.Tn, N_ - bn * t_.Tn); }
 
-  // Analytic stats for one run on a D×R×C output (PerfModel + mask).
-  TiledConvStats ModelStats(std::array<int64_t, 3> stride, int64_t D,
-                            int64_t R, int64_t C) const;
-
-  // Everything a run derives from its input layout (extent and halo),
-  // stride and padding alone: the output extent, the task grid, every
-  // K-pair's B offset and the analytic stats. Built on a shape's first
-  // run, immutable after, and shared by every lane and pool worker.
-  struct ShapePlan {
-    std::array<int64_t, 3> extent{}, halo{}, stride{}, padding{};  // key
-    std::array<int64_t, 3> out{};  // D, R, C
-    int64_t pitch = 0;       // GEMM columns per output row
-    int64_t depth_cols = 0;  // GEMM columns per output depth
-    int64_t chunks = 0;      // tasks per output depth
-    std::vector<int64_t> pair_off;  // [taps_.size()]
-    TiledConvStats stats;
-  };
-  ShapePlan MakePlan(const QActivation& input, std::array<int64_t, 3> stride,
-                     std::array<int64_t, 3> padding) const;
-  // The cached plan for this shape, made and cached on a miss; a new
-  // shape replaces the oldest of kShapePlans. The calling thread also
-  // keeps the plan it last used for this layer, so a repeated shape
-  // takes no lock and writes no cache line another lane reads; the
-  // reference stays valid until the thread's next PlanFor.
-  const ShapePlan& PlanFor(const QActivation& input,
-                           std::array<int64_t, 3> stride,
-                           std::array<int64_t, 3> padding) const;
-
   Tiling t_;
   Ports p_;
   int64_t M_ = 0, N_ = 0, Kd_ = 0, Kr_ = 0, Kc_ = 0;
@@ -286,11 +261,6 @@ class PackedConvLayer {
   int64_t sum_mn_ = 0;  // Σ over surviving tiles of tm_n*tn_n (for MACs)
   int64_t surviving_tiles_ = 0;
   int64_t int32_channels_ = 0;
-  const uint64_t id_;  // unique per layer in the process, never reused
-  // The shape plans, in a ring: next_plan_ is the oldest.
-  mutable std::mutex plans_mu_;
-  mutable std::array<std::shared_ptr<const ShapePlan>, kShapePlans> plans_;
-  mutable size_t next_plan_ = 0;
 };
 
 }  // namespace hwp3d::fpga

@@ -67,6 +67,25 @@ StallBreakdown RowCycleBreakdown(const Ports& ports, int64_t t_wgt,
   return b;
 }
 
+LayerLatency PerfModel::RunCycles(const Shape& weights,
+                                  std::array<int64_t, 3> stride,
+                                  std::array<int64_t, 3> output,
+                                  const core::BlockMask* mask) const {
+  models::ConvLayerSpec spec;
+  spec.M = weights[0];
+  spec.N = weights[1];
+  spec.Kd = weights[2];
+  spec.Kr = weights[3];
+  spec.Kc = weights[4];
+  spec.Sd = stride[0];
+  spec.Sr = stride[1];
+  spec.Sc = stride[2];
+  spec.D = output[0];
+  spec.R = output[1];
+  spec.C = output[2];
+  return LayerCycles(spec, mask);
+}
+
 LayerLatency PerfModel::LayerCycles(const models::ConvLayerSpec& l,
                                     const core::BlockMask* mask) const {
   LayerLatency out;

@@ -17,11 +17,13 @@
 // max(t_comp_min, t_out) — the pipeline still drains one tile.
 #pragma once
 
+#include <array>
 #include <optional>
 
 #include "core/block_partition.h"
 #include "fpga/tiling.h"
 #include "models/network_spec.h"
+#include "tensor/shape.h"
 
 namespace hwp3d::fpga {
 
@@ -76,6 +78,13 @@ class PerfModel {
   // skipped; otherwise the dense Eq. 24/25 applies.
   LayerLatency LayerCycles(const models::ConvLayerSpec& layer,
                            const core::BlockMask* mask = nullptr) const;
+
+  // LayerCycles of one engine run: a conv with [M][N][Kd][Kr][Kc]
+  // `weights` and `stride` that writes a D×R×C `output`. The account
+  // TiledConvSim and PackedConvLayer both report.
+  LayerLatency RunCycles(const Shape& weights, std::array<int64_t, 3> stride,
+                         std::array<int64_t, 3> output,
+                         const core::BlockMask* mask) const;
 
   // Sum over all layers of a network. `masks` (if given) must be indexed
   // like spec.layers, with disabled entries for unpruned layers allowed

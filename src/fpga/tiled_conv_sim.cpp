@@ -166,20 +166,9 @@ TiledConvResult TiledConvSim::Run(const TensorQ& weights, const TensorQ& input,
   result.stats.stall.out += last_t_out;
 
   // Cross-check cycles with the analytic model on an equivalent layer.
-  models::ConvLayerSpec spec;
-  spec.M = M;
-  spec.N = N;
-  spec.Kd = Kd;
-  spec.Kr = Kr;
-  spec.Kc = Kc;
-  spec.Sd = Sd;
-  spec.Sr = Sr;
-  spec.Sc = Sc;
-  spec.D = D;
-  spec.R = R;
-  spec.C = C;
-  PerfModel pm(t_, p_);
-  result.stats.modeled_cycles = pm.LayerCycles(spec, mask).cycles;
+  result.stats.modeled_cycles =
+      PerfModel(t_, p_).RunCycles(weights.shape(), stride, {D, R, C}, mask)
+          .cycles;
 
   // Observability: one span + per-layer counters per Run (outside the
   // hot loops, so the disabled-tracing cost is a single atomic load).

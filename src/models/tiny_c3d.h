@@ -1,10 +1,11 @@
 // Trainable scaled-down C3D (standard 3D CNN baseline).
 //
 // The paper's motivation for choosing R(2+1)D is that it reaches higher
-// accuracy with far fewer parameters than C3D. This miniature mirrors
-// TinyR2Plus1d's capacity budget with full 3x3x3 convolutions and no
-// factorization, so the motivation experiment (R(2+1)D vs C3D at equal
-// parameter budget on motion classification) is reproducible.
+// accuracy with far fewer parameters than C3D. This miniature uses full
+// 3x3x3 convolutions and no factorization; its widths set its parameter
+// count, so the motivation experiment (bench_motivation_r2p1d_vs_c3d)
+// picks them to match a TinyR2Plus1d's budget: 6/12/12 against
+// R(2+1)D's 4/8/8.
 #pragma once
 
 #include <vector>

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -188,6 +189,15 @@ TEST_F(ModelCompilerTest, MacsForRejectsWhatInferRejects) {
   EXPECT_THROW(compiled.MacsFor(Shape{2, 6, 10, 10}), ShapeError);
   // No frames: the stem's output is empty.
   EXPECT_THROW(compiled.MacsFor(Shape{1, 0, 10, 10}), ShapeError);
+  EXPECT_THROW(compiled.Infer(TensorF(Shape{1, 0, 10, 10})), ShapeError);
+  // A shape that throws takes no slot of the bounded plan cache.
+  EXPECT_EQ(compiled.cached_clip_plans(), 0u);
+  for (int64_t frames = 1; frames <= 8; ++frames) {
+    EXPECT_GT(compiled.MacsFor(Shape{1, frames, 10, 10}), 0);
+    EXPECT_THROW(compiled.MacsFor(Shape{1, 0, 10, 10}), ShapeError);
+    EXPECT_EQ(compiled.cached_clip_plans(),
+              std::min<size_t>(frames, fpga::CompiledModel::kClipPlans));
+  }
 }
 
 // tests/data/tiny_r2plus1d.ckpt (R(2+1)D 2/4/4 channels, 4 classes),

@@ -26,11 +26,13 @@ inline fpga::TiledConvResult RunDense(const fpga::PackedConvLayer& layer,
   }
   fpga::PostOps engine_post = post;
   engine_post.shortcut = nullptr;
-  fpga::PackedConvLayer::Result r = layer.Run(
-      fpga::QActivation::FromTensor(input, padding), stride, padding,
-      engine_post, shortcut.has_value() ? &*shortcut : nullptr, {0, 0, 0},
-      pool);
-  return {r.output.ToTensor(), r.stats};
+  const fpga::QActivation x = fpga::QActivation::FromTensor(input, padding);
+  const fpga::PackedConvLayer::ShapePlan plan =
+      layer.MakePlan(x.extent(), x.halo(), stride, padding);
+  const fpga::QActivation out =
+      layer.Run(x, plan, engine_post,
+                shortcut.has_value() ? &*shortcut : nullptr, {0, 0, 0}, pool);
+  return {out.ToTensor(), plan.stats};
 }
 
 }  // namespace hwp3d::testing
