@@ -1,7 +1,7 @@
 // Status / StatusOr<T>: recoverable-error returns for the public API.
 //
 // The library historically signalled misuse by throwing hwp3d::Error.
-// Facade-level entry points (serving, checkpoint I/O, model compilation)
+// Public entry points (serving, checkpoint I/O, model compilation)
 // instead return a Status — callers decide whether a missing checkpoint
 // or a full request queue is fatal, without try/catch at every call
 // site. Internal invariants keep using HWP_CHECK/HWP_DCHECK.
@@ -9,7 +9,7 @@
 //   Status s = nn::LoadCheckpoint(path, model);
 //   if (!s.ok()) { HWP_LOG(Error) << s.ToString(); return s; }
 //
-//   StatusOr<InferenceResult> r = session->Submit(clip);
+//   StatusOr<InferenceResult> r = server.Submit(clip);
 //   if (r.ok()) Use(r->label);
 #pragma once
 

@@ -85,6 +85,15 @@ BlockMask BlockPartition::FullMask() const {
   return mask;
 }
 
+BlockMask BlockPartition::ZeroBlockMask(const TensorF& w) const {
+  BlockMask mask = FullMask();
+  const std::vector<double> sq_norms = BlockSqNorms(w);
+  for (size_t b = 0; b < sq_norms.size(); ++b) {
+    if (sq_norms[b] == 0.0) mask.enabled[b] = 0;
+  }
+  return mask;
+}
+
 int64_t BlockPartition::EnabledParams(const BlockMask& mask) const {
   HWP_CHECK_MSG(mask.blocks_m == blocks_m_ && mask.blocks_n == blocks_n_,
                 "mask grid mismatch");

@@ -38,6 +38,7 @@ struct BlockMask {
   int64_t CountEnabled() const;
   // Enabled blocks in block-column order for one bm row.
   int64_t CountEnabledInRow(int64_t bm) const;
+  bool operator==(const BlockMask&) const = default;
 };
 
 class BlockPartition {
@@ -68,6 +69,12 @@ class BlockPartition {
 
   // Fresh all-enabled mask.
   BlockMask FullMask() const;
+
+  // The mask `w` carries in its zeros: a block is disabled iff every
+  // weight in it is exactly 0. HardPrune/ReapplyMasks keep pruned blocks
+  // at exactly 0, so a pruned checkpoint yields the masks it was
+  // trained with.
+  BlockMask ZeroBlockMask(const TensorF& w) const;
 
   // Parameters covered by enabled blocks.
   int64_t EnabledParams(const BlockMask& mask) const;

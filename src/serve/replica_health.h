@@ -1,12 +1,13 @@
 // Per-replica health tracking with quarantine.
 //
 // The InferenceServer records the outcome of every replica attempt
-// here. A replica that fails `quarantine_after` consecutive times is
-// quarantined: it drops out of HealthySet() and its serving lane stops
-// pulling work, so the remaining lanes take over its share. Because
-// every replica is a lane over the same immutable compiled model,
-// shrinking the replica set degrades throughput but never changes an
-// answer — outputs stay bitwise identical to a fully-healthy run.
+// here. A replica that fails `quarantine_after` consecutive times (the
+// server passes kQuarantineAfter) is quarantined: it drops out of
+// HealthySet() and its serving lane stops pulling work, so the
+// remaining lanes take over its share. Because every replica is a lane
+// over the same immutable compiled model, shrinking the replica set
+// degrades throughput but never changes an answer — outputs stay
+// bitwise identical to a fully-healthy run.
 //
 // The last healthy replica is never quarantined: a server with work
 // queued must keep trying somewhere, and a transient storm that takes

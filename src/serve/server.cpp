@@ -98,15 +98,6 @@ Status ValidateServerConfig(const ServerConfig& config) {
   if (config.queue_capacity < 1) {
     return InvalidArgumentError("queue_capacity (0): need at least 1");
   }
-  if (config.quarantine_after < 1) {
-    return InvalidArgumentError(StrFormat(
-        "quarantine_after (%d): need at least 1", config.quarantine_after));
-  }
-  if (config.retry.max_attempts < 1) {
-    return InvalidArgumentError(StrFormat(
-        "retry.max_attempts (%d): need at least 1",
-        config.retry.max_attempts));
-  }
   if (config.watchdog_timeout_us < 0) {
     return InvalidArgumentError(StrFormat(
         "watchdog_timeout_us (%lld): must be >= 0 (0 disables the "
@@ -129,9 +120,9 @@ double PercentileUs(std::vector<double> latencies_us, double q) {
 InferenceServer::InferenceServer(const fpga::CompiledModel& model,
                                  ServerConfig config)
     : config_(CheckedConfig(config)),
-      retry_(config_.retry),
+      retry_(RetryConfig{}),
       model_(model),
-      health_(config_.replicas, config_.quarantine_after),
+      health_(config_.replicas, kQuarantineAfter),
       queue_(config_.queue_capacity) {
   replica_fault_points_.reserve(static_cast<size_t>(config_.replicas));
   for (int r = 0; r < config_.replicas; ++r) {
@@ -173,9 +164,9 @@ std::future<StatusOr<InferenceResult>> InferenceServer::SubmitAsync(
   Request req;
   req.clip = std::move(clip);
   req.enqueue_us = obs::NowUs();
-  const int64_t rel =
-      deadline_us > 0 ? deadline_us : config_.default_deadline_us;
-  req.deadline_us = rel > 0 ? req.enqueue_us + static_cast<double>(rel) : 0.0;
+  req.deadline_us =
+      deadline_us > 0 ? req.enqueue_us + static_cast<double>(deadline_us)
+                      : 0.0;
   std::future<StatusOr<InferenceResult>> future =
       req.promise.get_future();
 
@@ -247,7 +238,7 @@ void InferenceServer::NoteQuarantine(int replica) {
     totals_.healthy_replicas = health_.healthy_count();
   }
   HWP_LOG(Warning) << "replica " << replica << " quarantined after "
-                   << config_.quarantine_after
+                   << kQuarantineAfter
                    << " consecutive failures; serving degrades to "
                    << health_.healthy_count() << "/" << config_.replicas
                    << " replicas";

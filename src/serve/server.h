@@ -26,12 +26,13 @@
 //
 // Fault tolerance:
 //  * Transient replica failures (fault points `serve.replica_infer` /
-//    `serve.replica_infer.r<k>`) are retried per `config.retry` —
-//    exponential backoff + deterministic jitter, never sleeping past
-//    the request deadline. Items that exhaust their lane's retries get
-//    one rescue pass, run inline by the lane on the first healthy
-//    replica, before failing truthfully with the transient status.
-//  * Every attempt outcome feeds ReplicaHealth; `quarantine_after`
+//    `serve.replica_infer.r<k>`) are retried per RetryConfig's defaults
+//    (3 attempts) — exponential backoff + deterministic jitter, never
+//    sleeping past the request deadline. Items that exhaust their
+//    lane's retries get one rescue pass, run inline by the lane on the
+//    first healthy replica, before failing truthfully with the
+//    transient status.
+//  * Every attempt outcome feeds ReplicaHealth; kQuarantineAfter
 //    consecutive failures quarantine the replica (never the last one).
 //    Its lane serves the rest of its batch as the first healthy replica
 //    and then stops pulling, so a quarantined index never appears in a
@@ -91,16 +92,15 @@ struct ServerConfig {
   // to fill.
   int64_t max_delay_us = 2000;
   size_t queue_capacity = 64;
-  int64_t default_deadline_us = 0;  // relative, applied at Submit; 0 = none
-  RetryConfig retry;                // transient replica-failure retries
-  int quarantine_after = 3;         // consecutive failures -> quarantine
   int64_t watchdog_timeout_us = 0;  // stuck-batch kill switch; 0 = off
 };
 
 // The one check of a ServerConfig: kInvalidArgument naming the first
-// bad field, else OK. InferenceSession::Builder::Build returns it and
-// the InferenceServer constructor enforces it.
+// bad field, else OK. The InferenceServer constructor enforces it.
 Status ValidateServerConfig(const ServerConfig& config);
+
+// Consecutive failed attempts that quarantine a replica.
+inline constexpr int kQuarantineAfter = 3;
 
 // Each replica is a lane thread; more than this is a configuration
 // error, not a deployment.
@@ -152,7 +152,7 @@ class InferenceServer {
 
   // Admits one clip; the future resolves when a replica has run it (or
   // with kDeadlineExceeded / kUnavailable / kCancelled). `deadline_us`
-  // is relative to now; 0 uses config.default_deadline_us. Admission
+  // is relative to now; 0 means no deadline. Admission
   // failure is reported through the future for a uniform error path.
   std::future<StatusOr<InferenceResult>> SubmitAsync(
       TensorF clip, int64_t deadline_us = 0);

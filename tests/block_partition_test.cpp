@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/admm.h"
 #include "core/block_partition.h"
+#include "models/tiny_r2plus1d.h"
 #include "tensor/init.h"
 #include "tensor/tensor_ops.h"
 
@@ -92,6 +94,59 @@ TEST(BlockPartitionTest, EnabledParamsAccountsForEdgeBlocks) {
   EXPECT_EQ(p.EnabledParams(mask), 60 - 4);
   mask.set(0, 0, false);  // full block: 4x4
   EXPECT_EQ(p.EnabledParams(mask), 60 - 4 - 16);
+}
+
+TEST(BlockPartitionTest, ZeroBlockMaskDisablesOnlyAllZeroBlocks) {
+  // 10x6 channels under 4x4 tiles: a 3x2 grid whose last row and column
+  // are partial edge blocks.
+  TensorF w(Shape{10, 6, 1, 2, 2}, 0.0f);
+  BlockPartition p(w.shape(), {4, 4});
+  // One nonzero weight in each of (0,0), the row-edge block (2,0) and
+  // the corner block (2,1); (0,1), (1,0) and (1,1) stay all-zero.
+  w(3, 0, 0, 1, 1) = 0.5f;
+  w(9, 2, 0, 0, 0) = -1e-30f;
+  w(8, 5, 0, 1, 0) = 2.0f;
+  const BlockMask mask = p.ZeroBlockMask(w);
+  ASSERT_EQ(mask.blocks_m, 3);
+  ASSERT_EQ(mask.blocks_n, 2);
+  EXPECT_TRUE(mask.at(0, 0));
+  EXPECT_FALSE(mask.at(0, 1));
+  EXPECT_FALSE(mask.at(1, 0));
+  EXPECT_FALSE(mask.at(1, 1));
+  EXPECT_TRUE(mask.at(2, 0));
+  EXPECT_TRUE(mask.at(2, 1));
+
+  // A tensor with no zero keeps every block.
+  Rng rng(3);
+  FillUniform(w, rng, 0.5f, 1.0f);
+  EXPECT_EQ(p.ZeroBlockMask(w), p.FullMask());
+}
+
+TEST(BlockPartitionTest, ZeroBlockMaskRecoversHardPruneMasks) {
+  Rng rng(4);
+  models::TinyR2Plus1d model({.in_channels = 1,
+                              .num_classes = 4,
+                              .stem_channels = 4,
+                              .stage1_channels = 8,
+                              .stage2_channels = 8},
+                             rng);
+  const BlockConfig block{4, 4};
+  std::vector<core::PruneLayerSpec> specs;
+  for (nn::Conv3d* c : model.PrunableConvs()) {
+    specs.push_back({&c->weight(), block, 0.5, c->name()});
+  }
+  core::AdmmPruner pruner(specs, core::AdmmConfig{});
+  pruner.HardPrune();
+  const std::vector<nn::Conv3d*> convs = model.PrunableConvs();
+  ASSERT_EQ(convs.size(), pruner.masks().size());
+  int64_t disabled = 0;
+  for (size_t i = 0; i < convs.size(); ++i) {
+    const TensorF& w = convs[i]->weight().value;
+    const BlockMask derived = BlockPartition(w.shape(), block).ZeroBlockMask(w);
+    EXPECT_EQ(derived, pruner.masks()[i]) << convs[i]->name();
+    disabled += derived.num_blocks() - derived.CountEnabled();
+  }
+  EXPECT_GT(disabled, 0);
 }
 
 TEST(BlockMaskTest, RowCounting) {

@@ -192,15 +192,6 @@ class ServeFaultTest : public ::testing::Test {
     return dataset_->MakeSample(label, rng).clip;
   }
 
-  // Fast-retry config so fault tests never sleep for real backoffs.
-  static RetryConfig FastRetry(int max_attempts) {
-    return {.max_attempts = max_attempts,
-            .initial_backoff_us = 50,
-            .multiplier = 2.0,
-            .max_backoff_us = 500,
-            .jitter = 0.1};
-  }
-
   Rng rng_{11};
   std::unique_ptr<models::TinyR2Plus1d> model_;
   std::unique_ptr<data::SyntheticVideoDataset> dataset_;
@@ -212,7 +203,6 @@ TEST_F(ServeFaultTest, TransientFailureRetriesToSuccess) {
   serve::ServerConfig cfg;
   cfg.replicas = 1;
   cfg.max_batch = 1;
-  cfg.retry = FastRetry(3);
   serve::InferenceServer server(*compiled_, cfg);
 
   const TensorF clip = MakeClip(1, 21);
@@ -225,7 +215,7 @@ TEST_F(ServeFaultTest, TransientFailureRetriesToSuccess) {
   EXPECT_EQ(stats.faults_injected, 2);
   EXPECT_EQ(stats.retries, 2);
   EXPECT_EQ(stats.completed, 1);
-  EXPECT_EQ(stats.replicas_quarantined, 0);  // 2 < quarantine_after=3
+  EXPECT_EQ(stats.replicas_quarantined, 0);  // 2 < kQuarantineAfter
 }
 
 TEST_F(ServeFaultTest, ExhaustedRetriesFailTruthfully) {
@@ -236,7 +226,6 @@ TEST_F(ServeFaultTest, ExhaustedRetriesFailTruthfully) {
   serve::ServerConfig cfg;
   cfg.replicas = 1;
   cfg.max_batch = 1;
-  cfg.retry = FastRetry(2);
   serve::InferenceServer server(*compiled_, cfg);
 
   auto r = server.Submit(MakeClip(0, 33));
@@ -244,15 +233,16 @@ TEST_F(ServeFaultTest, ExhaustedRetriesFailTruthfully) {
   EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(server.Stats().completed, 0);
   // The last healthy replica is never quarantined, even though it
-  // failed far more than quarantine_after times.
+  // failed far more than kQuarantineAfter times.
   EXPECT_EQ(server.Stats().replicas_quarantined, 0);
   EXPECT_EQ(server.Stats().healthy_replicas, 1);
 }
 
 TEST_F(ServeFaultTest, QuarantineDegradesWithBitwiseIdenticalOutput) {
-  // Replica 1 always fails; replica 0 is healthy. After K = 2
-  // consecutive failures r1 is quarantined and every request is still
-  // answered — bitwise identical to the direct (healthy) path.
+  // Replica 1 always fails; replica 0 is healthy. After K = 3
+  // consecutive failures (kQuarantineAfter: the three attempts at the
+  // first request r1 runs) r1 is quarantined and every request is
+  // still answered — bitwise identical to the direct (healthy) path.
   //
   // Lane 1 must see work: replica 0 wedges once, and the rest of the
   // requests go in only after that wedge fired. If lane 0 took the
@@ -263,8 +253,6 @@ TEST_F(ServeFaultTest, QuarantineDegradesWithBitwiseIdenticalOutput) {
   serve::ServerConfig cfg;
   cfg.replicas = 2;
   cfg.max_batch = 8;
-  cfg.quarantine_after = 2;
-  cfg.retry = FastRetry(3);
   serve::InferenceServer server(*compiled_, cfg);
 
   std::vector<TensorF> clips;
@@ -297,9 +285,11 @@ TEST_F(ServeFaultTest, QuarantineDegradesWithBitwiseIdenticalOutput) {
 }
 
 TEST_F(ServeFaultTest, QuarantinedReplicaNeverServesLaterRequests) {
-  // Three lanes; replica 2 always fails and is quarantined on its first
-  // failure. Replicas 0 and 1 each wedge once for 500 ms, so within the
-  // first few requests lane 2 is the only free lane and must pull one.
+  // Three lanes; replica 2 always fails and is quarantined on its third
+  // consecutive failure (kQuarantineAfter), the last of the three
+  // attempts at the first request it pulls. Replicas 0 and 1 each wedge
+  // once for 500 ms, so within the first few requests lane 2 is the
+  // only free lane and must pull one.
   // After the quarantine a burst of requests comes back from replicas 0
   // and 1 only: lane 2 stopped pulling, and what was left of its last
   // batch ran as a healthy replica.
@@ -310,8 +300,6 @@ TEST_F(ServeFaultTest, QuarantinedReplicaNeverServesLaterRequests) {
   serve::ServerConfig cfg;
   cfg.replicas = 3;
   cfg.max_batch = 4;
-  cfg.quarantine_after = 1;
-  cfg.retry = FastRetry(1);
   serve::InferenceServer server(*compiled_, cfg);
 
   std::vector<std::future<StatusOr<InferenceResult>>> warmup;
@@ -502,7 +490,6 @@ TEST_F(ServeFaultTest, ClosedQueueChurnResolvesEveryFuture) {
   cfg.replicas = 2;
   cfg.max_batch = 4;
   cfg.queue_capacity = 8;
-  cfg.retry = FastRetry(2);
   serve::InferenceServer server(*compiled_, cfg);
 
   constexpr int kProducers = 4;

@@ -18,14 +18,16 @@
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/admm.h"
+#include "core/block_partition.h"
 #include "data/synthetic_video.h"
 #include "fpga/model_compiler.h"
 #include "kernels/thread_pool.h"
 #include "models/tiny_r2plus1d.h"
+#include "nn/checkpoint.h"
 #include "nn/trainer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/inference_session.h"
 #include "serve/latency_reservoir.h"
 #include "serve/request_queue.h"
 #include "serve/server.h"
@@ -427,55 +429,8 @@ TEST_F(ServeTest, PredictionsInvariantAcrossReplicaCounts) {
   }
 }
 
-// --- InferenceSession facade ------------------------------------------
-
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
-data::SyntheticVideoConfig SmallDataConfig() {
-  data::SyntheticVideoConfig dcfg;
-  dcfg.num_classes = 4;
-  dcfg.frames = 6;
-  dcfg.height = 10;
-  dcfg.width = 10;
-  return dcfg;
-}
-
-serve::ServerConfig SmallServing(int replicas = 1) {
-  serve::ServerConfig cfg;
-  cfg.replicas = replicas;
-  return cfg;
-}
-
-InferenceSession::Builder SmallSessionBuilder(
-    const serve::ServerConfig& serving = SmallServing()) {
-  return InferenceSession::Builder()
-      .DataConfig(SmallDataConfig())
-      .Seed(5)
-      .TrainEpochs(1)
-      .TrainData(4, 4)
-      .EvalData(2)
-      .Tiling(fpga::Tiling{4, 4, 2, 5, 5})
-      .Serving(serving);
-}
-
-TEST(InferenceSessionTest, BuilderRejectsBadConfigs) {
-  auto no_weights = SmallSessionBuilder().TrainEpochs(0).Build();
-  ASSERT_FALSE(no_weights.ok());
-  EXPECT_EQ(no_weights.status().code(), StatusCode::kInvalidArgument);
-
-  auto zero_replicas = SmallSessionBuilder(SmallServing(0)).Build();
-  ASSERT_FALSE(zero_replicas.ok());
-  EXPECT_EQ(zero_replicas.status().code(), StatusCode::kInvalidArgument);
-
-  auto bad_sparsity = SmallSessionBuilder().PruneToSparsity(1.5).Build();
-  ASSERT_FALSE(bad_sparsity.ok());
-  EXPECT_EQ(bad_sparsity.status().code(), StatusCode::kInvalidArgument);
-}
-
 // One invalid field at a time: the single ServerConfig check must
-// reject it, and so must both entry points that take a config.
+// reject it, and the server constructor must throw on it.
 TEST_F(ServeTest, EveryInvalidServerConfigFieldIsRejected) {
   EXPECT_TRUE(serve::ValidateServerConfig(serve::ServerConfig{}).ok());
   struct Case {
@@ -491,10 +446,6 @@ TEST_F(ServeTest, EveryInvalidServerConfigFieldIsRejected) {
       {"queue_capacity",
        [](serve::ServerConfig& c) { c.queue_capacity = 0; }},
       {"max_delay_us", [](serve::ServerConfig& c) { c.max_delay_us = -1; }},
-      {"quarantine_after",
-       [](serve::ServerConfig& c) { c.quarantine_after = 0; }},
-      {"retry.max_attempts",
-       [](serve::ServerConfig& c) { c.retry.max_attempts = 0; }},
       {"watchdog_timeout_us",
        [](serve::ServerConfig& c) { c.watchdog_timeout_us = -1; }},
   };
@@ -506,54 +457,61 @@ TEST_F(ServeTest, EveryInvalidServerConfigFieldIsRejected) {
     EXPECT_EQ(direct.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(direct.message().find(tc.field), std::string::npos)
         << direct.ToString();
-    auto built = SmallSessionBuilder(cfg).Build();
-    ASSERT_FALSE(built.ok());
-    EXPECT_EQ(built.status(), direct);
     EXPECT_THROW(serve::InferenceServer(*compiled_, cfg), Error);
   }
 }
 
-TEST(InferenceSessionTest, FromMissingCheckpointIsNotFound) {
-  auto session =
-      SmallSessionBuilder().FromCheckpoint("/no/such/ckpt.bin").Build();
-  ASSERT_FALSE(session.ok());
-  EXPECT_EQ(session.status().code(), StatusCode::kNotFound);
-}
+TEST_F(ServeTest, PrunedCheckpointServesIdenticalModel) {
+  // Hard-prune the fixture model to 50 % of its blocks and serve it
+  // with the pruner's masks from two lanes.
+  const fpga::Tiling tiling{4, 4, 2, 5, 5};
+  std::vector<core::PruneLayerSpec> specs;
+  for (nn::Conv3d* c : model_->PrunableConvs()) {
+    specs.push_back({&c->weight(), tiling.block(), 0.5, c->name()});
+  }
+  core::AdmmPruner pruner(specs, core::AdmmConfig{});
+  pruner.HardPrune();
+  fpga::CompiledModelOptions copts;
+  copts.tiling = tiling;
+  copts.masks = pruner.masks();
+  auto pruned = fpga::CompiledModel::Compile(*model_, copts);
+  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+  serve::ServerConfig cfg;
+  cfg.replicas = 2;
+  serve::InferenceServer server(*pruned, cfg);
 
-TEST(InferenceSessionTest, CheckpointRoundTripServesIdenticalModel) {
-  auto first = SmallSessionBuilder(SmallServing(2)).Build();
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  InferenceSession& session = **first;
-  ASSERT_FALSE(session.eval_batches().empty());
-
-  // Slice one eval clip out of the first batch.
-  const nn::Batch& batch = session.eval_batches()[0];
-  const data::SyntheticVideoConfig dcfg = session.data_config();
-  TensorF clip(Shape{dcfg.channels, dcfg.frames, dcfg.height, dcfg.width});
-  for (int64_t i = 0; i < clip.numel(); ++i) clip[i] = batch.clips[i];
-
-  auto direct = session.Submit(clip);
-  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-
-  const std::string path = TempPath("session_roundtrip.ckpt");
-  ASSERT_TRUE(session.SaveCheckpoint(path).ok());
-  // Reload via the checkpoint (no retraining) with zero-block mask
-  // recovery: a dense model yields all-enabled masks, so the logits
-  // must be bitwise identical to the first session's.
-  auto second = SmallSessionBuilder()
-                    .FromCheckpoint(path)
-                    .UseZeroBlockMasks()
-                    .EvalData(0)
-                    .Build();
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  auto reloaded = (*second)->Submit(clip);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  EXPECT_TRUE(AllClose(reloaded->logits, direct->logits, 0.0f, 0.0f));
-  EXPECT_EQ(reloaded->label, direct->label);
-
-  ASSERT_TRUE(session.Drain().ok());
-  EXPECT_GE(session.Stats().completed, 1);
+  // A fresh model loads the checkpoint; its exactly-zero blocks give the
+  // masks back, and the recompiled model runs the same blocks.
+  const std::string path =
+      ::testing::TempDir() + "/serve_pruned_roundtrip.ckpt";
+  ASSERT_TRUE(nn::SaveCheckpoint(path, *model_).ok());
+  Rng other_init(12345);
+  models::TinyR2Plus1d reloaded(model_->config(), other_init);
+  const Status loaded = nn::LoadCheckpoint(path, reloaded);
   std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  copts.masks.clear();
+  for (nn::Conv3d* c : reloaded.PrunableConvs()) {
+    const core::BlockPartition part(c->weight().value.shape(), tiling.block());
+    copts.masks.push_back(part.ZeroBlockMask(c->weight().value));
+  }
+  EXPECT_EQ(copts.masks, pruner.masks());
+  auto recompiled = fpga::CompiledModel::Compile(reloaded, copts);
+  ASSERT_TRUE(recompiled.ok()) << recompiled.status().ToString();
+
+  std::vector<TensorF> clips;
+  for (int i = 0; i < 6; ++i) clips.push_back(MakeClip(i % 4, 300 + i));
+  std::vector<std::future<StatusOr<InferenceResult>>> futures;
+  for (const TensorF& clip : clips) futures.push_back(server.SubmitAsync(clip));
+  for (size_t i = 0; i < clips.size(); ++i) {
+    auto served = futures[i].get();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    fpga::CompiledRunStats stats;
+    const TensorF logits = recompiled->Infer(clips[i], &stats);
+    EXPECT_TRUE(AllClose(served->logits, logits, 0.0f, 0.0f)) << "clip " << i;
+    EXPECT_EQ(served->stats, stats) << "clip " << i;
+    EXPECT_GT(stats.blocks_skipped, 0) << "clip " << i;
+  }
 }
 
 }  // namespace
